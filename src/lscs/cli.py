@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .bounds import BoundContext, find_min_d0, required_rip_entries, check_stability_conditions
-from .harness import ConfigError, run_experiment
+from .harness import ConfigError, parse_model, run_experiment
 from .measurement import (
     EnumerationBudgetExceeded,
     InsufficientRipTable,
@@ -103,9 +103,7 @@ def _cmd_rip_table(args) -> int:
 def _cmd_check_stability(args) -> int:
     cfg = _load_json(args.config)
     model_cfg = cfg["model"]
-    from .harness import _parse_model  # shared config parsing
-
-    model = _parse_model(model_cfg, seed=0)
+    model = parse_model(model_cfg, seed=0)
     ctx_cfg = cfg["context"]
     rip_spec = cfg["rip_table"]
     if isinstance(rip_spec, str):

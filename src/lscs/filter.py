@@ -26,7 +26,14 @@ import numpy as np
 
 from .core import SupportSet, magnitude_order, support_of
 from .measurement import MeasurementMatrix
-from .solver import LsSolveError, ls_on_support, solve_dantzig
+from .solver import (
+    DantzigNumericsError,
+    DantzigStatusError,
+    LsSolveError,
+    ls_on_support,
+    optimal_zeta,
+    solve_dantzig,
+)
 
 DETECTION_THRESHOLD = "threshold"
 DETECTION_GREEDY = "greedy_condition_number"
@@ -106,10 +113,7 @@ def cs_residual_estimate(
     A: MeasurementMatrix, x_init: np.ndarray, y_res: np.ndarray, lam: float
 ) -> np.ndarray:
     """Dantzig-selector solve on the residual, added back to the LS estimate."""
-    sol = solve_dantzig(A, y_res, lam)
-    if sol.status != "optimal":
-        raise RuntimeError(f"selector solve ended with status {sol.status}")
-    return sol.zeta_hat + x_init
+    return optimal_zeta(solve_dantzig(A, y_res, lam)) + x_init
 
 
 def detect(
@@ -162,10 +166,8 @@ def simple_cs(
     Returns the refit estimate and its support.  Used as the t=0
     initialization (with a taller matrix) and as a per-step baseline.
     """
-    sol = solve_dantzig(A, y, lam)
-    if sol.status != "optimal":
-        raise RuntimeError(f"selector solve ended with status {sol.status}")
-    support = SupportSet([i for i in range(A.m) if abs(sol.zeta_hat[i]) > alpha], A.m)
+    zeta = optimal_zeta(solve_dantzig(A, y, lam))
+    support = SupportSet([i for i in range(A.m) if abs(zeta[i]) > alpha], A.m)
     x_hat = ls_on_support(A, support, y)
     return x_hat, support
 
@@ -225,7 +227,7 @@ def lscs_step(
     try:
         diag.x_csres = cs_residual_estimate(A, diag.x_init, diag.y_res, cfg.lam)
         diag.beta_hat = diag.x_csres - diag.x_init
-    except RuntimeError as exc:
+    except (DantzigNumericsError, DantzigStatusError) as exc:
         return fallback("cs_residual", exc)
     diag.T_det = detect(diag.x_csres, T, cfg, A)
     try:

@@ -55,7 +55,7 @@ from .measurement import (
     theta_exhaustive,
 )
 from .sigmodel import SignalModelParams, SignalSequence, generate
-from .solver import LsSolveError, ls_on_support, solve_dantzig
+from .solver import LsSolveError, ls_on_support, optimal_zeta, solve_dantzig
 
 CSV_HEADER = "trial,t,method,nmse,misses,extras,support_size,err_csres,err_final"
 
@@ -175,7 +175,7 @@ def _rates_vector(spec, m: int) -> np.ndarray:
     raise ConfigError("rates must be a number, a length-m list, or {'classes': [...]}")
 
 
-def _parse_model(cfg: dict, seed: int) -> SignalModelParams:
+def parse_model(cfg: dict, seed: int) -> SignalModelParams:
     m = int(_req(cfg, "m"))
     return SignalModelParams(
         m=m,
@@ -272,8 +272,7 @@ def run_static_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
             sig_sum += sig_sq
 
             x_init, y_res = initial_ls_residual(A, known, y)
-            sol = solve_dantzig(A, y_res, csres_factor * sigma)
-            x_csres = sol.zeta_hat + x_init
+            x_csres = optimal_zeta(solve_dantzig(A, y_res, csres_factor * sigma)) + x_init
             err = float(np.sum((x - x_csres) ** 2))
             err_sum["cs_residual"] += err
             rows["cs_residual"].append(MetricsRow(
@@ -283,8 +282,8 @@ def run_static_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
 
             for factor in ds_factors:
                 name = _ds_method_name(factor)
-                ds = solve_dantzig(A, y, factor * sigma)
-                err = float(np.sum((x - ds.zeta_hat) ** 2))
+                zeta = optimal_zeta(solve_dantzig(A, y, factor * sigma))
+                err = float(np.sum((x - zeta) ** 2))
                 err_sum[name] += err
                 rows[name].append(MetricsRow(
                     trial=k, t=0, method=name, nmse=_ratio(err, sig_sq), err_final=err,
@@ -406,7 +405,7 @@ def _run_tracking_trials(
     for k in range(trials):
         rng = np.random.default_rng([seed, k])
         A = MeasurementMatrix.from_columns(rng.standard_normal((n, int(model_cfg["m"]))))
-        seq = generate(_parse_model(model_cfg, seed=int(rng.integers(2 ** 62))))
+        seq = generate(parse_model(model_cfg, seed=int(rng.integers(2 ** 62))))
         m = seq.params.m
 
         ys = [seq.signal_at(t) @ A.entries.T + _draw_noise(noise, n, rng) for t in range(t_end + 1)]
@@ -454,8 +453,8 @@ def _run_tracking_trials(
                 misses=0, extras=0, support_size=len(seq.support_at(0)), err_final=errg,
             ))
         if METHOD_CS in methods:
-            ds = solve_dantzig(A, ys[0], cs_lambda)
-            errc = float(np.sum((x0 - ds.zeta_hat) ** 2))
+            zeta = optimal_zeta(solve_dantzig(A, ys[0], cs_lambda))
+            errc = float(np.sum((x0 - zeta) ** 2))
             err_sums[METHOD_CS] += errc
             per_t_err[METHOD_CS][0] += errc
             rows[METHOD_CS].append(MetricsRow(
@@ -492,8 +491,8 @@ def _run_tracking_trials(
                     misses=0, extras=0, support_size=len(seq.support_at(t)), err_final=errg,
                 ))
             if METHOD_CS in methods:
-                ds = solve_dantzig(A, ys[t], cs_lambda)
-                errc = float(np.sum((x_true - ds.zeta_hat) ** 2))
+                zeta = optimal_zeta(solve_dantzig(A, ys[t], cs_lambda))
+                errc = float(np.sum((x_true - zeta) ** 2))
                 err_sums[METHOD_CS] += errc
                 per_t_err[METHOD_CS][t] += errc
                 rows[METHOD_CS].append(MetricsRow(
@@ -725,8 +724,7 @@ def run_bound_validation(cfg: dict, out_dir: Path | None = None) -> dict:
             y = A.entries @ x + w
 
             x_init, y_res = initial_ls_residual(A, known, y)
-            sol = solve_dantzig(A, y_res, lam)
-            x_csres = sol.zeta_hat + x_init
+            x_csres = optimal_zeta(solve_dantzig(A, y_res, lam)) + x_init
             err_csres = float(np.sum((x - x_csres) ** 2))
             x_delta = x[np.sort(delta)]
             w_sq = float(w @ w)

@@ -40,18 +40,23 @@ class InsufficientRipTable(KeyError):
 
 @dataclass(frozen=True)
 class MeasurementMatrix:
-    """An n x m measurement matrix with unit Euclidean-norm columns."""
+    """An n x m measurement matrix with unit Euclidean-norm columns.
+
+    ``entries`` is a read-only copy of the input, so the Gram matrix can be
+    computed once and shared.
+    """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
+        a = np.array(self.entries, dtype=float)
         if a.ndim != 2:
             raise ValueError("entries must be a 2-D array")
         norms = np.linalg.norm(a, axis=0)
         if np.any(np.abs(norms - 1.0) > _COLUMN_NORM_TOL):
             worst = float(np.max(np.abs(norms - 1.0)))
             raise ValueError(f"columns must have unit norm (worst deviation {worst:.3e})")
+        a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
     @classmethod
@@ -77,7 +82,13 @@ class MeasurementMatrix:
         return float(np.max(np.sum(np.abs(self.entries), axis=0)))
 
     def gram(self) -> np.ndarray:
-        return self.entries.T @ self.entries
+        """``A'A`` as a read-only array, computed on the first call and cached."""
+        gram = self.__dict__.get("_gram")
+        if gram is None:
+            gram = self.entries.T @ self.entries
+            gram.setflags(write=False)
+            object.__setattr__(self, "_gram", gram)
+        return gram
 
     def columns(self, indices) -> np.ndarray:
         idx = indices.to_array() if hasattr(indices, "to_array") else np.asarray(indices, dtype=np.intp)

@@ -1,11 +1,24 @@
+import json
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+import lscs.solver
+from lscs.cli import main as cli_main
 from lscs.core import SupportSet, support_of
+from lscs.filter import FilterConfig, FilterState, lscs_step
+from lscs.harness import run_static_experiment, run_stability_experiment
 from lscs.measurement import MeasurementMatrix, gen_gaussian_matrix
-from lscs.solver import LsSolveError, ls_on_support, solve_dantzig
+from lscs.solver import (
+    DantzigStatusError,
+    LsSolveError,
+    ls_on_support,
+    optimal_zeta,
+    solve_dantzig,
+)
 
 
 def soft_threshold(y: np.ndarray, lam: float) -> np.ndarray:
@@ -37,6 +50,35 @@ def vertex_enumeration_optimum(A: np.ndarray, y: np.ndarray, lam: float) -> floa
         if np.all(rows @ z <= rhs + 1e-9):
             best = min(best, float(cost @ z))
     return best
+
+
+def inequality_form_dantzig(A: MeasurementMatrix, y: np.ndarray, lam: float) -> np.ndarray:
+    """Reference selector: the 2m-row inequality form
+    ``G(p - q) <= lam + g, -G(p - q) <= lam - g`` with ``p, q >= 0``."""
+    G = A.entries.T @ A.entries
+    g = A.entries.T @ y
+    m = A.m
+    if lam >= np.max(np.abs(g)):
+        return np.zeros(m)
+    res = linprog(
+        np.ones(2 * m),
+        A_ub=np.block([[G, -G], [-G, G]]),
+        b_ub=np.concatenate([lam + g, lam - g]),
+        bounds=(0, None),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0
+    return res.x[:m] - res.x[m:]
+
+
+def static_table_instance(n: int, seed: int, sigma: float):
+    """A static-table draw: m = 200, twenty +-1 spikes, Gaussian noise."""
+    rng = np.random.default_rng([seed, n])
+    A = MeasurementMatrix.from_columns(rng.standard_normal((n, 200)))
+    x = np.zeros(200)
+    x[rng.choice(200, size=20, replace=False)] = rng.choice([-1.0, 1.0], size=20)
+    return A, A.entries @ x + sigma * rng.standard_normal(n)
 
 
 class TestDantzig:
@@ -121,6 +163,85 @@ class TestDantzig:
             solve_dantzig(A, np.zeros(4), -0.5)
         with pytest.raises(ValueError):
             solve_dantzig(A, np.full(4, np.nan), 0.1)
+
+
+class TestEqualityForm:
+    @pytest.mark.parametrize("n", [45, 59, 100])
+    def test_matches_inequality_form(self, n):
+        sigma = 0.04
+        A, y = static_table_instance(n, seed=5, sigma=sigma)
+        peak = float(np.max(np.abs(A.entries.T @ y)))
+        # two LP scales and one past max|A'y|, where the zero exit answers
+        for lam in (0.4 * sigma, 4.0 * sigma, 1.5 * peak):
+            sol = solve_dantzig(A, y, lam)
+            ref = inequality_form_dantzig(A, y, lam)
+            assert sol.status == "optimal"
+            assert np.max(np.abs(sol.zeta_hat - ref)) <= 1e-9
+            assert abs(sol.objective - np.abs(ref).sum()) <= 1e-9
+            assert sol.max_correlation <= lam + 1e-9
+        assert np.all(sol.zeta_hat == 0.0)
+
+    def test_gram_is_cached_and_read_only(self):
+        raw = np.random.default_rng(4).standard_normal((6, 9))
+        raw /= np.linalg.norm(raw, axis=0)
+        A = MeasurementMatrix(raw)
+        G = A.gram()
+        assert A.gram() is G
+        assert not G.flags.writeable and not A.entries.flags.writeable
+        assert raw.flags.writeable  # the caller's array is copied, not frozen
+        assert np.array_equal(G, raw.T @ raw)
+
+
+class TestSelectorFailure:
+    """A non-optimal selector status must surface, never score as zeros."""
+
+    @pytest.fixture(autouse=True)
+    def failing_lp(self, monkeypatch):
+        monkeypatch.setattr(lscs.solver, "linprog", lambda *a, **k: SimpleNamespace(status=2, x=None))
+
+    def test_status_reported(self):
+        A = gen_gaussian_matrix(10, 20, 1)
+        y = A.entries @ np.ones(20)
+        sol = solve_dantzig(A, y, 0.01)
+        assert sol.status == "infeasible"
+        with pytest.raises(DantzigStatusError):
+            optimal_zeta(sol)
+
+    def test_step_fails_at_cs_residual(self):
+        A = gen_gaussian_matrix(20, 40, 3)
+        x = np.zeros(40)
+        x[[2, 11, 30]] = [1.0, -1.5, 2.0]
+        y = A.entries @ x
+        known = SupportSet([2, 11], 40)
+        state = FilterState(known, np.zeros(40), 0)
+        new_state, diag = lscs_step(state, A, y, FilterConfig(lam=0.01, alpha=0.1, alpha_del=0.05))
+        assert diag.failed_stage == "cs_residual"
+        assert "infeasible" in diag.failure
+        assert new_state.support_estimate == known
+
+    def test_experiments_raise(self, tmp_path):
+        static = {
+            "kind": "static_table",
+            "m": 40, "support_size": 6, "delta_size": 1, "delta_e_size": 1,
+            "cells": [{"n": 20, "sigma": 0.05}],
+            "trials": 1, "seed": 11,
+        }
+        with pytest.raises(DantzigStatusError):
+            run_static_experiment(static)
+        stability = {
+            "kind": "stability",
+            "n": 25, "trials": 1, "seed": 7,
+            "model": {"m": 60, "s0": 8, "sa": 1, "d": 6, "r": 2, "big_m": 2.0,
+                      "rates": 0.5, "t_end": 6},
+            "noise": {"kind": "uniform", "c": 0.02},
+            "filter": {"lam": 0.15, "alpha": 0.05, "alpha_del": 0.1},
+        }
+        # the per-step lscs failures are caught; the simple_cs baseline is not
+        with pytest.raises(DantzigStatusError):
+            run_stability_experiment(stability)
+        path = tmp_path / "static.json"
+        path.write_text(json.dumps(static))
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
 
 
 class TestLsOnSupport:
