@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .filter import FilterConfig, StepDiagnostics
-from .measurement import InsufficientRipTable, RipTable
+from .measurement import InsufficientRipTable, RipEntry, RipTable
 from .sigmodel import SignalModelParams
 
 _NOISE_TOL = 1e-12
@@ -131,25 +131,65 @@ def _check_delta_within_s_starstar(ctx: BoundContext, size_delta: int) -> tuple[
     return d.value + th.value < 1.0, d.exact and th.exact
 
 
-def _admissible_s_scan(ctx: BoundContext, cap: int) -> tuple[int, bool]:
-    """Largest prefix 1..S with defined recovery constants, capped.
+class _Hypotheses(NamedTuple):
+    reason: str | None          # why the bound does not apply; None when it does
+    theta: RipEntry | None      # theta_{|T|, theta_with} when it does
+    exact: bool
 
-    Restricting the scan below the true threshold only discards candidate
-    values of the minimum, which keeps every bound valid (possibly looser).
-    Returns (limit, exact_flags_of_entries_used).
+
+def _hypotheses(
+    ctx: BoundContext,
+    size_T: int = 0,
+    theta_with: int = 0,
+    s_starstar: int = 0,
+    names: tuple[str, str] = ("|T|", "|Delta|"),
+) -> _Hypotheses:
+    """The hypotheses the bounds share, checked in one order.
+
+    The noise budget must hold, ``|T| = size_T`` must be within S* and
+    ``s_starstar`` within S**; ``theta_{|T|, theta_with}`` is looked up and
+    returned.  A zero size makes its check hold trivially.  A missing table
+    entry makes the bound not applicable.  ``names`` label ``size_T`` and
+    ``s_starstar`` in the reason.
     """
-    limit = 0
-    exact = True
+    if not ctx.noise_budget_ok():
+        return _Hypotheses("noise bound exceeds lam/||A||_1", None, False)
+    try:
+        t_ok, t_exact = _check_t_within_s_star(ctx, size_T)
+        d_ok, d_exact = _check_delta_within_s_starstar(ctx, s_starstar)
+        theta = ctx.rip.theta(size_T, theta_with)
+    except InsufficientRipTable as exc:
+        return _Hypotheses(str(exc), None, False)
+    if not t_ok:
+        return _Hypotheses(f"{names[0]}={size_T} exceeds S*", None, False)
+    if not d_ok:
+        return _Hypotheses(f"{names[1]}={s_starstar} exceeds S**", None, False)
+    return _Hypotheses(None, theta, t_exact and d_exact and theta.exact)
+
+
+def _min_over_s(ctx: BoundContext, cap: int, tail, exact: bool) -> BoundResult:
+    """``min_S [C2(S) S lam^2 + C3(S) ((cap - S)/S) tail(S)]`` over S = 1..cap.
+
+    The scan stops at the first S whose recovery constants are undefined or
+    missing from the table.  Restricting the scan below the true threshold
+    only discards candidate values of the minimum, which keeps every bound
+    valid (possibly looser).
+    """
+    best, best_s, scan_cap = math.inf, None, 0
     for s in range(1, cap + 1):
         if not (ctx.rip.has_delta(2 * s) and ctx.rip.has_theta(s, 2 * s)):
             break
-        d = ctx.rip.delta(2 * s)
-        th = ctx.rip.theta(s, 2 * s)
-        if d.value + th.value >= 1.0:
+        if ctx.rip.delta(2 * s).value + ctx.rip.theta(s, 2 * s).value >= 1.0:
             break
-        limit = s
-        exact = exact and d.exact and th.exact
-    return limit, exact
+        scan_cap = s
+        cc = recovery_constants(s, ctx.rip)
+        exact = exact and cc.exact
+        f = cc.c2 * s * ctx.lam ** 2 + cc.c3 * (cap - s) / s * tail(s)
+        if f < best:
+            best, best_s = f, s
+    if best_s is None:
+        return BoundResult(None, False, reasons=["no admissible S"])
+    return BoundResult(best, True, optimistic=not exact, argmin_s=best_s, details={"scan_cap": scan_cap})
 
 
 def residual_recovery_bound(
@@ -167,47 +207,20 @@ def residual_recovery_bound(
     """
     x_delta = np.asarray(x_delta, dtype=float)
     size_delta = int(x_delta.size)
-    res = BoundResult(None, False)
-    if not ctx.noise_budget_ok():
-        res.reasons.append("noise bound exceeds lam/||A||_1")
-        return res
-    try:
-        t_ok, t_exact = _check_t_within_s_star(ctx, size_T)
-    except InsufficientRipTable as exc:
-        res.reasons.append(str(exc))
-        return res
-    if not t_ok:
-        res.reasons.append(f"|T|={size_T} exceeds S* (delta_{size_T} >= 1/2)")
-        return res
-    try:
-        theta = ctx.rip.theta(size_T, size_delta)
-    except InsufficientRipTable as exc:
-        res.reasons.append(str(exc))
-        return res
-    cap = size_T + size_delta
-    s_hi, scan_exact = _admissible_s_scan(ctx, cap)
-    if s_hi < 1:
-        res.reasons.append("no admissible S (recovery constants undefined at S=1)")
-        return res
-
+    h = _hypotheses(ctx, size_T, theta_with=size_delta)
+    if h.reason:
+        return BoundResult(None, False, reasons=[h.reason])
     xd_sq = float(np.sum(x_delta ** 2))
-    exact = t_exact and theta.exact and scan_exact
-    best = math.inf
-    best_s = None
-    for s in range(1, s_hi + 1):
-        cc = recovery_constants(s, ctx.rip)
-        exact = exact and cc.exact
-        b = 8.0 * theta.value ** 2 * xd_sq + 4.0 * w_sqnorm
+
+    def tail(s: int) -> float:
+        b = 8.0 * h.theta.value ** 2 * xd_sq + 4.0 * w_sqnorm
         if s < size_delta:
             b += _smallest_sqnorm(x_delta, size_delta - s)
-        f = cc.c2 * s * ctx.lam ** 2 + cc.c3 * (cap - s) / s * b
-        if f < best:
-            best, best_s = f, s
-    res.value = best
-    res.applicable = True
-    res.optimistic = not exact
-    res.argmin_s = best_s
-    res.details = {"scan_cap": s_hi, "theta": theta.value}
+        return b
+
+    res = _min_over_s(ctx, size_T + size_delta, tail, h.exact)
+    if res.applicable:
+        res.details["theta"] = h.theta.value
     return res
 
 
@@ -218,34 +231,18 @@ def simplified_residual_bound(
 
     ``C'`` and ``C''`` are returned in ``details``; requires ``|Delta| >= 1``.
     """
-    res = BoundResult(None, False)
     if size_delta < 1:
-        res.reasons.append("this branch needs |Delta| >= 1; use the B0 bound instead")
-        return res
-    if not ctx.noise_budget_ok():
-        res.reasons.append("noise bound exceeds lam/||A||_1")
-        return res
-    try:
-        t_ok, t_exact = _check_t_within_s_star(ctx, size_T)
-        d_ok, d_exact = _check_delta_within_s_starstar(ctx, size_delta)
-        theta = ctx.rip.theta(size_T, size_delta)
-    except InsufficientRipTable as exc:
-        res.reasons.append(str(exc))
-        return res
-    if not t_ok:
-        res.reasons.append(f"|T|={size_T} exceeds S*")
-        return res
-    if not d_ok:
-        res.reasons.append(f"|Delta|={size_delta} exceeds S**")
-        return res
+        return BoundResult(None, False, reasons=["this branch needs |Delta| >= 1; use the B0 bound instead"])
+    h = _hypotheses(ctx, size_T, theta_with=size_delta, s_starstar=size_delta)
+    if h.reason:
+        return BoundResult(None, False, reasons=[h.reason])
     cc = recovery_constants(size_delta, ctx.rip)
-    c_prime = cc.c2 * size_delta * ctx.lam ** 2 + 4.0 * cc.c3 * (size_T / size_delta) * ctx.w_max_sq()
-    c_dprime = 8.0 * cc.c3 * size_T
-    res.value = c_prime + c_dprime * theta.value ** 2 * x_delta_sqnorm
-    res.applicable = True
-    res.optimistic = not (t_exact and d_exact and theta.exact and cc.exact)
-    res.details = {"c_prime": c_prime, "c_double_prime": c_dprime, "theta": theta.value}
-    return res
+    c_prime, c_dprime = _c_prime_dprime(ctx, size_T, size_delta, cc)
+    return BoundResult(
+        c_prime + c_dprime * h.theta.value ** 2 * x_delta_sqnorm, True,
+        optimistic=not (h.exact and cc.exact),
+        details={"c_prime": c_prime, "c_double_prime": c_dprime, "theta": h.theta.value},
+    )
 
 
 def no_miss_residual_bound(ctx: BoundContext, size_T: int) -> BoundResult:
@@ -256,35 +253,10 @@ def no_miss_residual_bound(ctx: BoundContext, size_T: int) -> BoundResult:
     those are the values the underlying sparse-compressible bound admits for a
     ``|T|``-sparse error, and larger S would make the second term negative.)
     """
-    res = BoundResult(None, False)
-    if not ctx.noise_budget_ok():
-        res.reasons.append("noise bound exceeds lam/||A||_1")
-        return res
-    try:
-        t_ok, t_exact = _check_t_within_s_star(ctx, size_T)
-    except InsufficientRipTable as exc:
-        res.reasons.append(str(exc))
-        return res
-    if not t_ok:
-        res.reasons.append(f"|T|={size_T} exceeds S*")
-        return res
-    s_hi, scan_exact = _admissible_s_scan(ctx, size_T)
-    if s_hi < 1:
-        res.reasons.append("no admissible S")
-        return res
-    exact = t_exact and scan_exact
-    best, best_s = math.inf, None
-    for s in range(1, s_hi + 1):
-        cc = recovery_constants(s, ctx.rip)
-        exact = exact and cc.exact
-        f = cc.c2 * s * ctx.lam ** 2 + cc.c3 * (size_T - s) / s * 4.0 * ctx.w_max_sq()
-        if f < best:
-            best, best_s = f, s
-    res.value = best
-    res.applicable = True
-    res.optimistic = not exact
-    res.argmin_s = best_s
-    return res
+    h = _hypotheses(ctx, size_T)
+    if h.reason:
+        return BoundResult(None, False, reasons=[h.reason])
+    return _min_over_s(ctx, size_T, lambda s: 4.0 * ctx.w_max_sq(), h.exact)
 
 
 def one_shot_recovery_bound(ctx: BoundContext, x_on_N: np.ndarray) -> BoundResult:
@@ -292,27 +264,10 @@ def one_shot_recovery_bound(ctx: BoundContext, x_on_N: np.ndarray) -> BoundResul
     ``min_S [C2 S lam^2 + C3 ((|N|-S)/S) ||x_N(|N|-S)||^2]``."""
     x_on_N = np.asarray(x_on_N, dtype=float)
     size_N = int(x_on_N.size)
-    res = BoundResult(None, False)
-    if not ctx.noise_budget_ok():
-        res.reasons.append("noise bound exceeds lam/||A||_1")
-        return res
-    s_hi, scan_exact = _admissible_s_scan(ctx, size_N)
-    if s_hi < 1:
-        res.reasons.append("no admissible S")
-        return res
-    exact = scan_exact
-    best, best_s = math.inf, None
-    for s in range(1, s_hi + 1):
-        cc = recovery_constants(s, ctx.rip)
-        exact = exact and cc.exact
-        f = cc.c2 * s * ctx.lam ** 2 + cc.c3 * (size_N - s) / s * _smallest_sqnorm(x_on_N, size_N - s)
-        if f < best:
-            best, best_s = f, s
-    res.value = best
-    res.applicable = True
-    res.optimistic = not exact
-    res.argmin_s = best_s
-    return res
+    h = _hypotheses(ctx)
+    if h.reason:
+        return BoundResult(None, False, reasons=[h.reason])
+    return _min_over_s(ctx, size_N, lambda s: _smallest_sqnorm(x_on_N, size_N - s), h.exact)
 
 
 def compressibility_residual_bound(
@@ -329,32 +284,17 @@ def compressibility_residual_bound(
         res = no_miss_residual_bound(ctx, size_T)
         res.reasons.append("|Delta|=0: fell back to the B0 bound")
         return res
-    res = BoundResult(None, False)
-    if not ctx.noise_budget_ok():
-        res.reasons.append("noise bound exceeds lam/||A||_1")
-        return res
-    try:
-        t_ok, t_exact = _check_t_within_s_star(ctx, size_T)
-        d_ok, d_exact = _check_delta_within_s_starstar(ctx, size_delta)
-        theta = ctx.rip.theta(size_T, size_delta)
-    except InsufficientRipTable as exc:
-        res.reasons.append(str(exc))
-        return res
-    if not t_ok:
-        res.reasons.append(f"|T|={size_T} exceeds S*")
-        return res
-    if not d_ok:
-        res.reasons.append(f"|Delta|={size_delta} exceeds S**")
-        return res
+    h = _hypotheses(ctx, size_T, theta_with=size_delta, s_starstar=size_delta)
+    if h.reason:
+        return BoundResult(None, False, reasons=[h.reason])
     cc = recovery_constants(size_delta, ctx.rip)
     second = cc.c3 * min(
         b ** 2 * x_delta_sqnorm,
-        8.0 * size_T * theta.value ** 2 * x_delta_sqnorm + 4.0 * size_T * ctx.w_max_sq(),
+        8.0 * size_T * h.theta.value ** 2 * x_delta_sqnorm + 4.0 * size_T * ctx.w_max_sq(),
     )
-    res.value = cc.c2 * size_delta * ctx.lam ** 2 + second
-    res.applicable = True
-    res.optimistic = not (t_exact and d_exact and theta.exact and cc.exact)
-    return res
+    return BoundResult(
+        cc.c2 * size_delta * ctx.lam ** 2 + second, True, optimistic=not (h.exact and cc.exact),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +318,35 @@ class DetectionCondition:
     worst_pair: tuple[int, int] | None = None
 
 
+def _gate_terms(
+    ctx: BoundContext, S_T: int, S_Delta: int
+) -> tuple[list[tuple[tuple[int, int], float, float]], bool]:
+    """Detection-gate terms over every ``(|T|, |Delta|)`` with ``|T| <= S_T``,
+    ``1 <= |Delta| <= S_Delta`` and ``|T| + |Delta| <= m``.
+
+    Returns ``[(pair, 2 theta^2 |Delta| C'', C')]`` in enumeration order and
+    whether every constant used was exact.  At the first ``|Delta|`` beyond
+    S** the recovery constants are undefined: one term with an infinite gate
+    stands for it and the enumeration stops.
+    """
+    terms = []
+    exact = True
+    for d_sz in range(1, S_Delta + 1):
+        if not _check_delta_within_s_starstar(ctx, d_sz)[0]:
+            terms.append(((0, d_sz), math.inf, math.inf))
+            break
+        cc = recovery_constants(d_sz, ctx.rip)
+        exact = exact and cc.exact
+        for t_sz in range(0, S_T + 1):
+            if t_sz + d_sz > ctx.m:
+                continue
+            theta = ctx.rip.theta(t_sz, d_sz)
+            exact = exact and theta.exact
+            c_prime, c_dprime = _c_prime_dprime(ctx, t_sz, d_sz, cc)
+            terms.append(((t_sz, d_sz), 2.0 * theta.value ** 2 * d_sz * c_dprime, c_prime))
+    return terms, exact
+
+
 def detection_condition(
     ctx: BoundContext, S_T: int, S_Delta: int, alpha: float
 ) -> DetectionCondition:
@@ -394,51 +363,30 @@ def detection_condition(
     if S_Delta < 1:
         out.reasons.append("no undetected coefficients to consider (S_Delta = 0)")
         return out
-    if not ctx.noise_budget_ok():
-        out.reasons.append("noise bound exceeds lam/||A||_1")
+    h = _hypotheses(ctx, S_T, s_starstar=S_Delta, names=("S_T", "S_Delta"))
+    if h.reason:
+        out.reasons.append(h.reason)
         return out
     try:
-        t_ok, t_exact = _check_t_within_s_star(ctx, S_T)
-        d_ok, d_exact = _check_delta_within_s_starstar(ctx, S_Delta)
+        terms, terms_exact = _gate_terms(ctx, S_T, S_Delta)
     except InsufficientRipTable as exc:
         out.reasons.append(str(exc))
         return out
-    if not t_ok:
-        out.reasons.append(f"S_T={S_T} exceeds S*")
-        return out
-    if not d_ok:
-        out.reasons.append(f"S_Delta={S_Delta} exceeds S**")
-        return out
-
-    exact = t_exact and d_exact
     gate_ok = True
     worst = -math.inf
     worst_pair = None
-    try:
-        for d_sz in range(1, S_Delta + 1):
-            cc = recovery_constants(d_sz, ctx.rip)
-            exact = exact and cc.exact
-            for t_sz in range(0, S_T + 1):
-                if t_sz + d_sz > ctx.m:
-                    continue
-                theta = ctx.rip.theta(t_sz, d_sz)
-                exact = exact and theta.exact
-                c_prime, c_dprime = _c_prime_dprime(ctx, t_sz, d_sz, cc)
-                gate = 2.0 * theta.value ** 2 * d_sz * c_dprime
-                if gate >= 1.0:
-                    gate_ok = False
-                    worst_pair = (t_sz, d_sz)
-                    continue
-                ratio = (2.0 * alpha ** 2 + 2.0 * c_prime) / (1.0 - gate)
-                if ratio > worst:
-                    worst, worst_pair = ratio, (t_sz, d_sz)
-    except InsufficientRipTable as exc:
-        out.reasons.append(str(exc))
-        return out
+    for pair, gate, c_prime in terms:
+        if gate >= 1.0:
+            gate_ok = False
+            worst_pair = pair
+            continue
+        ratio = (2.0 * alpha ** 2 + 2.0 * c_prime) / (1.0 - gate)
+        if ratio > worst:
+            worst, worst_pair = ratio, pair
     out.applicable = True
     out.gate_holds = gate_ok
     out.threshold_sq = worst if gate_ok else math.inf
-    out.optimistic = not exact
+    out.optimistic = not (h.exact and terms_exact)
     out.worst_pair = worst_pair
     return out
 
@@ -460,19 +408,11 @@ def _deletion_family(
     alpha_del: float | None,
 ) -> DeletionCondition:
     out = DeletionCondition(False, math.inf, False)
-    if not ctx.noise_budget_ok():
-        out.reasons.append("noise bound exceeds lam/||A||_1")
+    h = _hypotheses(ctx, S_T, theta_with=S_Delta, names=("S_T", "S_Delta"))
+    if h.reason:
+        out.reasons.append(h.reason)
         return out
-    try:
-        t_ok, t_exact = _check_t_within_s_star(ctx, S_T)
-        theta = ctx.rip.theta(S_T, S_Delta)
-    except InsufficientRipTable as exc:
-        out.reasons.append(str(exc))
-        return out
-    if not t_ok:
-        out.reasons.append(f"S_T={S_T} exceeds S*")
-        return out
-    coupling = theta.value ** 2 * det_misses_count * det_misses_linf ** 2
+    coupling = h.theta.value ** 2 * det_misses_count * det_misses_linf ** 2
     if alpha_del is None:
         # deletion condition: smallest alpha_del^2 that flushes every extra
         out.threshold_sq = 4.0 * ctx.w_max_sq() + 8.0 * coupling
@@ -480,7 +420,7 @@ def _deletion_family(
         # no-false-deletion condition: squared magnitude that survives deletion
         out.threshold_sq = 2.0 * alpha_del ** 2 + 8.0 * ctx.w_max_sq() + 16.0 * coupling
     out.applicable = True
-    out.optimistic = not (t_exact and theta.exact)
+    out.optimistic = not h.exact
     return out
 
 
@@ -709,25 +649,11 @@ def check_stability_conditions(
     ))
 
     # detection gate over the enumerated rectangle at (S_T, S_Delta) = (st_max, sa)
-    gate_lhs = 0.0
-    gate_exact = True
-    gate_inputs = {"S_T": st_max, "S_Delta": sa}
-    if sa > 0:
-        for d_sz in range(1, sa + 1):
-            cc = recovery_constants(d_sz, ctx.rip) if _check_delta_within_s_starstar(ctx, d_sz)[0] else None
-            if cc is None:
-                gate_lhs = math.inf
-                break
-            gate_exact = gate_exact and cc.exact
-            for t_sz in range(0, st_max + 1):
-                if t_sz + d_sz > ctx.m:
-                    continue
-                theta = ctx.rip.theta(t_sz, d_sz)
-                gate_exact = gate_exact and theta.exact
-                _, c_dprime = _c_prime_dprime(ctx, t_sz, d_sz, cc)
-                gate_lhs = max(gate_lhs, 2.0 * theta.value ** 2 * d_sz * c_dprime)
+    terms, gate_exact = _gate_terms(ctx, st_max, sa)
+    gate_lhs = max((gate for _, gate, _ in terms), default=0.0)
     rows.append(ConditionRow(
-        "detection-gate", bool(gate_lhs < 1.0), gate_lhs, 1.0, exact=gate_exact, inputs=gate_inputs,
+        "detection-gate", bool(gate_lhs < 1.0), gate_lhs, 1.0, exact=gate_exact,
+        inputs={"S_T": st_max, "S_Delta": sa},
     ))
 
     multisets = _rate_multisets(model.rates, sa)
@@ -844,20 +770,15 @@ def stability_error_caps(
         out.csres_err_cap = b0.value
         out.optimistic = b0.optimistic
         return out
-    try:
-        theta = ctx.rip.theta(st, sa)
-    except InsufficientRipTable as exc:
-        out.reasons.append(str(exc))
-        return out
     cor1 = simplified_residual_bound(ctx, st, sa, sa * peak)
     if not cor1.applicable:
         out.reasons.extend(cor1.reasons)
         return out
     out.applicable = True
     out.miss_err_sq = sa * peak
-    out.support_err_sq = 8.0 * theta.value ** 2 * sa * peak + 4.0 * ctx.w_max_sq()
+    out.support_err_sq = 8.0 * cor1.details["theta"] ** 2 * sa * peak + 4.0 * ctx.w_max_sq()
     out.csres_err_cap = max(b0.value, cor1.value)
-    out.optimistic = b0.optimistic or cor1.optimistic or not theta.exact
+    out.optimistic = b0.optimistic or cor1.optimistic
     return out
 
 
@@ -924,23 +845,13 @@ def detected_support_ls_error_bound(
     """Bound on the detected-support LS error:
     ``4 n lam^2/||A||_1^2 + 8 theta^2 ||x_misses||^2`` with theta at
     ``(|T_det|, |misses|)``."""
-    res = BoundResult(None, False)
-    if not ctx.noise_budget_ok():
-        res.reasons.append("noise bound exceeds lam/||A||_1")
-        return res
-    try:
-        t_ok, t_exact = _check_t_within_s_star(ctx, size_T_det)
-        theta = ctx.rip.theta(size_T_det, size_det_misses)
-    except InsufficientRipTable as exc:
-        res.reasons.append(str(exc))
-        return res
-    if not t_ok:
-        res.reasons.append(f"|T_det|={size_T_det} exceeds S*")
-        return res
-    res.value = 4.0 * ctx.w_max_sq() + 8.0 * theta.value ** 2 * det_misses_sqnorm
-    res.applicable = True
-    res.optimistic = not (t_exact and theta.exact)
-    return res
+    h = _hypotheses(ctx, size_T_det, theta_with=size_det_misses, names=("|T_det|", "|misses|"))
+    if h.reason:
+        return BoundResult(None, False, reasons=[h.reason])
+    return BoundResult(
+        4.0 * ctx.w_max_sq() + 8.0 * h.theta.value ** 2 * det_misses_sqnorm, True,
+        optimistic=not h.exact,
+    )
 
 
 def ls_error_bound_grid(

@@ -6,8 +6,10 @@ Commands:
   lscs check-stability <config.json> [--out FILE]
   lscs version
 
-Flag overrides beat config-file values.  Exit codes: 0 success, 1 config
-error, 2 runtime failure, 3 soundness assertion failed.
+Flag overrides beat config-file values.  Each command loads and parses its
+whole config before it starts work.  Exit codes: 0 success, 1 the config
+could not be loaded or parsed, 2 any failure after parsing (a RIP table
+lacking entries included), 3 soundness assertion failed.
 """
 
 from __future__ import annotations
@@ -19,16 +21,9 @@ from pathlib import Path
 
 from . import __version__
 from .bounds import BoundContext, find_min_d0, required_rip_entries, check_stability_conditions
-from .harness import ConfigError, parse_model, run_experiment
-from .measurement import (
-    EnumerationBudgetExceeded,
-    InsufficientRipTable,
-    MeasurementMatrix,
-    RipTable,
-    build_rip_table,
-    gen_gaussian_matrix,
-    gen_perturbed_orthonormal_matrix,
-)
+from .harness import ConfigError, config_errors, parse_model, run_experiment
+from .measurement import MeasurementMatrix, RipTable, build_rip_table, gen_matrix
+
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
@@ -38,21 +33,34 @@ EXIT_ASSERTION = 3
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config file does not hold a JSON object: {path}")
+    return doc
 
 
 def _matrix_from_spec(spec: dict) -> MeasurementMatrix:
-    kind = spec.get("kind", "gaussian")
-    n, m, seed = int(spec["n"]), int(spec["m"]), int(spec.get("seed", 0))
-    if kind == "gaussian":
-        return gen_gaussian_matrix(n, m, seed)
-    if kind == "perturbed_orthonormal":
-        return gen_perturbed_orthonormal_matrix(n, m, seed, float(spec.get("noise_scale", 0.2)))
-    raise ConfigError(f"unknown matrix kind {kind!r}")
+    return gen_matrix(
+        spec.get("kind", "gaussian"), int(spec["n"]), int(spec["m"]),
+        int(spec.get("seed", 0)), float(spec.get("noise_scale", 0.2)),
+    )
+
+
+def _table_options(spec: dict, default_mode: str) -> dict:
+    """Keyword arguments of ``build_rip_table`` besides the sizes."""
+    mode = spec.get("mode", default_mode)
+    if mode not in ("exact", "sampled"):
+        raise ConfigError(f"unknown mode {mode!r}")
+    return {
+        "mode": mode,
+        "budget": int(spec.get("budget", 2_000_000)),
+        "trials": int(spec.get("trials", 2000)),
+        "seed": int(spec.get("seed", 0)),
+    }
 
 
 def _cmd_run(args) -> int:
@@ -83,16 +91,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_rip_table(args) -> int:
     cfg = _load_json(args.config)
-    A = _matrix_from_spec(cfg["matrix"])
-    table = build_rip_table(
-        A,
-        delta_sizes=[int(s) for s in cfg.get("delta", [])],
-        theta_pairs=[(int(s), int(sp)) for s, sp in cfg.get("theta", [])],
-        mode=cfg.get("mode", "exact"),
-        budget=int(cfg.get("budget", 2_000_000)),
-        trials=int(cfg.get("trials", 2000)),
-        seed=int(cfg.get("seed", 0)),
-    )
+    with config_errors():
+        A = _matrix_from_spec(cfg["matrix"])
+        delta_sizes = [int(s) for s in cfg.get("delta", [])]
+        theta_pairs = [(int(s), int(sp)) for s, sp in cfg.get("theta", [])]
+        options = _table_options(cfg, "exact")
+    table = build_rip_table(A, delta_sizes, theta_pairs, **options)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(table.to_json() + "\n")
@@ -102,42 +106,42 @@ def _cmd_rip_table(args) -> int:
 
 def _cmd_check_stability(args) -> int:
     cfg = _load_json(args.config)
-    model_cfg = cfg["model"]
-    model = parse_model(model_cfg, seed=0)
-    ctx_cfg = cfg["context"]
-    rip_spec = cfg["rip_table"]
-    if isinstance(rip_spec, str):
-        table = RipTable.from_json(Path(rip_spec).read_text())
-    else:
-        A = _matrix_from_spec(rip_spec["matrix"])
+    with config_errors():
+        model = parse_model(cfg["model"], seed=0)
         f = int(cfg.get("f", 0))
-        d0_field = cfg.get("d0", "scan")
-        d0_probe = model.d - 1 if d0_field == "scan" else int(d0_field)
-        deltas, thetas = required_rip_entries(model, f, d0_probe)
-        table = build_rip_table(
-            A, deltas, thetas,
-            mode=rip_spec.get("mode", "sampled"),
-            budget=int(rip_spec.get("budget", 2_000_000)),
-            trials=int(rip_spec.get("trials", 2000)),
-            seed=int(rip_spec.get("seed", 0)),
-        )
-    ctx = BoundContext(
-        rip=table,
-        n=int(ctx_cfg["n"]),
-        m=model.m,
-        lam=float(ctx_cfg["lam"]),
-        norm_A_1=float(ctx_cfg["norm_A_1"]),
-        noise_linf_bound=float(ctx_cfg["noise_linf_bound"]),
-    )
-    f = int(cfg.get("f", 0))
-    alpha = float(cfg["alpha"])
-    alpha_del = cfg.get("alpha_del")
-    alpha_del = None if alpha_del is None else float(alpha_del)
-    if cfg.get("d0", "scan") == "scan":
+        if f < 0:
+            raise ConfigError("f must be nonnegative")
+        d0 = cfg.get("d0", "scan")
+        if d0 != "scan":
+            d0 = int(d0)
+            if not 1 <= d0 < model.d:
+                raise ConfigError("need 1 <= d0 < d")
+        alpha = float(cfg["alpha"])
+        alpha_del = cfg.get("alpha_del")
+        alpha_del = None if alpha_del is None else float(alpha_del)
+        ctx_cfg = cfg["context"]
+        ctx_args = {
+            "n": int(ctx_cfg["n"]),
+            "lam": float(ctx_cfg["lam"]),
+            "norm_A_1": float(ctx_cfg["norm_A_1"]),
+            "noise_linf_bound": float(ctx_cfg["noise_linf_bound"]),
+        }
+        rip_spec = cfg["rip_table"]
+        table = None
+        if isinstance(rip_spec, str):
+            table = RipTable.from_json(Path(rip_spec).read_text())
+        else:
+            A = _matrix_from_spec(rip_spec["matrix"])
+            options = _table_options(rip_spec, "sampled")
+    if table is None:
+        deltas, thetas = required_rip_entries(model, f, model.d - 1 if d0 == "scan" else d0)
+        table = build_rip_table(A, deltas, thetas, **options)
+    ctx = BoundContext(rip=table, m=model.m, **ctx_args)
+    if d0 == "scan":
         d0, report = find_min_d0(model, ctx, f, alpha, alpha_del)
         doc = {"min_d0": d0, "report": None if report is None else report.to_json_dict()}
     else:
-        report = check_stability_conditions(model, ctx, f, int(cfg["d0"]), alpha, alpha_del)
+        report = check_stability_conditions(model, ctx, f, d0, alpha, alpha_del)
         doc = {"report": report.to_json_dict()}
     text = json.dumps(doc, indent=2, sort_keys=True)
     if args.out:
@@ -180,11 +184,11 @@ def main(argv=None) -> int:
             return _cmd_rip_table(args)
         if args.command == "check-stability":
             return _cmd_check_stability(args)
-    except (ConfigError, KeyError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (EnumerationBudgetExceeded, InsufficientRipTable, RuntimeError) as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
+    except Exception as exc:  # every failure after parsing is a runtime failure
+        print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_CONFIG
 

@@ -35,26 +35,16 @@ from .solver import (
     solve_dantzig,
 )
 
-DETECTION_THRESHOLD = "threshold"
-DETECTION_GREEDY = "greedy_condition_number"
-
-
 @dataclass(frozen=True)
 class FilterConfig:
     lam: float
     alpha: float
     alpha_del: float
     max_additions_per_step: int | None = None
-    condition_number_cap: float = 1e8
-    detection_mode: str = DETECTION_THRESHOLD
 
     def __post_init__(self):
         if self.lam < 0 or self.alpha < 0 or self.alpha_del < 0:
             raise ValueError("lam, alpha, alpha_del must be nonnegative")
-        if self.detection_mode not in (DETECTION_THRESHOLD, DETECTION_GREEDY):
-            raise ValueError(f"unknown detection mode {self.detection_mode!r}")
-        if self.detection_mode == DETECTION_GREEDY and self.condition_number_cap <= 1:
-            raise ValueError("greedy detection needs condition_number_cap > 1")
         if self.max_additions_per_step is not None and self.max_additions_per_step < 0:
             raise ValueError("max_additions_per_step must be nonnegative")
 
@@ -116,34 +106,15 @@ def cs_residual_estimate(
     return optimal_zeta(solve_dantzig(A, y_res, lam)) + x_init
 
 
-def detect(
-    x_csres: np.ndarray, T: SupportSet, cfg: FilterConfig, A: MeasurementMatrix
-) -> SupportSet:
-    """Grow T with off-support candidates from the combined estimate."""
+def detect(x_csres: np.ndarray, T: SupportSet, cfg: FilterConfig) -> SupportSet:
+    """Grow T with the off-support entries of the combined estimate above
+    ``alpha``, keeping the largest ``max_additions_per_step`` of them."""
     x_csres = np.asarray(x_csres, dtype=float)
-    off = T.complement()
-    if cfg.detection_mode == DETECTION_THRESHOLD:
-        crossing = [i for i in off if abs(x_csres[i]) > cfg.alpha]
-        if cfg.max_additions_per_step is not None and len(crossing) > cfg.max_additions_per_step:
-            ranked = magnitude_order(x_csres, SupportSet(crossing, T.m))
-            crossing = list(ranked[: cfg.max_additions_per_step])
-        return T | SupportSet(crossing, T.m)
-
-    # greedy: add candidates by magnitude while the submatrix stays well-conditioned
-    candidates = [i for i in magnitude_order(x_csres, off) if x_csres[i] != 0.0]
-    current = list(T.indices)
-    added = 0
-    for i in candidates:
-        if cfg.max_additions_per_step is not None and added >= cfg.max_additions_per_step:
-            break
-        if len(current) >= A.n:
-            break
-        trial = current + [int(i)]
-        if np.linalg.cond(A.entries[:, trial]) > cfg.condition_number_cap:
-            break
-        current = trial
-        added += 1
-    return SupportSet(current, T.m)
+    crossing = [i for i in T.complement() if abs(x_csres[i]) > cfg.alpha]
+    if cfg.max_additions_per_step is not None and len(crossing) > cfg.max_additions_per_step:
+        ranked = magnitude_order(x_csres, SupportSet(crossing, T.m))
+        crossing = list(ranked[: cfg.max_additions_per_step])
+    return T | SupportSet(crossing, T.m)
 
 
 def delete(x_det: np.ndarray, T_det: SupportSet, alpha_del: float) -> SupportSet:
@@ -229,7 +200,7 @@ def lscs_step(
         diag.beta_hat = diag.x_csres - diag.x_init
     except (DantzigNumericsError, DantzigStatusError) as exc:
         return fallback("cs_residual", exc)
-    diag.T_det = detect(diag.x_csres, T, cfg, A)
+    diag.T_det = detect(diag.x_csres, T, cfg)
     try:
         diag.x_det = ls_on_support(A, diag.T_det, y)
     except LsSolveError as exc:

@@ -10,18 +10,30 @@ Experiment kinds:
 * ``bound_validation``  seeded soundness sweep of the error bounds against
   actual errors at exhaustively-computed isometry constants.
 
+Each runner parses its whole config before the first random draw, so a bad
+config raises :class:`ConfigError` before any work; anything raised later is
+a runtime failure.
+
+A tracking trial is a pure function of the parsed setup and the trial index:
+it draws from its own generator ``default_rng([seed, k])`` and returns a
+:class:`TrialRecord` holding only what reaches the outputs (per-t squared
+errors and signal energies, misses and extras, epoch delays, CSV rows and
+the predicate tally).  The records are then reduced in trial order, adding
+every sum in the same (trial, t) order as a single loop would.
+
 Aggregate NMSE is the ratio of summed squared errors to summed signal energy
 over all trials and steps; per-(trial, t) rows are also emitted so a
-per-instant convention can be recovered.  Trials run sequentially in a fixed
-order and every random draw derives from the experiment seed, so re-running a
-config reproduces output files byte for byte.
+per-instant convention can be recovered.  Every random draw derives from the
+experiment seed, so re-running a config reproduces output files byte for
+byte.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +63,7 @@ from .measurement import (
     RipTable,
     build_rip_table,
     delta_exhaustive,
-    gen_perturbed_orthonormal_matrix,
+    gen_matrix,
     theta_exhaustive,
 )
 from .sigmodel import SignalModelParams, SignalSequence, generate
@@ -66,6 +78,18 @@ METHOD_CS = "simple_cs"
 
 class ConfigError(ValueError):
     """Invalid or missing experiment configuration."""
+
+
+@contextmanager
+def config_errors():
+    """Report any ``KeyError``, ``TypeError``, ``ValueError`` or ``OSError``
+    raised while a config is parsed as a :class:`ConfigError`."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError, OSError) as exc:
+        raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
 
 
 def _fmt(v) -> str:
@@ -148,8 +172,6 @@ def _parse_filter(cfg: dict) -> FilterConfig:
             None if cfg.get("max_additions_per_step") is None
             else int(cfg["max_additions_per_step"])
         ),
-        condition_number_cap=float(cfg.get("condition_number_cap", 1e8)),
-        detection_mode=cfg.get("detection_mode", "threshold"),
     )
 
 
@@ -176,18 +198,19 @@ def _rates_vector(spec, m: int) -> np.ndarray:
 
 
 def parse_model(cfg: dict, seed: int) -> SignalModelParams:
-    m = int(_req(cfg, "m"))
-    return SignalModelParams(
-        m=m,
-        s0=int(_req(cfg, "s0")),
-        sa=int(_req(cfg, "sa")),
-        d=int(_req(cfg, "d")),
-        r=int(_req(cfg, "r")),
-        big_m=float(_req(cfg, "big_m")),
-        rates=_rates_vector(_req(cfg, "rates"), m),
-        t_end=int(_req(cfg, "t_end")),
-        seed=seed,
-    )
+    with config_errors():
+        m = int(_req(cfg, "m"))
+        return SignalModelParams(
+            m=m,
+            s0=int(_req(cfg, "s0")),
+            sa=int(_req(cfg, "sa")),
+            d=int(_req(cfg, "d")),
+            r=int(_req(cfg, "r")),
+            big_m=float(_req(cfg, "big_m")),
+            rates=_rates_vector(_req(cfg, "rates"), m),
+            t_end=int(_req(cfg, "t_end")),
+            seed=seed,
+        )
 
 
 def _noise_std(noise: dict) -> float:
@@ -199,12 +222,11 @@ def _noise_std(noise: dict) -> float:
 
 
 def _draw_noise(noise: dict, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Noise of a config that :func:`_noise_std` accepted."""
     if noise["kind"] == "gaussian":
         return float(noise["sigma"]) * rng.standard_normal(size)
-    if noise["kind"] == "uniform":
-        c = float(noise["c"])
-        return rng.uniform(-c, c, size)
-    raise ConfigError(f"unknown noise kind {noise.get('kind')!r}")
+    c = float(noise["c"])
+    return rng.uniform(-c, c, size)
 
 
 def _noise_linf_bound(noise: dict) -> float:
@@ -212,6 +234,32 @@ def _noise_linf_bound(noise: dict) -> float:
     if noise["kind"] == "uniform":
         return float(noise["c"])
     return float("inf")
+
+
+def _draw_instance(
+    rng: np.random.Generator,
+    m: int,
+    support_size: int,
+    delta_size: int,
+    delta_e_size: int,
+    magnitudes: tuple[float, float] | None = None,
+) -> tuple[np.ndarray, SupportSet, np.ndarray]:
+    """One sparse signal and the known part of its support.
+
+    Returns ``(x, known, delta)``: ``known`` misses the ``delta_size`` true
+    indices in the sorted array ``delta`` and carries ``delta_e_size``
+    spurious ones.  Entries are +-1, or uniform on ``magnitudes`` with a
+    random sign; the magnitude draw precedes the sign draw.
+    """
+    support = rng.choice(m, size=support_size, replace=False)
+    x = np.zeros(m)
+    mags = 1.0 if magnitudes is None else rng.uniform(magnitudes[0], magnitudes[1], support_size)
+    x[support] = mags * rng.choice([-1.0, 1.0], size=support_size)
+    delta = rng.choice(support, size=delta_size, replace=False)
+    off = np.setdiff1d(np.arange(m), support)
+    delta_e = rng.choice(off, size=delta_e_size, replace=False)
+    known = SupportSet(np.concatenate([np.setdiff1d(support, delta), delta_e]), m)
+    return x, known, np.sort(delta)
 
 
 # ---------------------------------------------------------------------------
@@ -232,15 +280,16 @@ def run_static_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
     The residual-based estimate runs at ``csres_lambda_factor * sigma``; plain
     selector solves run at each of ``ds_lambda_factors * sigma``.
     """
-    m = int(_req(cfg, "m"))
-    support_size = int(_req(cfg, "support_size"))
-    delta_size = int(_req(cfg, "delta_size"))
-    delta_e_size = int(_req(cfg, "delta_e_size"))
-    cells = _req(cfg, "cells", list)
-    trials = int(_req(cfg, "trials"))
-    seed = int(_req(cfg, "seed"))
-    csres_factor = float(cfg.get("csres_lambda_factor", 4.0))
-    ds_factors = [float(v) for v in cfg.get("ds_lambda_factors", [12.0, 4.0, 0.4])]
+    with config_errors():
+        m = int(_req(cfg, "m"))
+        support_size = int(_req(cfg, "support_size"))
+        delta_size = int(_req(cfg, "delta_size"))
+        delta_e_size = int(_req(cfg, "delta_e_size"))
+        cells = [(int(_req(c, "n")), float(_req(c, "sigma"))) for c in _req(cfg, "cells", list)]
+        trials = int(_req(cfg, "trials"))
+        seed = int(_req(cfg, "seed"))
+        csres_factor = float(cfg.get("csres_lambda_factor", 4.0))
+        ds_factors = [float(v) for v in cfg.get("ds_lambda_factors", [12.0, 4.0, 0.4])]
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     if not 0 <= delta_size <= support_size or support_size > m:
@@ -250,22 +299,14 @@ def run_static_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
     summary = []
     all_rows: dict[tuple[int, str], list[MetricsRow]] = {}
 
-    for ci, cell in enumerate(cells):
-        n = int(_req(cell, "n"))
-        sigma = float(_req(cell, "sigma"))
+    for ci, (n, sigma) in enumerate(cells):
         err_sum = {name: 0.0 for name in methods}
         sig_sum = 0.0
         rows = {name: [] for name in methods}
         for k in range(trials):
             rng = np.random.default_rng([seed, ci, k])
             A = MeasurementMatrix.from_columns(rng.standard_normal((n, m)))
-            support = rng.choice(m, size=support_size, replace=False)
-            x = np.zeros(m)
-            x[support] = rng.choice([-1.0, 1.0], size=support_size)
-            delta = rng.choice(support, size=delta_size, replace=False)
-            off = np.setdiff1d(np.arange(m), support)
-            delta_e = rng.choice(off, size=delta_e_size, replace=False)
-            known = SupportSet(np.concatenate([np.setdiff1d(support, delta), delta_e]), m)
+            x, known, _ = _draw_instance(rng, m, support_size, delta_size, delta_e_size)
             w = sigma * rng.standard_normal(n)
             y = A.entries @ x + w
             sig_sq = float(x @ x)
@@ -375,159 +416,206 @@ def _condition_rip_table(
     )
 
 
-def _run_tracking_trials(
-    n: int,
-    model_cfg: dict,
-    noise: dict,
-    fcfg: FilterConfig,
-    init: dict,
-    methods: list[str],
-    trials: int,
-    seed: int,
-    cs_lambda: float,
-    check_guarantees: bool,
-    rip_trials: int,
-) -> TrackingResult:
+@dataclass(frozen=True)
+class TrackingSetup:
+    """A tracking config, parsed once before trial 0.
+
+    ``model`` carries seed 0; each trial replaces it with a seed drawn from
+    the trial's generator.  ``init`` is ``{"kind": "true_support"}`` or
+    ``{"kind": "simple_cs", "n0", "lam", "alpha"}`` with every value set.
+    """
+
+    n: int
+    model: SignalModelParams
+    noise: dict
+    fcfg: FilterConfig
+    init: dict
+    window: int
+    methods: tuple[str, ...]
+    trials: int
+    seed: int
+    cs_lambda: float
+    check_guarantees: bool
+    rip_trials: int
+
+
+@dataclass(frozen=True)
+class TrialRecord:
+    """What one tracking trial contributes to the outputs.  Lists run over
+    t = 0..t_end; each row's ``err_final`` is that method's squared error."""
+
+    rows: dict[str, list[MetricsRow]]
+    sig: list[float]                   # signal energy
+    misses: list[int]                  # of the estimator's support
+    extras: list[int]
+    delays: list[int | None]
+    init_exact: bool
+    failed_steps: int
+    tally: PredicateTally
+
+
+def _parse_tracking(cfg: dict) -> TrackingSetup:
+    with config_errors():
+        fcfg = _parse_filter(_req(cfg, "filter", dict))
+        noise = _req(cfg, "noise", dict)
+        _noise_std(noise)  # rejects an unknown kind or a missing parameter
+        init = dict(cfg.get("init", {"kind": "true_support"}))
+        if init.get("kind") == "simple_cs":
+            init = {
+                "kind": "simple_cs",
+                "n0": int(_req(init, "n0")),
+                "lam": float(init.get("lam", fcfg.lam)),
+                "alpha": float(init.get("alpha", fcfg.alpha)),
+            }
+        elif init.get("kind") != "true_support":
+            raise ConfigError(f"unknown init kind {init.get('kind')!r}")
+        methods = tuple(dict.fromkeys(cfg.get("methods", [METHOD_LSCS, METHOD_GENIE, METHOD_CS])))
+        unknown = [name for name in methods if name not in (METHOD_LSCS, METHOD_GENIE, METHOD_CS)]
+        if unknown:
+            raise ConfigError(f"unknown methods {unknown}")
+        setup = TrackingSetup(
+            n=int(_req(cfg, "n")),
+            model=parse_model(_req(cfg, "model", dict), seed=0),
+            noise=noise,
+            fcfg=fcfg,
+            init=init,
+            window=int(cfg.get("zero_hit_window", 4)),
+            methods=methods,
+            trials=int(_req(cfg, "trials")),
+            seed=int(_req(cfg, "seed")),
+            cs_lambda=float(cfg.get("cs_lambda", fcfg.lam)),
+            check_guarantees=bool(cfg.get("check_guarantees", False)),
+            rip_trials=int(cfg.get("rip_sampling_trials", 200)),
+        )
+    if setup.trials < 1:
+        raise ConfigError("trials must be >= 1")
+    return setup
+
+
+def _estimate(
+    name: str, setup: TrackingSetup, A: MeasurementMatrix, y: np.ndarray,
+    state: FilterState, truth: SupportSet,
+) -> tuple[np.ndarray, SupportSet | None]:
+    """A method's estimate at one instant and the support it claims (none for
+    the plain selector)."""
+    if name == METHOD_LSCS:
+        return state.x_hat, state.support_estimate
+    if name == METHOD_GENIE:
+        return genie_ls(A, truth, y), truth
+    return optimal_zeta(solve_dantzig(A, y, setup.cs_lambda)), None
+
+
+def _tracking_trial(setup: TrackingSetup, k: int) -> TrialRecord:
+    """Run trial ``k``.  Its generator draws the matrix, the model seed, the
+    noise of every instant and then the initialization, in that order."""
+    rng = np.random.default_rng([setup.seed, k])
+    n, m, t_end = setup.n, setup.model.m, setup.model.t_end
+    A = MeasurementMatrix.from_columns(rng.standard_normal((n, m)))
+    seq = generate(replace(setup.model, seed=int(rng.integers(2 ** 62))))
+    ys = [seq.signal_at(t) @ A.entries.T + _draw_noise(setup.noise, n, rng) for t in range(t_end + 1)]
+    if setup.init["kind"] == "simple_cs":
+        n0 = setup.init["n0"]
+        A0 = MeasurementMatrix.from_columns(rng.standard_normal((n0, m)))
+        y0 = A0.entries @ seq.signal_at(0) + _draw_noise(setup.noise, n0, rng)
+        x0_hat, n0_hat = simple_cs(A0, y0, setup.init["lam"], setup.init["alpha"])
+    else:
+        n0_hat = seq.support_at(0)
+        x0_hat = ls_on_support(A, n0_hat, ys[0])
+
+    rows = {name: [] for name in setup.methods}
+    sig, misses, extras, diags = [], [], [], []
+    state = FilterState(n0_hat, x0_hat, 0)
+    for t in range(t_end + 1):
+        x_true = seq.signal_at(t)
+        err_csres = None
+        if t > 0:
+            state, diag = lscs_step(state, A, ys[t], setup.fcfg, x_true=x_true)
+            diags.append(diag)
+            err_csres = diag.err_csres
+        truth = seq.support_at(t)
+        sig.append(float(x_true @ x_true))
+        misses.append(len(truth - state.support_estimate))
+        extras.append(len(state.support_estimate - truth))
+        for name in setup.methods:
+            x_hat, support = _estimate(name, setup, A, ys[t], state, truth)
+            err = float(np.sum((x_true - x_hat) ** 2))
+            row = MetricsRow(trial=k, t=t, method=name, nmse=_ratio(err, sig[t]), err_final=err)
+            if support is not None:
+                row.misses, row.extras = len(truth - support), len(support - truth)
+                row.support_size = len(support)
+            if name == METHOD_LSCS:
+                row.err_csres = err_csres
+            rows[name].append(row)
+
+    return TrialRecord(
+        rows=rows, sig=sig, misses=misses, extras=extras,
+        delays=_epoch_delays(seq, misses, extras, setup.window),
+        init_exact=n0_hat == seq.support_at(0),
+        failed_steps=sum(diag.failed_stage is not None for diag in diags),
+        tally=_guarantee_tally(setup, k, A, seq, diags) if setup.check_guarantees else PredicateTally(),
+    )
+
+
+def _guarantee_tally(
+    setup: TrackingSetup, k: int, A: MeasurementMatrix, seq: SignalSequence, diags: list
+) -> PredicateTally:
+    """Runtime predicates on every step of one trial, with a sampled table
+    covering the support sizes the trial reached."""
+    max_t = max_d = 0
+    for diag in diags:
+        if diag.failed_stage is not None:
+            continue
+        max_t = max(max_t, len(diag.T_prev), len(diag.T_det))
+        max_d = max(max_d, len(diag.delta_pre), len(diag.det_misses))
+    table = _condition_rip_table(
+        A, max_t, max_d, trials=setup.rip_trials, seed=setup.seed + 7919 * (k + 1)
+    )
+    ctx = BoundContext(
+        rip=table, n=setup.n, m=A.m, lam=setup.fcfg.lam,
+        norm_A_1=A.induced_one_norm,
+        noise_linf_bound=_noise_linf_bound(setup.noise),
+    )
+    tally = PredicateTally()
+    for t, diag in enumerate(diags, start=1):
+        tally.merge(runtime_step_checks(diag, seq.signal_at(t), setup.fcfg, ctx))
+    return tally
+
+
+def _reduce_trials(setup: TrackingSetup, records: list[TrialRecord]) -> TrackingResult:
+    """Fold trial records in trial order; each sum adds in (trial, t) order."""
+    methods, t_end = setup.methods, setup.model.t_end
     err_sums = {name: 0.0 for name in methods}
     sig_sum_total = 0.0
-    t_end = int(_req(model_cfg, "t_end"))
     per_t_err = {name: np.zeros(t_end + 1) for name in methods}
     per_t_sig = np.zeros(t_end + 1)
     sum_misses = np.zeros(t_end + 1)
     sum_extras = np.zeros(t_end + 1)
     delays: list[int | None] = []
-    init_exact = 0
-    failed_steps = 0
     tally = PredicateTally()
     rows = {name: [] for name in methods}
-    window = int(init.get("zero_hit_window", 4))
-
-    for k in range(trials):
-        rng = np.random.default_rng([seed, k])
-        A = MeasurementMatrix.from_columns(rng.standard_normal((n, int(model_cfg["m"]))))
-        seq = generate(parse_model(model_cfg, seed=int(rng.integers(2 ** 62))))
-        m = seq.params.m
-
-        ys = [seq.signal_at(t) @ A.entries.T + _draw_noise(noise, n, rng) for t in range(t_end + 1)]
-
-        x0 = seq.signal_at(0)
-        if init["kind"] == "true_support":
-            n0_hat = seq.support_at(0)
-            x0_hat = ls_on_support(A, n0_hat, ys[0])
-        elif init["kind"] == "simple_cs":
-            n0 = int(_req(init, "n0"))
-            A0 = MeasurementMatrix.from_columns(rng.standard_normal((n0, m)))
-            y0 = A0.entries @ x0 + _draw_noise(noise, n0, rng)
-            x0_hat, n0_hat = simple_cs(
-                A0, y0, float(init.get("lam", fcfg.lam)), float(init.get("alpha", fcfg.alpha))
-            )
-        else:
-            raise ConfigError(f"unknown init kind {init.get('kind')!r}")
-        if n0_hat == seq.support_at(0):
-            init_exact += 1
-
-        state = FilterState(n0_hat, x0_hat, 0)
-        misses_t = [len(seq.support_at(0) - n0_hat)]
-        extras_t = [len(n0_hat - seq.support_at(0))]
-        diags = []
-
-        sig_sq0 = float(x0 @ x0)
-        per_t_sig[0] += sig_sq0
-        sig_sum_total += sig_sq0
-        if METHOD_LSCS in methods:
-            err0 = float(np.sum((x0 - x0_hat) ** 2))
-            err_sums[METHOD_LSCS] += err0
-            per_t_err[METHOD_LSCS][0] += err0
-            rows[METHOD_LSCS].append(MetricsRow(
-                trial=k, t=0, method=METHOD_LSCS, nmse=_ratio(err0, sig_sq0),
-                misses=misses_t[0], extras=extras_t[0], support_size=len(n0_hat),
-                err_final=err0,
-            ))
-        if METHOD_GENIE in methods:
-            xg = genie_ls(A, seq.support_at(0), ys[0])
-            errg = float(np.sum((x0 - xg) ** 2))
-            err_sums[METHOD_GENIE] += errg
-            per_t_err[METHOD_GENIE][0] += errg
-            rows[METHOD_GENIE].append(MetricsRow(
-                trial=k, t=0, method=METHOD_GENIE, nmse=_ratio(errg, sig_sq0),
-                misses=0, extras=0, support_size=len(seq.support_at(0)), err_final=errg,
-            ))
-        if METHOD_CS in methods:
-            zeta = optimal_zeta(solve_dantzig(A, ys[0], cs_lambda))
-            errc = float(np.sum((x0 - zeta) ** 2))
-            err_sums[METHOD_CS] += errc
-            per_t_err[METHOD_CS][0] += errc
-            rows[METHOD_CS].append(MetricsRow(
-                trial=k, t=0, method=METHOD_CS, nmse=_ratio(errc, sig_sq0), err_final=errc,
-            ))
-
-        for t in range(1, t_end + 1):
-            x_true = seq.signal_at(t)
-            sig_sq = float(x_true @ x_true)
-            per_t_sig[t] += sig_sq
+    for rec in records:
+        for sig_sq in rec.sig:
             sig_sum_total += sig_sq
-            state, diag = lscs_step(state, A, ys[t], fcfg, x_true=x_true)
-            if diag.failed_stage is not None:
-                failed_steps += 1
-            misses_t.append(diag.misses)
-            extras_t.append(diag.extras)
-            diags.append(diag)
-            if METHOD_LSCS in methods:
-                err_sums[METHOD_LSCS] += diag.err_final
-                per_t_err[METHOD_LSCS][t] += diag.err_final
-                rows[METHOD_LSCS].append(MetricsRow(
-                    trial=k, t=t, method=METHOD_LSCS, nmse=_ratio(diag.err_final, sig_sq),
-                    misses=diag.misses, extras=diag.extras,
-                    support_size=len(diag.final_support),
-                    err_csres=diag.err_csres, err_final=diag.err_final,
-                ))
-            if METHOD_GENIE in methods:
-                xg = genie_ls(A, seq.support_at(t), ys[t])
-                errg = float(np.sum((x_true - xg) ** 2))
-                err_sums[METHOD_GENIE] += errg
-                per_t_err[METHOD_GENIE][t] += errg
-                rows[METHOD_GENIE].append(MetricsRow(
-                    trial=k, t=t, method=METHOD_GENIE, nmse=_ratio(errg, sig_sq),
-                    misses=0, extras=0, support_size=len(seq.support_at(t)), err_final=errg,
-                ))
-            if METHOD_CS in methods:
-                zeta = optimal_zeta(solve_dantzig(A, ys[t], cs_lambda))
-                errc = float(np.sum((x_true - zeta) ** 2))
-                err_sums[METHOD_CS] += errc
-                per_t_err[METHOD_CS][t] += errc
-                rows[METHOD_CS].append(MetricsRow(
-                    trial=k, t=t, method=METHOD_CS, nmse=_ratio(errc, sig_sq), err_final=errc,
-                ))
+        per_t_sig += rec.sig
+        for name in methods:
+            errs = [row.err_final for row in rec.rows[name]]
+            for err in errs:
+                err_sums[name] += err
+            per_t_err[name] += errs
+            rows[name].extend(rec.rows[name])
+        sum_misses += np.asarray(rec.misses, dtype=float)
+        sum_extras += np.asarray(rec.extras, dtype=float)
+        delays.extend(rec.delays)
+        tally.merge(rec.tally)
 
-        sum_misses += np.asarray(misses_t, dtype=float)
-        sum_extras += np.asarray(extras_t, dtype=float)
-        delays.extend(_epoch_delays(seq, misses_t, extras_t, window))
-
-        if check_guarantees:
-            max_t = max_d = 0
-            for diag in diags:
-                if diag.failed_stage is not None:
-                    continue
-                max_t = max(max_t, len(diag.T_prev), len(diag.T_det))
-                max_d = max(max_d, len(diag.delta_pre), len(diag.det_misses))
-            table = _condition_rip_table(
-                A, max_t, max_d, trials=rip_trials, seed=int(seed) + 7919 * (k + 1)
-            )
-            ctx = BoundContext(
-                rip=table, n=n, m=m, lam=fcfg.lam,
-                norm_A_1=A.induced_one_norm,
-                noise_linf_bound=_noise_linf_bound(noise),
-            )
-            for t, diag in enumerate(diags, start=1):
-                tally.merge(runtime_step_checks(diag, seq.signal_at(t), fcfg, ctx))
-
+    per_t_nmse = {
+        name: [float(_ratio(per_t_err[name][t], per_t_sig[t])) for t in range(t_end + 1)]
+        for name in methods
+    }
     for name in methods:
-        per_t = [
-            _ratio(per_t_err[name][t], per_t_sig[t]) for t in range(t_end + 1)
-        ]
         for t in range(t_end + 1):
             rows[name].append(MetricsRow(
-                trial=-1, t=t, method=name, nmse=per_t[t],
+                trial=-1, t=t, method=name, nmse=per_t_nmse[name][t],
                 err_final=per_t_err[name][t],
             ))
         rows[name].append(MetricsRow(
@@ -535,53 +623,26 @@ def _run_tracking_trials(
             nmse=_ratio(err_sums[name], sig_sum_total), err_final=err_sums[name],
         ))
 
-    scored = [d for d in delays]
-    hit = sum(1 for d in scored if d is not None and d <= window)
+    hit = sum(1 for d in delays if d is not None and d <= setup.window)
     return TrackingResult(
         nmse={name: float(_ratio(err_sums[name], sig_sum_total)) for name in methods},
-        per_t_nmse={
-            name: [float(_ratio(per_t_err[name][t], per_t_sig[t])) for t in range(t_end + 1)]
-            for name in methods
-        },
-        mean_misses=[float(v) for v in sum_misses / trials],
-        mean_extras=[float(v) for v in sum_extras / trials],
+        per_t_nmse=per_t_nmse,
+        mean_misses=[float(v) for v in sum_misses / setup.trials],
+        mean_extras=[float(v) for v in sum_extras / setup.trials],
         epoch_delays=delays,
-        zero_hit_fraction=(hit / len(scored)) if scored else None,
-        init_exact_fraction=init_exact / trials,
-        failed_steps=failed_steps,
+        zero_hit_fraction=(hit / len(delays)) if delays else None,
+        init_exact_fraction=sum(rec.init_exact for rec in records) / setup.trials,
+        failed_steps=sum(rec.failed_steps for rec in records),
         tally=tally,
         rows=rows,
     )
 
 
-def run_stability_experiment(cfg: dict, out_dir: Path | None = None) -> TrackingResult:
-    """Tracking run on the ramped signal model with exact-support start."""
-    n = int(_req(cfg, "n"))
-    trials = int(_req(cfg, "trials"))
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    seed = int(_req(cfg, "seed"))
-    fcfg = _parse_filter(_req(cfg, "filter", dict))
-    noise = _req(cfg, "noise", dict)
-    methods = list(cfg.get("methods", [METHOD_LSCS, METHOD_GENIE, METHOD_CS]))
-    init = dict(cfg.get("init", {"kind": "true_support"}))
-    init.setdefault("zero_hit_window", int(cfg.get("zero_hit_window", 4)))
-    result = _run_tracking_trials(
-        n=n,
-        model_cfg=_req(cfg, "model", dict),
-        noise=noise,
-        fcfg=fcfg,
-        init=init,
-        methods=methods,
-        trials=trials,
-        seed=seed,
-        cs_lambda=float(cfg.get("cs_lambda", fcfg.lam)),
-        check_guarantees=bool(cfg.get("check_guarantees", False)),
-        rip_trials=int(cfg.get("rip_sampling_trials", 200)),
-    )
+def _run_tracking(setup: TrackingSetup, cfg: dict, out_dir: Path | None) -> TrackingResult:
+    result = _reduce_trials(setup, [_tracking_trial(setup, k) for k in range(setup.trials)])
     if out_dir is not None:
         out_dir = Path(out_dir)
-        for name in methods:
+        for name in setup.methods:
             write_method_csv(out_dir / f"{name}.csv", result.rows[name])
         write_manifest(out_dir / "manifest.json", {
             "kind": "stability",
@@ -596,6 +657,11 @@ def run_stability_experiment(cfg: dict, out_dir: Path | None = None) -> Tracking
             "rip_provenance": "sampled (lower bounds); condition reports optimistic",
         })
     return result
+
+
+def run_stability_experiment(cfg: dict, out_dir: Path | None = None) -> TrackingResult:
+    """Tracking run on the ramped signal model with exact-support start."""
+    return _run_tracking(_parse_tracking(cfg), cfg, out_dir)
 
 
 def snr_summary(model_cfg: dict, noise: dict) -> dict:
@@ -617,16 +683,22 @@ def snr_summary(model_cfg: dict, noise: dict) -> dict:
 
 
 def run_low_snr_experiments(cfg: dict, out_dir: Path | None = None) -> dict:
-    """Slow-adds and fast-adds tracking runs with one-shot initialization."""
+    """Slow-adds and fast-adds tracking runs with one-shot initialization.
+
+    Every variant is parsed before the first one runs."""
     variants = _req(cfg, "variants", dict)
-    results = {}
+    parsed = {}
     for name in sorted(variants):
-        vcfg = dict(variants[name])
+        with config_errors():
+            vcfg = dict(variants[name])
         vcfg.setdefault("seed", cfg.get("seed", 0))
         vcfg.setdefault("trials", cfg.get("trials", 100))
         vcfg.setdefault("init", {"kind": "simple_cs", "n0": 150})
+        parsed[name] = vcfg, _parse_tracking(vcfg)
+    results = {}
+    for name, (vcfg, setup) in parsed.items():
         sub = None if out_dir is None else Path(out_dir) / name
-        res = run_stability_experiment(vcfg, sub)
+        res = _run_tracking(setup, vcfg, sub)
         res.snr = snr_summary(vcfg["model"], vcfg["noise"])
         results[name] = res
         if sub is not None:
@@ -649,15 +721,6 @@ def _ensure_theta(table: RipTable, A: MeasurementMatrix, s: int, sp: int, budget
         table.set_theta(s, sp, theta_exhaustive(A, s, sp, budget=budget), True)
 
 
-def _validation_matrix(kind: str, n: int, m: int, seed: int, noise_scale: float) -> MeasurementMatrix:
-    if kind == "gaussian":
-        rng = np.random.default_rng(seed)
-        return MeasurementMatrix.from_columns(rng.standard_normal((n, m)))
-    if kind == "perturbed_orthonormal":
-        return gen_perturbed_orthonormal_matrix(n, m, seed, noise_scale)
-    raise ConfigError(f"unknown matrix kind {kind!r}")
-
-
 def run_bound_validation(cfg: dict, out_dir: Path | None = None) -> dict:
     """Assert bounds dominate actual errors on instances whose hypotheses hold.
 
@@ -665,24 +728,29 @@ def run_bound_validation(cfg: dict, out_dir: Path | None = None) -> dict:
     soundness assertion (slack 1e-9).  Instances whose preconditions do not
     verify are counted and skipped, never asserted.
     """
-    m = int(_req(cfg, "m"))
-    n = int(_req(cfg, "n"))
-    support_size = int(_req(cfg, "support_size"))
-    delta_size = int(_req(cfg, "delta_size"))
-    delta_e_size = int(_req(cfg, "delta_e_size"))
-    lam = float(_req(cfg, "lam"))
-    alpha = float(cfg.get("alpha", lam))
-    num_matrices = int(cfg.get("num_matrices", 5))
-    instances = int(cfg.get("instances_per_matrix", 25))
-    if num_matrices < 1 or instances < 1:
-        raise ConfigError("num_matrices and instances_per_matrix must be >= 1")
-    seed = int(_req(cfg, "seed"))
-    budget = int(cfg.get("budget", 2_000_000))
-    kind = cfg.get("matrix_kind", "perturbed_orthonormal")
-    noise_scale = float(cfg.get("matrix_noise_scale", 0.2))
-    mag_low = float(cfg.get("magnitude_low", 0.5))
-    mag_high = float(cfg.get("magnitude_high", 2.0))
-    max_additions = cfg.get("max_additions_per_step", delta_size + 1)
+    with config_errors():
+        m = int(_req(cfg, "m"))
+        n = int(_req(cfg, "n"))
+        support_size = int(_req(cfg, "support_size"))
+        delta_size = int(_req(cfg, "delta_size"))
+        delta_e_size = int(_req(cfg, "delta_e_size"))
+        lam = float(_req(cfg, "lam"))
+        alpha = float(cfg.get("alpha", lam))
+        num_matrices = int(cfg.get("num_matrices", 5))
+        instances = int(cfg.get("instances_per_matrix", 25))
+        if num_matrices < 1 or instances < 1:
+            raise ConfigError("num_matrices and instances_per_matrix must be >= 1")
+        seed = int(_req(cfg, "seed"))
+        budget = int(cfg.get("budget", 2_000_000))
+        kind = cfg.get("matrix_kind", "perturbed_orthonormal")
+        noise_scale = float(cfg.get("matrix_noise_scale", 0.2))
+        magnitudes = (float(cfg.get("magnitude_low", 0.5)), float(cfg.get("magnitude_high", 2.0)))
+        max_additions = cfg.get("max_additions_per_step", delta_size + 1)
+        fcfg = FilterConfig(
+            lam=lam, alpha=alpha, alpha_del=alpha,
+            max_additions_per_step=None if max_additions is None else int(max_additions),
+        )
+        matrices = [gen_matrix(kind, n, m, seed + 1000 * mi, noise_scale) for mi in range(num_matrices)]
 
     size_T = support_size - delta_size + delta_e_size
     checks = ["scan_bound", "single_scale_bound", "compressibility_bound", "detected_ls_bound"]
@@ -690,8 +758,7 @@ def run_bound_validation(cfg: dict, out_dir: Path | None = None) -> dict:
     skipped = {c: 0 for c in checks}
     violations: list[dict] = []
 
-    for mi in range(num_matrices):
-        A = _validation_matrix(kind, n, m, seed + 1000 * mi, noise_scale)
+    for mi, A in enumerate(matrices):
         table = RipTable(A.digest())
         scan_cap = size_T + delta_size
         for s in range(1, scan_cap + 1):
@@ -704,29 +771,19 @@ def run_bound_validation(cfg: dict, out_dir: Path | None = None) -> dict:
             rip=table, n=n, m=m, lam=lam, norm_A_1=A.induced_one_norm,
             noise_linf_bound=w_max,
         )
-        fcfg = FilterConfig(
-            lam=lam, alpha=alpha, alpha_del=alpha,
-            max_additions_per_step=None if max_additions is None else int(max_additions),
-        )
 
         for k in range(instances):
             rng = np.random.default_rng([seed, mi, k])
-            support = rng.choice(m, size=support_size, replace=False)
-            x = np.zeros(m)
-            x[support] = rng.uniform(mag_low, mag_high, support_size) * rng.choice(
-                [-1.0, 1.0], size=support_size
+            x, known, delta = _draw_instance(
+                rng, m, support_size, delta_size, delta_e_size, magnitudes
             )
-            delta = rng.choice(support, size=delta_size, replace=False)
-            off = np.setdiff1d(np.arange(m), support)
-            delta_e = rng.choice(off, size=delta_e_size, replace=False)
-            known = SupportSet(np.concatenate([np.setdiff1d(support, delta), delta_e]), m)
             w = rng.uniform(-w_max, w_max, n)
             y = A.entries @ x + w
 
             x_init, y_res = initial_ls_residual(A, known, y)
             x_csres = optimal_zeta(solve_dantzig(A, y_res, lam)) + x_init
             err_csres = float(np.sum((x - x_csres) ** 2))
-            x_delta = x[np.sort(delta)]
+            x_delta = x[delta]
             w_sq = float(w @ w)
 
             def record(name: str, res, actual: float, extra: dict | None = None):
@@ -751,7 +808,7 @@ def run_bound_validation(cfg: dict, out_dir: Path | None = None) -> dict:
             )
 
             pinv_T = np.linalg.pinv(A.columns(known))
-            gain = np.abs(pinv_T @ A.entries[:, np.sort(delta)]).sum(axis=0).max() if delta_size else 0.0
+            gain = np.abs(pinv_T @ A.entries[:, delta]).sum(axis=0).max() if delta_size else 0.0
             w_l1 = float(np.abs(pinv_T @ w).sum())
             xd_l1 = float(np.abs(x_delta).sum())
             b = gain + max(1.01 * w_l1 / xd_l1 if xd_l1 else 0.0, 1e-9)
@@ -762,7 +819,7 @@ def run_bound_validation(cfg: dict, out_dir: Path | None = None) -> dict:
                 {"b": b},
             )
 
-            t_det = detect(x_csres, known, fcfg, A)
+            t_det = detect(x_csres, known, fcfg)
             try:
                 x_det = ls_on_support(A, t_det, y)
             except LsSolveError:

@@ -38,12 +38,12 @@ class InsufficientRipTable(KeyError):
     """A bound or scan needs constants the table does not contain."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementMatrix:
     """An n x m measurement matrix with unit Euclidean-norm columns.
 
     ``entries`` is a read-only copy of the input, so the Gram matrix can be
-    computed once and shared.
+    computed once and shared.  Equality and hashing are by identity.
     """
 
     entries: np.ndarray
@@ -127,6 +127,16 @@ def gen_perturbed_orthonormal_matrix(
     q = np.linalg.qr(rng.standard_normal((m, m)))[0][:n, :]
     raw = q + noise_scale * rng.standard_normal((n, m)) / np.sqrt(n)
     return MeasurementMatrix.from_columns(raw)
+
+
+def gen_matrix(kind: str, n: int, m: int, seed: int, noise_scale: float = 0.2) -> MeasurementMatrix:
+    """Matrix of the named ensemble, ``"gaussian"`` or
+    ``"perturbed_orthonormal"``; ``noise_scale`` only applies to the latter."""
+    if kind == "gaussian":
+        return gen_gaussian_matrix(n, m, seed)
+    if kind == "perturbed_orthonormal":
+        return gen_perturbed_orthonormal_matrix(n, m, seed, noise_scale)
+    raise ValueError(f"unknown matrix kind {kind!r}")
 
 
 def _subset_count(m: int, s: int) -> int:

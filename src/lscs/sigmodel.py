@@ -21,7 +21,6 @@ finished growing by the time a ramp can start, since ``r < d``).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,44 +93,6 @@ class SignalSequence:
 
     def support_at(self, t: int) -> SupportSet:
         return self.supports[t]
-
-    def to_json_dict(self) -> dict:
-        p = self.params
-        return {
-            "params": {
-                "m": p.m, "s0": p.s0, "sa": p.sa, "d": p.d, "r": p.r,
-                "big_m": p.big_m, "rates": p.rates.tolist(),
-                "t_end": p.t_end, "seed": p.seed,
-            },
-            "signals": self.signals.tolist(),
-            "supports": [list(s.indices) for s in self.supports],
-            "roles": [{str(i): role for i, role in sorted(rr.items())} for rr in self.roles],
-            "addition_sets": [list(s.indices) for s in self.addition_sets],
-            "removal_sets": [list(s.indices) for s in self.removal_sets],
-            "addition_times": list(self.addition_times),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "SignalSequence":
-        p = doc["params"]
-        params = SignalModelParams(
-            m=p["m"], s0=p["s0"], sa=p["sa"], d=p["d"], r=p["r"],
-            big_m=p["big_m"], rates=np.asarray(p["rates"], dtype=float),
-            t_end=p["t_end"], seed=p["seed"],
-        )
-        m = params.m
-        return cls(
-            params=params,
-            signals=np.asarray(doc["signals"], dtype=float),
-            supports=[SupportSet(s, m) for s in doc["supports"]],
-            roles=[{int(i): r for i, r in rr.items()} for rr in doc["roles"]],
-            addition_sets=[SupportSet(s, m) for s in doc["addition_sets"]],
-            removal_sets=[SupportSet(s, m) for s in doc["removal_sets"]],
-            addition_times=list(doc["addition_times"]),
-        )
 
 
 def generate(params: SignalModelParams) -> SignalSequence:

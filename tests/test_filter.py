@@ -70,76 +70,26 @@ class TestCsResidual:
 
 
 class TestDetect:
-    def make(self, m=12):
-        A = gen_gaussian_matrix(8, m, 3)
-        return A, FilterConfig(lam=0.1, alpha=0.5, alpha_del=0.5)
+    cfg = FilterConfig(lam=0.1, alpha=0.5, alpha_del=0.5)
 
     def test_no_crossings(self):
-        A, cfg = self.make()
         T = SupportSet([0, 1], 12)
         x = np.zeros(12)
         x[5] = 0.5  # exactly at alpha: strict comparison keeps it out
-        assert detect(x, T, cfg, A) == T
+        assert detect(x, T, self.cfg) == T
 
     def test_cap_keeps_largest(self):
-        A, _ = self.make()
         cfg = FilterConfig(lam=0.1, alpha=0.5, alpha_del=0.5, max_additions_per_step=1)
         T = SupportSet([0], 12)
         x = np.zeros(12)
         x[3], x[7], x[9] = 0.9, 0.6, 0.2
-        out = detect(x, T, cfg, A)
+        out = detect(x, T, cfg)
         assert out == SupportSet([0, 3], 12)
 
     def test_members_kept_regardless(self):
-        A, cfg = self.make()
         T = SupportSet([2], 12)
         x = np.zeros(12)  # even a zero estimate keeps T in the detected set
-        assert detect(x, T, cfg, A) == T
-
-    def test_greedy_orthonormal_adds_all_nonzero(self):
-        A = MeasurementMatrix(np.eye(10))
-        cfg = FilterConfig(
-            lam=0.1, alpha=0.5, alpha_del=0.5,
-            detection_mode="greedy_condition_number", condition_number_cap=10.0,
-        )
-        T = SupportSet([0], 10)
-        x = np.zeros(10)
-        x[[2, 5, 8]] = [0.3, -0.2, 0.9]
-        out = detect(x, T, cfg, A)
-        assert out == SupportSet([0, 2, 5, 8], 10)
-
-    def test_greedy_stops_at_condition_cap(self):
-        # the weaker candidate is nearly parallel to the known column, so the
-        # scan adds the strong orthogonal one and stops at the violator
-        cols = np.array([
-            [1.0, 0.0, 1.0],
-            [0.0, 1.0, 1e-8],
-            [0.0, 0.0, 0.0],
-        ])
-        A = MeasurementMatrix.from_columns(cols)
-        cfg = FilterConfig(
-            lam=0.1, alpha=0.5, alpha_del=0.5,
-            detection_mode="greedy_condition_number", condition_number_cap=100.0,
-        )
-        x = np.array([0.0, 0.9, 0.4])
-        out = detect(x, SupportSet([0], 3), cfg, A)
-        assert out == SupportSet([0, 1], 3)
-
-    def test_greedy_rejects_first_violator(self):
-        cols = np.array([
-            [1.0, 0.0, 1.0],
-            [0.0, 1.0, 1e-8],
-            [0.0, 0.0, 0.0],
-        ])
-        A = MeasurementMatrix.from_columns(cols)
-        cfg = FilterConfig(
-            lam=0.1, alpha=0.5, alpha_del=0.5,
-            detection_mode="greedy_condition_number", condition_number_cap=100.0,
-        )
-        # largest-magnitude candidate violates the cap: scan stops immediately
-        x = np.array([0.0, 0.4, 0.9])
-        out = detect(x, SupportSet([0], 3), cfg, A)
-        assert out == SupportSet([0], 3)
+        assert detect(x, T, self.cfg) == T
 
 
 class TestDelete:
@@ -262,8 +212,3 @@ class TestBaselines:
 def test_config_validation():
     with pytest.raises(ValueError):
         FilterConfig(lam=-1.0, alpha=0.1, alpha_del=0.1)
-    with pytest.raises(ValueError):
-        FilterConfig(lam=0.1, alpha=0.1, alpha_del=0.1, detection_mode="nope")
-    with pytest.raises(ValueError):
-        FilterConfig(lam=0.1, alpha=0.1, alpha_del=0.1,
-                     detection_mode="greedy_condition_number", condition_number_cap=0.5)

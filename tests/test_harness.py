@@ -42,7 +42,36 @@ def small_stability_cfg(trials=2, check_guarantees=False):
     }
 
 
+def bad_config(name):
+    """A config with one fault, which the runner must report before its
+    first selector solve."""
+    bad_model = small_stability_cfg()
+    bad_model["model"]["r"] = 10  # needs r < d
+    if name == "filter":
+        cfg = small_stability_cfg()
+        cfg["filter"]["alpha"] = -1
+        return cfg
+    if name == "model":
+        return bad_model
+    if name == "second_variant":
+        return {"kind": "low_snr", "seed": 3, "trials": 1,
+                "variants": {"a": small_stability_cfg(trials=1), "b": bad_model}}
+    cfg = small_static_cfg()
+    cfg["cells"].append({"n": 20})
+    return cfg
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("name", ["filter", "model", "second_variant", "second_cell"])
+    def test_rejected_before_any_solve(self, name, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("selector ran before the config was parsed")
+
+        monkeypatch.setattr("lscs.harness.solve_dantzig", no_solve)
+        monkeypatch.setattr("lscs.filter.solve_dantzig", no_solve)
+        with pytest.raises(ConfigError):
+            run_experiment(bad_config(name))
+
     def test_missing_key(self):
         with pytest.raises(ConfigError):
             run_static_experiment({"kind": "static_table"})
@@ -260,6 +289,40 @@ class TestCli:
         cfg_path.write_text("{\"kind\": \"static_table\"}")
         out = self.run_cli("run", str(cfg_path))
         assert out.returncode == 1
+
+    def test_bad_filter_exit_code(self, tmp_path):
+        cfg = small_stability_cfg()
+        cfg["filter"]["lam"] = -0.1
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = self.run_cli("run", str(cfg_path))
+        assert out.returncode == 1
+        assert "config error" in out.stderr
+
+    def test_numerical_failure_exit_code(self, tmp_path):
+        # the noise draw overflows; the selector rejects the non-finite data
+        cfg = small_static_cfg(trials=1)
+        cfg["cells"] = [{"n": 20, "sigma": 1e308}]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = self.run_cli("run", str(cfg_path))
+        assert out.returncode == 2
+        assert "runtime failure" in out.stderr
+
+    def test_missing_rip_entries_exit_code(self, tmp_path):
+        table_path = tmp_path / "table.json"
+        table_path.write_text(json.dumps({"matrix_digest": "", "delta": {}, "theta": {}}))
+        cfg_path = tmp_path / "chk.json"
+        cfg_path.write_text(json.dumps({
+            "model": {"m": 16, "s0": 3, "sa": 1, "d": 8, "r": 2, "big_m": 3.0,
+                      "rates": 1.0, "t_end": 8},
+            "context": {"n": 16, "lam": 0.05, "norm_A_1": 3.63, "noise_linf_bound": 0.0137},
+            "rip_table": str(table_path),
+            "f": 0, "d0": 1, "alpha": 0.5,
+        }))
+        out = self.run_cli("check-stability", str(cfg_path))
+        assert out.returncode == 2
+        assert "lacks entries" in out.stderr
 
     def test_missing_file_exit_code(self):
         out = self.run_cli("run", "/nonexistent/x.json")

@@ -12,6 +12,8 @@ from lscs.measurement import (
     delta_exhaustive,
     delta_sampled,
     gen_gaussian_matrix,
+    gen_matrix,
+    gen_perturbed_orthonormal_matrix,
     s_star_s_starstar,
     theta_exhaustive,
     theta_sampled,
@@ -43,6 +45,23 @@ class TestMatrixGeneration:
         assert B.induced_one_norm == pytest.approx(
             np.abs(B.entries).sum(axis=0).max()
         )
+
+    def test_identity_equality_and_hash(self):
+        a = gen_gaussian_matrix(3, 4, 0)
+        assert a == a
+        assert a != gen_gaussian_matrix(3, 4, 0)
+        assert hash(a) == hash(a)
+
+    def test_gen_matrix_kinds(self):
+        assert np.array_equal(
+            gen_matrix("gaussian", 4, 8, 2).entries, gen_gaussian_matrix(4, 8, 2).entries
+        )
+        assert np.array_equal(
+            gen_matrix("perturbed_orthonormal", 4, 8, 2, 0.1).entries,
+            gen_perturbed_orthonormal_matrix(4, 8, 2, 0.1).entries,
+        )
+        with pytest.raises(ValueError):
+            gen_matrix("nope", 4, 8, 2)
 
 
 class TestExhaustiveConstants:

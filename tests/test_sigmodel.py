@@ -6,7 +6,6 @@ from lscs.sigmodel import (
     ROLE_DECREASING,
     ROLE_INCREASING,
     SignalModelParams,
-    SignalSequence,
     generate,
     support_change_stats,
 )
@@ -152,12 +151,3 @@ class TestChangeStats:
         rows = support_change_stats(seq)
         adds = [r for r in rows if r["additions"] > 0]
         assert adds[0]["addition_fraction"] == pytest.approx(2 / 20)
-
-
-def test_json_roundtrip():
-    seq = generate(stability_params(14, t_end=10))
-    doc = SignalSequence.from_json_dict(seq.to_json_dict())
-    assert np.array_equal(doc.signals, seq.signals)
-    assert doc.supports == seq.supports
-    assert doc.addition_times == seq.addition_times
-    assert doc.roles == seq.roles
