@@ -579,6 +579,15 @@ def required_rip_entries(
     return sorted(deltas), sorted(thetas)
 
 
+def _oversized_theta_row(identifier: str, S_T: int, S_Delta: int) -> ConditionRow:
+    """A row whose ``theta_{S_T, S_Delta}`` is undefined because no disjoint
+    pair of those sizes fits in m columns; the condition is not established."""
+    return ConditionRow(
+        identifier, False, None, None, inputs={"S_T": S_T, "S_Delta": S_Delta},
+        note="S_T + S_Delta > m",
+    )
+
+
 def check_stability_conditions(
     model: SignalModelParams,
     ctx: BoundContext,
@@ -677,6 +686,9 @@ def check_stability_conditions(
 
         st_b = s0 + f * (d0 + i)
         sd_b = sa - i
+        if st_b + sd_b > model.m:
+            rows.append(_oversized_theta_row(f"keep-addition-{i}", st_b, sd_b))
+            continue
         theta_b = ctx.rip.theta(st_b, sd_b)
         worst_margin = math.inf
         worst_lhs = worst_rhs = None
@@ -700,15 +712,18 @@ def check_stability_conditions(
     max_rate = float(np.max(model.rates))
     const_lhs = min(big_m, model.d * min_rate) ** 2
     peak = min(big_m, (d0 + sa) * max_rate) ** 2
-    theta_c = ctx.rip.theta(st_max, sa)
-    rhs5 = (
-        2.0 * alpha_del ** 2 + 8.0 * ctx.w_max_sq()
-        + 16.0 * theta_c.value ** 2 * sa * peak
-    )
-    rows.append(ConditionRow(
-        "keep-constant-coefficients", bool(const_lhs > rhs5), const_lhs, rhs5,
-        inputs={"S_T": st_max, "S_Delta": sa}, exact=theta_c.exact,
-    ))
+    if st_max + sa > model.m:
+        rows.append(_oversized_theta_row("keep-constant-coefficients", st_max, sa))
+    else:
+        theta_c = ctx.rip.theta(st_max, sa)
+        rhs5 = (
+            2.0 * alpha_del ** 2 + 8.0 * ctx.w_max_sq()
+            + 16.0 * theta_c.value ** 2 * sa * peak
+        )
+        rows.append(ConditionRow(
+            "keep-constant-coefficients", bool(const_lhs > rhs5), const_lhs, rhs5,
+            inputs={"S_T": st_max, "S_Delta": sa}, exact=theta_c.exact,
+        ))
     rhs6 = model.r ** 2 * (2.0 * alpha_del ** 2 + 4.0 * ctx.w_max_sq())
     rows.append(ConditionRow(
         "keep-decreasing-coefficients", bool(const_lhs > rhs6), const_lhs, rhs6,

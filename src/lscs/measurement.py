@@ -1,10 +1,23 @@
 """Measurement matrices and restricted isometry / orthogonality constants.
 
-``delta_exhaustive`` and ``theta_exhaustive`` enumerate every column subset of
-the requested size, so their output is the exact constant.  Enumeration is
-gated by a subset-count budget (default 2e6) rather than hard size caps.  The
-``*_sampled`` variants maximise over random subsets only; their output is a
-lower bound on the true constant and is flagged as such, because any bound
+``delta_exhaustive`` and ``theta_exhaustive`` return the exact constants: the
+maximum over every column subset, or every disjoint pair of subsets, of the
+requested sizes.  They are gated by a subset-count budget (default 2e6) that
+counts every subset or pair, rather than by hard size caps.
+
+``delta_exhaustive`` takes the eigenvalues of every Gram block.
+``theta_exhaustive`` is a branch and bound.  The squared Frobenius norm of a
+block ``G[T1, T2]`` is a sum of column sums precomputed per left subset, and
+it bounds the squared spectral norm from above.  The spectral norm is only
+computed for pairs whose bound can still beat the running maximum, which is
+seeded with the largest-bound pair of every left subset.  The result stays
+exact, bit for bit: the bound carries a slack far above the rounding of
+either computed quantity, so a skipped pair can never carry the computed
+maximum, and every computed pair goes through the same gather, product and
+``eigvalsh`` as in a full enumeration.
+
+The ``*_sampled`` variants maximise over random subsets only; their output is
+a lower bound on the true constant and is flagged as such, because any bound
 computed from an under-estimated constant is optimistic.
 
 Both constants are monotone: enlarging a column subset can only widen the
@@ -20,7 +33,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -28,6 +41,13 @@ import numpy as np
 DEFAULT_SUBSET_BUDGET = 2_000_000
 _CHUNK = 20_000
 _COLUMN_NORM_TOL = 1e-12
+#: ``theta_exhaustive`` skips a pair when ``(1 + rtol) ||B||_F^2 + atol`` does
+#: not exceed the square of the running max.  The computed largest eigenvalue
+#: of ``B B'`` exceeds the computed ``||B||_F^2`` by a few hundred ulps at most
+#: for any block size a subset budget admits, so a skipped pair can never
+#: carry the computed maximum.
+_PRUNE_RTOL = 1e-9
+_PRUNE_ATOL = float(np.finfo(float).tiny)
 
 
 class EnumerationBudgetExceeded(RuntimeError):
@@ -139,16 +159,21 @@ def gen_matrix(kind: str, n: int, m: int, seed: int, noise_scale: float = 0.2) -
     raise ValueError(f"unknown matrix kind {kind!r}")
 
 
-def _subset_count(m: int, s: int) -> int:
-    return math.comb(m, s)
+def _subsets(n: int, k: int, rows: int) -> Iterator[np.ndarray]:
+    """Size-``k`` subsets of ``range(n)`` in lexicographic order, each row
+    sorted, as ``intp`` blocks of at most ``rows`` rows."""
+    total = math.comb(n, k)
+    flat = chain.from_iterable(combinations(range(n), k))
+    for lo in range(0, total, rows):
+        size = min(rows, total - lo)
+        yield np.fromiter(flat, dtype=np.intp, count=size * k).reshape(size, k)
 
 
-def _iter_chunks(it: Iterator, size: int) -> Iterator[list]:
-    while True:
-        block = list(islice(it, size))
-        if not block:
-            return
-        yield block
+def _complements(subsets: np.ndarray, m: int) -> np.ndarray:
+    """Sorted complement in ``range(m)`` of each row of ``subsets``."""
+    keep = np.ones((len(subsets), m), dtype=bool)
+    np.put_along_axis(keep, subsets, False, axis=1)
+    return np.nonzero(keep)[1].reshape(len(subsets), m - subsets.shape[1])
 
 
 def _gram_deviation_max(gram: np.ndarray, subsets: np.ndarray) -> float:
@@ -166,6 +191,36 @@ def _block_specnorm_max(gram: np.ndarray, lefts: np.ndarray, rights: np.ndarray)
     return float(np.sqrt(max(np.max(w[:, -1]), 0.0)))
 
 
+def _pair_tiles(
+    gram: np.ndarray, S: int, Sp: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Disjoint subset pairs of sizes (S, Sp) in ``combinations`` order, as
+    tiles ``(lefts, rights, frob2)`` of at most ``_CHUNK`` pairs.
+
+    ``lefts`` is (b, S), ``rights`` is (b, r, Sp) and ``frob2[i, j]`` is the
+    squared Frobenius norm of ``gram[lefts[i], rights[i, j]]``, summed from
+    per-column sums over the left subset.  The right subsets of a left subset
+    T1 are fixed offsets into its sorted complement.  When ``S == Sp`` each
+    unordered pair is kept once, with the lexicographically smaller subset on
+    the left (disjoint sorted subsets differ in their first element); the
+    other orientation gets ``frob2 = -inf``.
+    """
+    m = len(gram)
+    sq = np.square(gram)
+    (offsets,) = _subsets(m - S, Sp, math.comb(m - S, Sp))
+    width = min(len(offsets), _CHUNK)
+    for lefts in _subsets(m, S, max(1, _CHUNK // width)):
+        rest = _complements(lefts, m)
+        rest_sq = np.take_along_axis(sq[lefts].sum(axis=1), rest, axis=1)
+        for lo in range(0, len(offsets), width):
+            cols = offsets[lo:lo + width]
+            rights = rest[:, cols]
+            frob2 = rest_sq[:, cols].sum(axis=2)
+            if S == Sp:
+                frob2[rights[:, :, 0] < lefts[:, :1]] = -np.inf
+            yield lefts, rights, frob2
+
+
 def delta_exhaustive(
     A: MeasurementMatrix, S: int, budget: int = DEFAULT_SUBSET_BUDGET
 ) -> float:
@@ -174,15 +229,15 @@ def delta_exhaustive(
         raise ValueError(f"S={S} out of range [0, {A.m}]")
     if S == 0:
         return 0.0
-    count = _subset_count(A.m, S)
+    count = math.comb(A.m, S)
     if count > budget:
         raise EnumerationBudgetExceeded(
             f"C({A.m},{S}) = {count} subsets exceeds budget {budget}"
         )
     gram = A.gram()
     worst = 0.0
-    for block in _iter_chunks(combinations(range(A.m), S), _CHUNK):
-        worst = max(worst, _gram_deviation_max(gram, np.asarray(block, dtype=np.intp)))
+    for block in _subsets(A.m, S, _CHUNK):
+        worst = max(worst, _gram_deviation_max(gram, block))
     return worst
 
 
@@ -190,14 +245,19 @@ def theta_exhaustive(
     A: MeasurementMatrix, S: int, Sp: int, budget: int = DEFAULT_SUBSET_BUDGET
 ) -> float:
     """Exact restricted orthogonality constant over all disjoint subset pairs
-    of sizes (S, Sp)."""
+    of sizes (S, Sp).
+
+    The budget counts every pair.  The spectral norm is only computed for
+    pairs whose Frobenius bound can still beat the running max, which is
+    seeded with the largest-Frobenius pair of every left subset.
+    """
     if S < 0 or Sp < 0:
         raise ValueError("subset sizes must be nonnegative")
     if S + Sp > A.m:
         raise ValueError(f"S + Sp = {S + Sp} exceeds m = {A.m}")
     if S == 0 or Sp == 0:
         return 0.0
-    count = _subset_count(A.m, S) * _subset_count(A.m - S, Sp)
+    count = math.comb(A.m, S) * math.comb(A.m - S, Sp)
     if S == Sp:
         count //= 2  # unordered pairs; the block norm is symmetric
     if count > budget:
@@ -205,21 +265,18 @@ def theta_exhaustive(
             f"{count} disjoint subset pairs exceeds budget {budget}"
         )
     gram = A.gram()
-
-    def pairs() -> Iterator[tuple[tuple, tuple]]:
-        for t1 in combinations(range(A.m), S):
-            first = set(t1)
-            rest = [i for i in range(A.m) if i not in first]
-            for t2 in combinations(rest, Sp):
-                if S == Sp and t2 < t1:
-                    continue
-                yield t1, t2
-
     worst = 0.0
-    for block in _iter_chunks(pairs(), _CHUNK):
-        lefts = np.asarray([p[0] for p in block], dtype=np.intp)
-        rights = np.asarray([p[1] for p in block], dtype=np.intp)
-        worst = max(worst, _block_specnorm_max(gram, lefts, rights))
+    for seeding in (True, False):
+        for lefts, rights, frob2 in _pair_tiles(gram, S, Sp):
+            if seeding:
+                j = np.argmax(frob2, axis=1)
+                i = np.nonzero(frob2[np.arange(len(j)), j] > -np.inf)[0]
+                j = j[i]
+            else:
+                bound = frob2 * (1.0 + _PRUNE_RTOL) + _PRUNE_ATOL
+                i, j = np.nonzero(bound > worst * worst)
+            if len(i):
+                worst = max(worst, _block_specnorm_max(gram, lefts[i], rights[i, j]))
     return worst
 
 

@@ -376,6 +376,27 @@ class TestStabilityConditions:
             check_stability_conditions(model, ctx, f=1, d0=3, alpha=0.05)
         assert "delta_" in str(err.value)
 
+    def test_oversized_theta_rows_fail_without_lookup(self):
+        # S_T + S_Delta > m for every keep row: the table lacks those thetas,
+        # and each row reports a failure instead of looking one up
+        model = generous_model(m=16, s0=8, sa=4, d=10)
+        ctx = zero_rip_ctx(model, f=1, d0_max=5)
+        assert not ctx.rip.has_theta(13, 4)
+        report = check_stability_conditions(model, ctx, f=1, d0=5, alpha=0.05)
+        oversized = [f"keep-addition-{i}" for i in range(1, 5)] + ["keep-constant-coefficients"]
+        for name in oversized:
+            row = report.row(name)
+            assert not row.holds and row.note == "S_T + S_Delta > m"
+            assert row.lhs is None and row.rhs is None
+            assert row.inputs["S_T"] + row.inputs["S_Delta"] > model.m
+        assert not report.holds
+        # at d0 = 2 only the keep-constant row is oversized
+        report = check_stability_conditions(model, ctx, f=1, d0=2, alpha=0.05)
+        assert [r.identifier for r in report.rows if r.note == "S_T + S_Delta > m"] == [
+            "keep-constant-coefficients"
+        ]
+        assert report.row("keep-addition-1").lhs is not None
+
     def test_find_min_d0(self):
         model = generous_model(d=8, sa=2, r=2)
         ctx = zero_rip_ctx(model, f=1, d0_max=7)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lscs.core import (
     AmbientDimensionMismatch,
@@ -49,6 +51,43 @@ class TestSupportSet:
 
     def test_dedup_and_sort(self):
         assert SupportSet([3, 1, 3], 5).indices == (1, 3)
+
+
+@st.composite
+def support_triples(draw):
+    """Three supports in one ambient dimension, with their raw index lists."""
+    m = draw(st.integers(0, 24))
+    raw = [draw(st.lists(st.integers(0, m - 1), max_size=2 * m)) if m else [] for _ in range(3)]
+    return m, raw, [SupportSet(r, m) for r in raw]
+
+
+class TestSupportSetProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(support_triples())
+    def test_algebra_identities(self, triple):
+        m, raw, (a, b, c) = triple
+        empty = SupportSet.empty(m)
+        assert a | b == b | a and a & b == b & a
+        assert (a | b) | c == a | (b | c) and (a & b) & c == a & (b & c)
+        assert a & (b | c) == (a & b) | (a & c)
+        assert a - b == a & b.complement()
+        assert (a - b) | (a & b) == a
+        assert (a - b) & b == empty
+        assert (a | b).complement() == a.complement() & b.complement()
+        assert a.complement().complement() == a
+        assert len(a | b) == len(a) + len(b) - len(a & b)
+        assert len(a) + len(a.complement()) == m
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(support_triples())
+    def test_len_and_to_array_agree(self, triple):
+        m, raw, sets = triple
+        for r, s in zip(raw, sets):
+            arr = s.to_array()
+            assert arr.dtype == np.intp
+            assert arr.tolist() == sorted(set(r)) == list(s)
+            assert len(s) == arr.size == len(set(r))
+            assert all(i in s for i in r)
 
 
 class TestOrderStatistics:

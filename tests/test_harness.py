@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,8 @@ from lscs.harness import (
     snr_summary,
     write_method_csv,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def small_static_cfg(trials=3):
@@ -357,6 +360,21 @@ class TestCli:
         assert out.returncode == 0, out.stderr
         doc = json.loads(out.stdout)
         assert "min_d0" in doc
+
+    def test_check_stability_oversized_theta_pair(self, tmp_path):
+        # S_T + S_Delta = 14 + 4 > m = 16 in the keep-constant row; the table
+        # built from required_rip_entries has no theta_{14,4}
+        cfg = json.loads((CONFIGS / "check_stability.json").read_text())
+        cfg["model"].update({"s0": 8, "sa": 4, "d": 10})
+        cfg.update({"f": 1, "d0": 2})
+        cfg_path = tmp_path / "chk.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = self.run_cli("check-stability", str(cfg_path))
+        assert out.returncode == 0, out.stderr
+        report = json.loads(out.stdout)["report"]
+        row = next(r for r in report["rows"] if r["identifier"] == "keep-constant-coefficients")
+        assert row["holds"] is False and row["note"] == "S_T + S_Delta > m"
+        assert report["holds"] is False
 
     def test_bound_validation_exit_code_on_clean_run(self, tmp_path):
         cfg_path = tmp_path / "bv.json"

@@ -1,7 +1,12 @@
 import math
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lscs.measurement import (
     EnumerationBudgetExceeded,
@@ -18,6 +23,56 @@ from lscs.measurement import (
     theta_exhaustive,
     theta_sampled,
 )
+
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def reference_delta(A: MeasurementMatrix, S: int) -> float:
+    """Every size-S subset in ``combinations`` order, evaluated 20000 at a
+    time: the enumeration ``delta_exhaustive`` replaced."""
+    gram = A.gram()
+    subsets = list(combinations(range(A.m), S))
+    worst = 0.0
+    for lo in range(0, len(subsets), 20_000):
+        idx = np.asarray(subsets[lo:lo + 20_000], dtype=np.intp)
+        w = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
+        worst = max(worst, float(np.max(np.maximum(1.0 - w[:, 0], w[:, -1] - 1.0))))
+    return worst
+
+
+def reference_theta(A: MeasurementMatrix, S: int, Sp: int) -> float:
+    """Every disjoint pair in ``combinations`` order (each unordered pair once,
+    smaller subset on the left, when S == Sp), spectral norms taken 20000
+    pairs at a time: the enumeration ``theta_exhaustive`` replaced."""
+    gram = A.gram()
+    pairs = []
+    for t1 in combinations(range(A.m), S):
+        rest = [i for i in range(A.m) if i not in t1]
+        pairs += [(t1, t2) for t2 in combinations(rest, Sp) if not (S == Sp and t2 < t1)]
+    worst = 0.0
+    for lo in range(0, len(pairs), 20_000):
+        block = pairs[lo:lo + 20_000]
+        lefts = np.asarray([p[0] for p in block], dtype=np.intp)
+        rights = np.asarray([p[1] for p in block], dtype=np.intp)
+        b = gram[lefts[:, :, None], rights[:, None, :]]
+        w = np.linalg.eigvalsh(b @ np.swapaxes(b, 1, 2))
+        worst = max(worst, float(np.sqrt(max(np.max(w[:, -1]), 0.0))))
+    return worst
+
+
+def size_pairs(m: int):
+    return [(s, sp) for s in range(1, m) for sp in range(1, m - s + 1)]
+
+
+def tied_matrix(seed: int) -> MeasurementMatrix:
+    """Rank one: every column is one unit vector, scaled and sign-flipped
+    before normalization, so columns agree only up to rounding.  Every Gram
+    block is rank one, its spectral and Frobenius norms tie, and the computed
+    values of different blocks differ in the last bits."""
+    a = np.random.default_rng(seed).standard_normal(5)
+    scales = [1.0, 3.0, 7.0, 0.1, 11.0, -2.0, -5.0, 13.0, 0.3, -17.0]
+    return MeasurementMatrix.from_columns(np.outer(a, scales))
 
 
 def two_column_matrix(phi: float) -> MeasurementMatrix:
@@ -129,6 +184,74 @@ class TestExhaustiveConstants:
         A = gen_gaussian_matrix(10, 40, 1)
         with pytest.raises(EnumerationBudgetExceeded):
             delta_exhaustive(A, 10, budget=1000)
+
+    @pytest.mark.parametrize("m, S, Sp", [(9, 2, 3), (9, 3, 2), (10, 3, 3), (10, 1, 1), (12, 4, 4), (8, 1, 7)])
+    def test_theta_budget_counts(self, m, S, Sp):
+        A = gen_gaussian_matrix(4, m, 2)
+        count = math.comb(m, S) * math.comb(m - S, Sp)
+        if S == Sp:
+            count //= 2
+        assert theta_exhaustive(A, S, Sp, budget=count) == reference_theta(A, S, Sp)
+        with pytest.raises(EnumerationBudgetExceeded, match=f"^{count} disjoint"):
+            theta_exhaustive(A, S, Sp, budget=count - 1)
+
+    @pytest.mark.parametrize("m, S", [(9, 1), (10, 4), (12, 6)])
+    def test_delta_budget_counts(self, m, S):
+        A = gen_gaussian_matrix(4, m, 2)
+        assert delta_exhaustive(A, S, budget=math.comb(m, S)) == reference_delta(A, S)
+        with pytest.raises(EnumerationBudgetExceeded):
+            delta_exhaustive(A, S, budget=math.comb(m, S) - 1)
+
+    def test_budget_raised_before_allocating(self):
+        A = gen_gaussian_matrix(8, 60, 3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationBudgetExceeded):
+                theta_exhaustive(A, 20, 20)
+            with pytest.raises(EnumerationBudgetExceeded):
+                delta_exhaustive(A, 30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+
+class TestExhaustiveMatchesReference:
+    """The pruned enumeration returns the reference maximum bit for bit."""
+
+    @pytest.mark.parametrize("kind, seed", [("gaussian", 1), ("perturbed_orthonormal", 5)])
+    @pytest.mark.parametrize("m", [8, 10, 12])
+    def test_every_size_pair(self, kind, seed, m):
+        A = gen_matrix(kind, m // 2 + 1, m, seed)
+        for S, Sp in size_pairs(m):
+            assert theta_exhaustive(A, S, Sp) == reference_theta(A, S, Sp), (S, Sp)
+        for S in range(1, m + 1):
+            assert delta_exhaustive(A, S) == reference_delta(A, S), S
+
+    @pytest.mark.parametrize("seed", [0, 2, 4])
+    def test_tied_blocks(self, seed):
+        # without the rounding slack in the prune these seeds lose the max
+        A = tied_matrix(seed)
+        for S, Sp in size_pairs(A.m):
+            assert theta_exhaustive(A, S, Sp) == reference_theta(A, S, Sp), (S, Sp)
+        for S in range(1, A.m + 1):
+            assert delta_exhaustive(A, S) == reference_delta(A, S), S
+
+    @PROPERTY
+    @given(st.data())
+    def test_drawn_unit_column_matrices(self, data):
+        m = data.draw(st.integers(2, 9), label="m")
+        n = data.draw(st.integers(1, 5), label="n")
+        entries = st.one_of(
+            st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+            st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False),
+        )
+        raw = data.draw(arrays(np.float64, (n, m), elements=entries), label="raw")
+        assume(np.all(np.linalg.norm(raw, axis=0) > 1e-3))
+        A = MeasurementMatrix.from_columns(raw)
+        S = data.draw(st.integers(1, m - 1), label="S")
+        Sp = data.draw(st.integers(1, m - S), label="Sp")
+        assert theta_exhaustive(A, S, Sp) == reference_theta(A, S, Sp)
 
 
 class TestSampledConstants:
