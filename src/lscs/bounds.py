@@ -115,17 +115,25 @@ def _smallest_sqnorm(values: np.ndarray, k: int) -> float:
 
 
 def _check_t_within_s_star(ctx: BoundContext, size_T: int) -> tuple[bool, bool]:
-    """(|T| <= S*) == (delta_{|T|} < 1/2); returns (holds, exact)."""
+    """(|T| <= S*) == (delta_{|T|} < 1/2); returns (holds, exact).
+
+    S* <= m, so a size past m fails without a lookup."""
     if size_T == 0:
         return True, True
+    if size_T > ctx.m:
+        return False, True
     e = ctx.rip.delta(size_T)
     return e.value < 0.5, e.exact
 
 
 def _check_delta_within_s_starstar(ctx: BoundContext, size_delta: int) -> tuple[bool, bool]:
-    """(|Delta| <= S**) == (delta_{2|Delta|} + theta_{|Delta|,2|Delta|} < 1)."""
+    """(|Delta| <= S**) == (delta_{2|Delta|} + theta_{|Delta|,2|Delta|} < 1).
+
+    theta_{|Delta|,2|Delta|} needs 3|Delta| <= m; past that the check fails."""
     if size_delta == 0:
         return True, True
+    if 3 * size_delta > ctx.m:
+        return False, True
     d = ctx.rip.delta(2 * size_delta)
     th = ctx.rip.theta(size_delta, 2 * size_delta)
     return d.value + th.value < 1.0, d.exact and th.exact
@@ -541,51 +549,39 @@ def required_rip_entries(
     model: SignalModelParams, f: int, d0: int
 ) -> tuple[list[int], list[tuple[int, int]]]:
     """All (delta, theta) table entries the stability checker and the
-    stability error caps will look up."""
+    stability error caps will look up.
+
+    A constant over more than m columns is undefined and never requested:
+    ``delta_S`` needs ``S <= m`` and ``theta_{S,S'}`` needs ``S + S' <= m``.
+    The rows that would use one report that the condition does not hold."""
     s0, sa, m = model.s0, model.sa, model.m
     st_max = s0 + f * (d0 + sa)
-    deltas: set[int] = {st_max}
-    thetas: set[tuple[int, int]] = set()
+    # S_T before each addition and after the last one
+    deltas = {s0 + f * (d0 + j) for j in range(sa + 1)}
+    # keep rows: theta_{S_T, S_Delta} after addition i, and at the peak
+    thetas = {(s0 + f * (d0 + i), sa - i) for i in range(1, sa)}
+    if sa > 0:
+        thetas.add((st_max, sa))
     # recovery-constant scan entries for the error caps
     for s in range(1, st_max + 1):
-        if 2 * s <= m and 3 * s <= m:
+        if 3 * s <= m:
             deltas.add(2 * s)
             thetas.add((s, 2 * s))
-    if sa > 0:
-        deltas.add(2 * sa)
-        thetas.add((sa, 2 * sa))
+    # S** checks up to S_a and the detection-gate rectangle up to (S_T, S_a)
     for d_sz in range(1, sa + 1):
         deltas.add(2 * d_sz)
         thetas.add((d_sz, 2 * d_sz))
-    for i in range(1, sa + 1):
-        st_i = s0 + f * (d0 + i - 1)
-        sd_i = sa - i + 1
-        deltas.add(st_i)
-        for d_sz in range(1, sd_i + 1):
-            for t_sz in range(1, st_i + 1):
-                if t_sz + d_sz <= m:
-                    thetas.add((t_sz, d_sz))
-        st_b = s0 + f * (d0 + i)
-        sd_b = sa - i
-        if sd_b > 0 and st_b + sd_b <= m:
-            thetas.add((st_b, sd_b))
-        deltas.add(st_b)
-    for d_sz in range(1, sa + 1):
-        for t_sz in range(1, st_max + 1):
-            if t_sz + d_sz <= m:
-                thetas.add((t_sz, d_sz))
-    if sa > 0 and st_max + sa <= m:
-        thetas.add((st_max, sa))
-    return sorted(deltas), sorted(thetas)
-
-
-def _oversized_theta_row(identifier: str, S_T: int, S_Delta: int) -> ConditionRow:
-    """A row whose ``theta_{S_T, S_Delta}`` is undefined because no disjoint
-    pair of those sizes fits in m columns; the condition is not established."""
-    return ConditionRow(
-        identifier, False, None, None, inputs={"S_T": S_T, "S_Delta": S_Delta},
-        note="S_T + S_Delta > m",
+        thetas.update((t_sz, d_sz) for t_sz in range(1, st_max + 1))
+    return (
+        sorted(s for s in deltas if s <= m),
+        sorted((s, sp) for s, sp in thetas if s + sp <= m),
     )
+
+
+def _oversized_row(identifier: str, note: str, **inputs: int) -> ConditionRow:
+    """A row whose constant is undefined because its sizes do not fit in m
+    columns; the condition is not established."""
+    return ConditionRow(identifier, False, None, None, inputs=inputs, note=note)
 
 
 def check_stability_conditions(
@@ -641,21 +637,27 @@ def check_stability_conditions(
         "noise-budget", bool(ctx.noise_linf_bound <= noise_rhs + _NOISE_TOL),
         ctx.noise_linf_bound, noise_rhs,
     ))
-    sa_ok, sa_exact = _check_delta_within_s_starstar(ctx, sa)
-    sa_lhs = None
-    if sa > 0:
-        sa_lhs = ctx.rip.delta(2 * sa).value + ctx.rip.theta(sa, 2 * sa).value
-    rows.append(ConditionRow(
-        "addition-count-within-recovery-range", bool(sa_ok), sa_lhs, 1.0, exact=sa_exact,
-        note="S_a <= S**",
-    ))
-    st_ok, st_exact = _check_t_within_s_star(ctx, st_max)
-    rows.append(ConditionRow(
-        "support-size-within-ls-range", bool(st_ok), ctx.rip.delta(st_max).value if st_max else 0.0,
-        0.5, exact=st_exact,
-        inputs={"S_T": st_max},
-        note="S_0 + f (d_0 + S_a) <= S*",
-    ))
+    if 3 * sa > model.m:
+        rows.append(_oversized_row("addition-count-within-recovery-range", "3 S_a > m", S_a=sa))
+    else:
+        sa_ok, sa_exact = _check_delta_within_s_starstar(ctx, sa)
+        sa_lhs = None
+        if sa > 0:
+            sa_lhs = ctx.rip.delta(2 * sa).value + ctx.rip.theta(sa, 2 * sa).value
+        rows.append(ConditionRow(
+            "addition-count-within-recovery-range", bool(sa_ok), sa_lhs, 1.0, exact=sa_exact,
+            note="S_a <= S**",
+        ))
+    if st_max > model.m:
+        rows.append(_oversized_row("support-size-within-ls-range", "S_T > m", S_T=st_max))
+    else:
+        st_ok, st_exact = _check_t_within_s_star(ctx, st_max)
+        rows.append(ConditionRow(
+            "support-size-within-ls-range", bool(st_ok), ctx.rip.delta(st_max).value if st_max else 0.0,
+            0.5, exact=st_exact,
+            inputs={"S_T": st_max},
+            note="S_0 + f (d_0 + S_a) <= S*",
+        ))
 
     # detection gate over the enumerated rectangle at (S_T, S_Delta) = (st_max, sa)
     terms, gate_exact = _gate_terms(ctx, st_max, sa)
@@ -687,7 +689,7 @@ def check_stability_conditions(
         st_b = s0 + f * (d0 + i)
         sd_b = sa - i
         if st_b + sd_b > model.m:
-            rows.append(_oversized_theta_row(f"keep-addition-{i}", st_b, sd_b))
+            rows.append(_oversized_row(f"keep-addition-{i}", "S_T + S_Delta > m", S_T=st_b, S_Delta=sd_b))
             continue
         theta_b = ctx.rip.theta(st_b, sd_b)
         worst_margin = math.inf
@@ -713,7 +715,7 @@ def check_stability_conditions(
     const_lhs = min(big_m, model.d * min_rate) ** 2
     peak = min(big_m, (d0 + sa) * max_rate) ** 2
     if st_max + sa > model.m:
-        rows.append(_oversized_theta_row("keep-constant-coefficients", st_max, sa))
+        rows.append(_oversized_row("keep-constant-coefficients", "S_T + S_Delta > m", S_T=st_max, S_Delta=sa))
     else:
         theta_c = ctx.rip.theta(st_max, sa)
         rhs5 = (

@@ -134,7 +134,10 @@ def _cmd_check_stability(args) -> int:
             A = _matrix_from_spec(rip_spec["matrix"])
             options = _table_options(rip_spec, "sampled")
     if table is None:
-        deltas, thetas = required_rip_entries(model, f, model.d - 1 if d0 == "scan" else d0)
+        # the scan checks every d0 in [1, d), so its table covers them all
+        needs = [required_rip_entries(model, f, k) for k in (range(1, model.d) if d0 == "scan" else [d0])]
+        deltas = sorted({s for ds, _ in needs for s in ds})
+        thetas = sorted({p for _, ts in needs for p in ts})
         table = build_rip_table(A, deltas, thetas, **options)
     ctx = BoundContext(rip=table, m=model.m, **ctx_args)
     if d0 == "scan":

@@ -1,20 +1,33 @@
 """Dantzig selector as a linear program, and least squares on a column subset.
 
 The selector minimises ``||zeta||_1`` subject to ``||A'(y - A zeta)||_inf <=
-lambda``.  Splitting ``zeta = p - q`` with ``p, q >= 0`` and naming the
-correlation residual ``r = g - G(p - q)`` turns this into an LP with 3m
-variables and m equality rows:
+lambda``.  Splitting ``zeta = p - q`` with ``p, q >= 0`` turns this into an
+LP with 2m columns and m ranged rows:
 
-    min 1'(p + q)   s.t.   G(p - q) + r = g,   p, q >= 0,   -lambda <= r <= lambda
+    min 1'(p + q)   s.t.   g - lambda <= G(p - q) <= g + lambda,   p, q >= 0
 
-where ``G = A'A`` and ``g = A'y``.  The box on ``r`` is exactly the constraint
-``||g - G zeta||_inf <= lambda``, so the program has the selector's feasible
-set, and HiGHS keeps the two-sided bound as a variable box instead of two
-inequality rows per coordinate.  At any optimum ``min(p_i, q_i) = 0``: ``r`` depends on
-``p - q`` only, so shrinking both coordinates by their minimum keeps every
-constraint and lowers the objective.  The objective therefore equals the l1
-norm.  The program is solved with HiGHS via scipy, which is deterministic for
-fixed input.
+where ``G = A'A`` and ``g = A'y``.  The two-sided row bound is exactly the
+constraint ``||g - G zeta||_inf <= lambda``, so HiGHS keeps it as one ranged
+row per coordinate instead of two inequality rows, with no slack columns.
+At any optimum ``min(p_i, q_i) = 0``: the rows depend on ``p - q`` only, so
+shrinking both coordinates by their minimum keeps every constraint and lowers
+the objective.  The objective therefore equals the l1 norm.
+
+The program goes to HiGHS through ``scipy.optimize.milp`` with no integer
+variables, which makes it a pure LP; ``linprog`` has no way to pass ranged
+rows.  Presolve is off: the rows of a dense ``G`` leave it nothing to remove,
+and it only adds time.  Scaling is off too.  The columns of ``A`` have unit
+norm, so ``G`` has a unit diagonal and entries in ``[-1, 1]`` and there is
+nothing to equilibrate.  Unscaled, the primal feasibility tolerance of 1e-10
+applies to the rows exactly as stated, which is what the post-solve check
+``||g - G zeta||_inf <= lambda + 1e-9`` measures; with HiGHS's default
+scaling a row of one tracking LP ended 2.8e-9 past ``lambda``.
+
+``milp`` accepts just a few options of its own but hands every other key to
+HiGHS verbatim, which is how the scaling switch, the feasibility tolerances
+and the simplex iteration limit reach the solver; the ``RuntimeWarning`` it
+raises about those keys is silenced for that call alone.  HiGHS is
+deterministic for fixed input.
 
 The constraint is stated with ``<=`` although the original program uses a
 strict inequality: the closed program is well posed and has the same optimum.
@@ -22,10 +35,11 @@ strict inequality: the closed program is well posed and has the same optimum.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .core import SupportSet
 from .measurement import MeasurementMatrix
@@ -76,12 +90,10 @@ def solve_dantzig(
 ) -> DsSolution:
     """Solve ``min ||zeta||_1  s.t.  ||A'(y - A zeta)||_inf <= lam``.
 
-    ``max_iterations`` caps the HiGHS simplex iterations of the equality-form
-    LP described in the module docstring; past the cap the status is
-    ``"budget_exceeded"``.  The equality form takes more, cheaper iterations
-    than a 2m-row inequality form of the same program (about 2.5 times as
-    many on static-table problems), so a budget chosen for one does not carry
-    over to the other.
+    ``max_iterations`` is the HiGHS ``simplex_iteration_limit`` on the
+    ranged-row LP described in the module docstring; past the cap the status
+    is ``"budget_exceeded"``.  Iteration counts depend on the form of the
+    program, so a budget chosen for another form does not carry over.
     """
     y = np.asarray(y, dtype=float)
     if lam < 0:
@@ -98,23 +110,30 @@ def solve_dantzig(
         return DsSolution(np.zeros(m), 0.0, float(np.max(np.abs(g), initial=0.0)), "optimal")
 
     G = A.gram()
-    cost = np.concatenate([np.ones(2 * m), np.zeros(m)])
-    a_eq = np.hstack([G, -G, np.eye(m)])
-    bounds = [(0, None)] * (2 * m) + [(-lam, lam)] * m
     options = {
+        "presolve": False,
+        "simplex_scale_strategy": 0,
         "primal_feasibility_tolerance": 1e-10,
         "dual_feasibility_tolerance": 1e-10,
     }
     if max_iterations is not None:
-        options["maxiter"] = int(max_iterations)
-    res = linprog(cost, A_eq=a_eq, b_eq=g, bounds=bounds, method="highs", options=options)
+        options["simplex_iteration_limit"] = int(max_iterations)
+    with warnings.catch_warnings():
+        # every key but presolve passes to HiGHS verbatim; milp only warns about them
+        warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
+        res = milp(
+            np.ones(2 * m),
+            constraints=LinearConstraint(np.hstack([G, -G]), g - lam, g + lam),
+            bounds=Bounds(0.0, np.inf),
+            options=options,
+        )
 
     if res.status == 1:
         return DsSolution(np.zeros(m), float("nan"), float("nan"), "budget_exceeded")
     if res.status != 0:
         return DsSolution(np.zeros(m), float("nan"), float("nan"), "infeasible")
 
-    zeta = res.x[:m] - res.x[m:2 * m]
+    zeta = res.x[:m] - res.x[m:]
     max_corr = float(np.max(np.abs(g - G @ zeta)))
     if max_corr > lam + _FEASIBILITY_TOL:
         raise DantzigNumericsError(

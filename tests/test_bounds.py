@@ -397,6 +397,31 @@ class TestStabilityConditions:
         ]
         assert report.row("keep-addition-1").lhs is not None
 
+    @pytest.mark.parametrize("d0", [5, "scan"])
+    def test_oversized_delta_rows_fail_without_lookup(self, d0):
+        # S_T = s0 + f (d0 + S_a) passes m = 16 from d0 = 5 on: no delta of
+        # that size is requested, and the rows that would read one fail
+        model = generous_model(m=16, s0=8, sa=4, d=10)
+        ctx = zero_rip_ctx(model, f=1, d0_max=model.d - 1)
+        assert max(ctx.rip.delta_entries) <= model.m
+        if d0 == "scan":
+            found, report = find_min_d0(model, ctx, f=1, alpha=0.05)
+            assert found is None and report.d0 == model.d - 1
+            assert report.row("detect-addition-1").note == "S_T=17 exceeds S*"
+        else:
+            report = check_stability_conditions(model, ctx, f=1, d0=d0, alpha=0.05)
+        row = report.row("support-size-within-ls-range")
+        assert not row.holds and row.note == "S_T > m"
+        assert row.lhs is None and row.inputs["S_T"] > model.m
+        assert not report.holds
+
+    def test_scan_reaches_d0_that_fits(self):
+        # S_T = 19 > m at d0 = d - 1, but d0 = 1 fits and passes
+        model = generous_model(m=16, s0=3, sa=1, d=16)
+        ctx = zero_rip_ctx(model, f=1, d0_max=model.d - 1)
+        d0, report = find_min_d0(model, ctx, f=1, alpha=0.05)
+        assert d0 == 1 and report.holds
+
     def test_find_min_d0(self):
         model = generous_model(d=8, sa=2, r=2)
         ctx = zero_rip_ctx(model, f=1, d0_max=7)

@@ -376,6 +376,49 @@ class TestCli:
         assert row["holds"] is False and row["note"] == "S_T + S_Delta > m"
         assert report["holds"] is False
 
+    @pytest.mark.parametrize("d0", [5, "scan"])
+    def test_check_stability_oversized_delta(self, tmp_path, d0):
+        # S_T = 8 + (d0 + 4) > m = 16; no delta_{S_T} is computed
+        cfg = json.loads((CONFIGS / "check_stability.json").read_text())
+        cfg["model"].update({"s0": 8, "sa": 4, "d": 10})
+        cfg.update({"f": 1, "d0": d0})
+        cfg_path = tmp_path / "chk.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = self.run_cli("check-stability", str(cfg_path))
+        assert out.returncode == 0, out.stderr
+        doc = json.loads(out.stdout)
+        row = next(r for r in doc["report"]["rows"] if r["identifier"] == "support-size-within-ls-range")
+        assert row["holds"] is False and row["note"] == "S_T > m"
+        assert doc["report"]["holds"] is False
+        if d0 == "scan":
+            assert doc["min_d0"] is None
+
+    def test_check_stability_oversized_recovery_range(self, tmp_path):
+        # 3 S_a = 18 > m = 16: theta_{6,12} is undefined and never computed
+        cfg = json.loads((CONFIGS / "check_stability.json").read_text())
+        cfg["model"].update({"s0": 12, "sa": 6, "d": 12})
+        cfg["d0"] = 2
+        cfg["rip_table"].update({"mode": "sampled", "trials": 50})
+        cfg_path = tmp_path / "chk.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = self.run_cli("check-stability", str(cfg_path))
+        assert out.returncode == 0, out.stderr
+        rows = {r["identifier"]: r for r in json.loads(out.stdout)["report"]["rows"]}
+        row = rows["addition-count-within-recovery-range"]
+        assert row["holds"] is False and row["note"] == "3 S_a > m"
+        assert rows["detect-addition-1"]["note"] == "S_Delta=6 exceeds S**"
+
+    def test_check_stability_scan_builds_table_for_every_d0(self, tmp_path):
+        # with f = 1 each d0 needs its own delta_{S_T}; the scan stops at d0 = 1
+        cfg = json.loads((CONFIGS / "check_stability.json").read_text())
+        cfg["f"] = 1
+        cfg_path = tmp_path / "chk.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = self.run_cli("check-stability", str(cfg_path))
+        assert out.returncode == 0, out.stderr
+        doc = json.loads(out.stdout)
+        assert doc["min_d0"] == 1 and doc["report"]["holds"] is True
+
     def test_bound_validation_exit_code_on_clean_run(self, tmp_path):
         cfg_path = tmp_path / "bv.json"
         cfg_path.write_text(json.dumps({

@@ -1,16 +1,19 @@
 import json
-from itertools import combinations
+import warnings
+from itertools import combinations, product
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import lscs.solver
 from lscs.cli import main as cli_main
 from lscs.core import SupportSet, support_of
 from lscs.filter import FilterConfig, FilterState, lscs_step
-from lscs.harness import run_static_experiment, run_stability_experiment
+from lscs.harness import _parse_tracking, _tracking_trial, run_static_experiment, run_stability_experiment
 from lscs.measurement import MeasurementMatrix, gen_gaussian_matrix
 from lscs.solver import (
     DantzigStatusError,
@@ -27,28 +30,29 @@ def soft_threshold(y: np.ndarray, lam: float) -> np.ndarray:
 
 def vertex_enumeration_optimum(A: np.ndarray, y: np.ndarray, lam: float) -> float:
     """Brute-force LP oracle: visit every basic solution of the
-    (zeta, u) formulation and return the best feasible objective."""
+    (zeta, u) formulation, ``min 1'u`` s.t. ``|zeta| <= u`` and
+    ``|g - G zeta| <= lam``, and return the best feasible objective.
+
+    At a basic solution ``u = |zeta|``, and the k nonzeros of zeta on a
+    support S are fixed by k active rows R with signs s:
+    ``G[R, S] zeta_S = g_R - lam s``.  Such a system is nonsingular only
+    for k <= rank(G) <= n, so every (S, R, s) with k <= n is visited."""
     n, m = A.shape
     G = A.T @ A
     g = A.T @ y
-    eye = np.eye(m)
-    zero = np.zeros((m, m))
-    rows = np.vstack([
-        np.hstack([eye, -eye]),     #  zeta - u <= 0
-        np.hstack([-eye, -eye]),    # -zeta - u <= 0
-        np.hstack([-G, zero]),      #  g - G zeta <= lam
-        np.hstack([G, zero]),       # -g + G zeta <= lam
-    ])
-    rhs = np.concatenate([np.zeros(2 * m), lam + g, lam - g])
-    cost = np.concatenate([np.zeros(m), np.ones(m)])
-    best = np.inf
-    for active in combinations(range(rows.shape[0]), 2 * m):
-        sub = rows[list(active)]
-        if abs(np.linalg.det(sub)) < 1e-10:
-            continue
-        z = np.linalg.solve(sub, rhs[list(active)])
-        if np.all(rows @ z <= rhs + 1e-9):
-            best = min(best, float(cost @ z))
+    best = 0.0 if np.max(np.abs(g)) <= lam + 1e-9 else np.inf
+    for k in range(1, min(n, m) + 1):
+        signs = np.array(list(product((-1.0, 1.0), repeat=k)))
+        for S in combinations(range(m), k):
+            cols = G[:, S]
+            for R in combinations(range(m), k):
+                sub = cols[list(R)]
+                if abs(np.linalg.det(sub)) < 1e-10:
+                    continue
+                Z = np.linalg.solve(sub, (g[list(R)] - lam * signs).T)
+                feasible = np.all(np.abs(g[:, None] - cols @ Z) <= lam + 1e-9, axis=0)
+                if feasible.any():
+                    best = min(best, float(np.abs(Z[:, feasible]).sum(axis=0).min()))
     return best
 
 
@@ -79,6 +83,21 @@ def static_table_instance(n: int, seed: int, sigma: float):
     x = np.zeros(200)
     x[rng.choice(200, size=20, replace=False)] = rng.choice([-1.0, 1.0], size=20)
     return A, A.entries @ x + sigma * rng.standard_normal(n)
+
+
+def stability_instance(seed: int):
+    """A ``configs/stability.json`` draw: m = 200, n = 59, twenty nonzeros of
+    which the two newest are small, uniform noise of width 0.0528, and the
+    support known up to those two.  Returns ``(A, y, x_init)`` with
+    ``x_init`` the least-squares estimate on the known support."""
+    rng = np.random.default_rng([seed, 59])
+    A = gen_gaussian_matrix(59, 200, seed)
+    support = rng.choice(200, size=20, replace=False)
+    x = np.zeros(200)
+    x[support[:18]] = rng.choice([-1.0, 1.0], size=18) * rng.uniform(1.0, 3.0, size=18)
+    x[support[18:]] = rng.choice([-1.0, 1.0], size=2) * rng.uniform(0.5, 1.0, size=2)
+    y = A.entries @ x + rng.uniform(-0.0528, 0.0528, size=59)
+    return A, y, ls_on_support(A, SupportSet(support[:18], 200), y)
 
 
 class TestDantzig:
@@ -164,8 +183,38 @@ class TestDantzig:
         with pytest.raises(ValueError):
             solve_dantzig(A, np.full(4, np.nan), 0.1)
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_optimality_against_vertex_oracle(self, data):
+        m = data.draw(st.integers(2, 8), label="m")
+        n = data.draw(st.integers(1, m - 1), label="n")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        # scales of max|A'y|: below 1 the LP answers, from 1 on the zero exit
+        scale = data.draw(st.sampled_from([0.05, 0.2, 0.5, 0.9, 1.0, 1.5]), label="scale")
+        A = gen_gaussian_matrix(n, m, seed)
+        y = np.random.default_rng(seed).standard_normal(n)
+        lam = scale * float(np.max(np.abs(A.entries.T @ y)))
+        sol = solve_dantzig(A, y, lam)
+        assert sol.status == "optimal"
+        assert np.max(np.abs(A.entries.T @ (y - A.entries @ sol.zeta_hat))) <= lam + 1e-9
+        assert abs(np.abs(sol.zeta_hat).sum() - vertex_enumeration_optimum(A.entries, y, lam)) <= 1e-8
+        if scale >= 1.0:
+            assert np.all(sol.zeta_hat == 0.0)
 
-class TestEqualityForm:
+
+class TestRangedForm:
+    """The ranged-row LP against the 2m-row inequality form in HiGHS."""
+
+    @staticmethod
+    def assert_agrees(A, y, lam):
+        sol = solve_dantzig(A, y, lam)
+        ref = inequality_form_dantzig(A, y, lam)
+        assert sol.status == "optimal"
+        assert np.max(np.abs(sol.zeta_hat - ref)) <= 1e-9
+        assert abs(sol.objective - np.abs(ref).sum()) <= 1e-9
+        assert sol.max_correlation <= lam + 1e-9
+        return sol
+
     @pytest.mark.parametrize("n", [45, 59, 100])
     def test_matches_inequality_form(self, n):
         sigma = 0.04
@@ -173,13 +222,40 @@ class TestEqualityForm:
         peak = float(np.max(np.abs(A.entries.T @ y)))
         # two LP scales and one past max|A'y|, where the zero exit answers
         for lam in (0.4 * sigma, 4.0 * sigma, 1.5 * peak):
-            sol = solve_dantzig(A, y, lam)
-            ref = inequality_form_dantzig(A, y, lam)
-            assert sol.status == "optimal"
-            assert np.max(np.abs(sol.zeta_hat - ref)) <= 1e-9
-            assert abs(sol.objective - np.abs(ref).sum()) <= 1e-9
-            assert sol.max_correlation <= lam + 1e-9
+            sol = self.assert_agrees(A, y, lam)
         assert np.all(sol.zeta_hat == 0.0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_inequality_form_on_stability_draws(self, seed):
+        A, y, x_init = stability_instance(seed)
+        # the one-shot baseline on y and the estimator's solve on the residual
+        for rhs in (y, y - A.entries @ x_init):
+            assert np.max(np.abs(A.entries.T @ rhs)) > 0.35  # an LP, not the zero exit
+            self.assert_agrees(A, rhs, 0.35)
+
+    def test_stability_trial_within_contract(self):
+        # trial 25 of the acceptance stability run holds a one-shot LP that
+        # HiGHS with its default scaling closes 2.8e-9 past lambda; the
+        # post-solve check would raise DantzigNumericsError
+        cfg = {
+            "kind": "stability", "n": 59, "trials": 26, "seed": 424242,
+            "model": {"m": 200, "s0": 20, "sa": 2, "d": 8, "r": 2, "big_m": 3.0,
+                      "rates": {"classes": [0.5, 0.25]}, "t_end": 24},
+            "noise": {"kind": "uniform", "c": 0.0528},
+            "filter": {"lam": 0.35, "alpha": 0.0528, "alpha_del": 2.28 * 0.0528},
+            "methods": ["simple_cs"],
+        }
+        record = _tracking_trial(_parse_tracking(cfg), 25)
+        assert len(record.rows["simple_cs"]) == 25
+
+    def test_no_warning_escapes(self):
+        A, y = static_table_instance(59, seed=5, sigma=0.04)
+        filters = list(warnings.filters)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_dantzig(A, y, 0.16, max_iterations=100_000)
+        assert sol.status == "optimal"
+        assert warnings.filters == filters
 
     def test_gram_is_cached_and_read_only(self):
         raw = np.random.default_rng(4).standard_normal((6, 9))
@@ -197,13 +273,21 @@ class TestSelectorFailure:
 
     @pytest.fixture(autouse=True)
     def failing_lp(self, monkeypatch):
-        monkeypatch.setattr(lscs.solver, "linprog", lambda *a, **k: SimpleNamespace(status=2, x=None))
+        monkeypatch.setattr(lscs.solver, "milp", lambda *a, **k: SimpleNamespace(status=2, x=None))
 
     def test_status_reported(self):
         A = gen_gaussian_matrix(10, 20, 1)
         y = A.entries @ np.ones(20)
         sol = solve_dantzig(A, y, 0.01)
         assert sol.status == "infeasible"
+        with pytest.raises(DantzigStatusError):
+            optimal_zeta(sol)
+
+    def test_iteration_limit_reported(self, monkeypatch):
+        monkeypatch.setattr(lscs.solver, "milp", lambda *a, **k: SimpleNamespace(status=1, x=None))
+        A = gen_gaussian_matrix(10, 20, 1)
+        sol = solve_dantzig(A, A.entries @ np.ones(20), 0.01)
+        assert sol.status == "budget_exceeded"
         with pytest.raises(DantzigStatusError):
             optimal_zeta(sol)
 
