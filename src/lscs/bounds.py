@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,19 +91,6 @@ def recovery_constants(S: int, rip: RipTable) -> RecoveryConstants:
     c2 = 48.0 / gap ** 2
     c3 = 8.0 + 24.0 * th.value ** 2 / gap ** 2
     return RecoveryConstants(c2, c3, d.exact and th.exact)
-
-
-def residual_bias_sqnorm_bound(
-    theta_T_Delta: float, delta_T: float, x_Delta_sqnorm: float, w_sqnorm: float
-) -> float:
-    """Bound on the squared norm of the residual bias along the known support:
-    ``2 theta^2/(1-delta)^2 ||x_Delta||^2 + 2/(1-delta) ||w||^2``."""
-    if delta_T >= 1:
-        raise ValueError("delta_T must be < 1")
-    return (
-        2.0 * theta_T_Delta ** 2 / (1.0 - delta_T) ** 2 * x_Delta_sqnorm
-        + 2.0 / (1.0 - delta_T) * w_sqnorm
-    )
 
 
 def _smallest_sqnorm(values: np.ndarray, k: int) -> float:
@@ -510,7 +497,7 @@ class ConditionReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True, allow_nan=False)
 
 
 def prescribed_alpha_del(ctx: BoundContext) -> float:
@@ -662,9 +649,11 @@ def check_stability_conditions(
     # detection gate over the enumerated rectangle at (S_T, S_Delta) = (st_max, sa)
     terms, gate_exact = _gate_terms(ctx, st_max, sa)
     gate_lhs = max((gate for _, gate, _ in terms), default=0.0)
+    defined = math.isfinite(gate_lhs)  # infinite past S**, see _gate_terms
     rows.append(ConditionRow(
-        "detection-gate", bool(gate_lhs < 1.0), gate_lhs, 1.0, exact=gate_exact,
-        inputs={"S_T": st_max, "S_Delta": sa},
+        "detection-gate", bool(gate_lhs < 1.0), gate_lhs if defined else None, 1.0,
+        exact=gate_exact, inputs={"S_T": st_max, "S_Delta": sa},
+        note="" if defined else f"S_Delta={sa} exceeds S**",
     ))
 
     multisets = _rate_multisets(model.rates, sa)
@@ -677,13 +666,14 @@ def check_stability_conditions(
         lhs_i = min(
             min(big_m, (d0 + i) * ms[i - 1]) ** 2 for ms in multisets
         )
-        holds = det.applicable and det.gate_holds and lhs_i > det.threshold_sq
+        # a failing gate leaves the threshold infinite, which JSON cannot carry
+        gated = det.applicable and det.gate_holds
         rows.append(ConditionRow(
-            f"detect-addition-{i}", bool(holds), lhs_i,
-            det.threshold_sq if det.applicable else None,
+            f"detect-addition-{i}", bool(gated and lhs_i > det.threshold_sq), lhs_i,
+            det.threshold_sq if gated else None,
             inputs={"S_T": st_i, "S_Delta": sd_i},
             exact=not det.optimistic if det.applicable else True,
-            note="; ".join(det.reasons),
+            note="; ".join(det.reasons) or ("" if gated else "detection gate fails"),
         ))
 
         st_b = s0 + f * (d0 + i)
@@ -868,25 +858,6 @@ def detected_support_ls_error_bound(
     return BoundResult(
         4.0 * ctx.w_max_sq() + 8.0 * h.theta.value ** 2 * det_misses_sqnorm, True,
         optimistic=not h.exact,
-    )
-
-
-def ls_error_bound_grid(
-    ctx: BoundContext, t_sizes: Sequence[int], d_sizes: Sequence[int], linf: float
-) -> np.ndarray:
-    """Detected-support LS error bound ``4 n lam^2/||A||_1^2 + 8 theta^2 |misses| linf^2``
-    over a grid of sizes; used to check it never decreases in either size."""
-    grid = np.empty((len(t_sizes), len(d_sizes)))
-    for a, t_sz in enumerate(t_sizes):
-        for b, d_sz in enumerate(d_sizes):
-            theta = ctx.rip.theta(t_sz, d_sz)
-            grid[a, b] = 4.0 * ctx.w_max_sq() + 8.0 * theta.value ** 2 * d_sz * linf ** 2
-    return grid
-
-
-def grid_is_monotone(grid: np.ndarray) -> bool:
-    return bool(
-        np.all(np.diff(grid, axis=0) >= -1e-12) and np.all(np.diff(grid, axis=1) >= -1e-12)
     )
 
 

@@ -146,7 +146,7 @@ def _cmd_check_stability(args) -> int:
     else:
         report = check_stability_conditions(model, ctx, f, d0, alpha, alpha_del)
         doc = {"report": report.to_json_dict()}
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     if args.out:
         Path(args.out).write_text(text + "\n")
     print(text)

@@ -6,15 +6,18 @@ requested sizes.  They are gated by a subset-count budget (default 2e6) that
 counts every subset or pair, rather than by hard size caps.
 
 ``delta_exhaustive`` takes the eigenvalues of every Gram block.
-``theta_exhaustive`` is a branch and bound.  The squared Frobenius norm of a
-block ``G[T1, T2]`` is a sum of column sums precomputed per left subset, and
-it bounds the squared spectral norm from above.  The spectral norm is only
-computed for pairs whose bound can still beat the running maximum, which is
-seeded with the largest-bound pair of every left subset.  The result stays
-exact, bit for bit: the bound carries a slack far above the rounding of
-either computed quantity, so a skipped pair can never carry the computed
-maximum, and every computed pair goes through the same gather, product and
-``eigvalsh`` as in a full enumeration.
+``theta_exhaustive`` is a branch and bound over left subsets.  For a left
+subset T1 with complement C, every block ``G[T1, T2]`` with T2 in C has a
+squared spectral norm of at most ``beta(T1)^2``, the smaller of
+``lambda_max(G[T1, C] G[C, T1])`` (dropping columns cannot raise a spectral
+norm) and the sum of the Sp largest squared column norms of ``G[T1, C]``
+(the squared Frobenius norm bounds the squared spectral norm).  Left subsets
+are visited in descending bound within each batch, and a left subset whose
+bound cannot beat the running maximum is skipped with all its right subsets.
+The result stays exact, bit for bit: the bound carries a slack far above the
+rounding of either computed quantity, so a skipped pair can never carry the
+computed maximum, and every visited pair goes through the same gather,
+product and ``eigvalsh`` as in a full enumeration.
 
 The ``*_sampled`` variants maximise over random subsets only; their output is
 a lower bound on the true constant and is flagged as such, because any bound
@@ -41,11 +44,11 @@ import numpy as np
 DEFAULT_SUBSET_BUDGET = 2_000_000
 _CHUNK = 20_000
 _COLUMN_NORM_TOL = 1e-12
-#: ``theta_exhaustive`` skips a pair when ``(1 + rtol) ||B||_F^2 + atol`` does
-#: not exceed the square of the running max.  The computed largest eigenvalue
-#: of ``B B'`` exceeds the computed ``||B||_F^2`` by a few hundred ulps at most
-#: for any block size a subset budget admits, so a skipped pair can never
-#: carry the computed maximum.
+#: ``theta_exhaustive`` skips a left subset when ``(1 + rtol) beta^2 + atol``
+#: does not exceed the square of the running max.  The computed largest
+#: eigenvalue of any ``B B'`` exceeds the computed bound by a few hundred ulps
+#: at most for any block size a subset budget admits, so a skipped pair can
+#: never carry the computed maximum.
 _PRUNE_RTOL = 1e-9
 _PRUNE_ATOL = float(np.finfo(float).tiny)
 
@@ -183,42 +186,12 @@ def _gram_deviation_max(gram: np.ndarray, subsets: np.ndarray) -> float:
     return float(np.max(np.maximum(1.0 - w[:, 0], w[:, -1] - 1.0)))
 
 
-def _block_specnorm_max(gram: np.ndarray, lefts: np.ndarray, rights: np.ndarray) -> float:
-    """Max spectral norm of Gram blocks ``gram[T1, T2]`` over stacked pairs."""
-    blocks = gram[lefts[:, :, None], rights[:, None, :]]
+def _block_specnorms(gram: np.ndarray, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+    """Spectral norm of each Gram block ``gram[T1, T2]`` over stacked pairs;
+    ``lefts`` is (b, S), or (S,) for one left subset shared by every pair."""
+    blocks = gram[lefts[..., :, None], rights[:, None, :]]
     outer = blocks @ np.swapaxes(blocks, 1, 2)
-    w = np.linalg.eigvalsh(outer)
-    return float(np.sqrt(max(np.max(w[:, -1]), 0.0)))
-
-
-def _pair_tiles(
-    gram: np.ndarray, S: int, Sp: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Disjoint subset pairs of sizes (S, Sp) in ``combinations`` order, as
-    tiles ``(lefts, rights, frob2)`` of at most ``_CHUNK`` pairs.
-
-    ``lefts`` is (b, S), ``rights`` is (b, r, Sp) and ``frob2[i, j]`` is the
-    squared Frobenius norm of ``gram[lefts[i], rights[i, j]]``, summed from
-    per-column sums over the left subset.  The right subsets of a left subset
-    T1 are fixed offsets into its sorted complement.  When ``S == Sp`` each
-    unordered pair is kept once, with the lexicographically smaller subset on
-    the left (disjoint sorted subsets differ in their first element); the
-    other orientation gets ``frob2 = -inf``.
-    """
-    m = len(gram)
-    sq = np.square(gram)
-    (offsets,) = _subsets(m - S, Sp, math.comb(m - S, Sp))
-    width = min(len(offsets), _CHUNK)
-    for lefts in _subsets(m, S, max(1, _CHUNK // width)):
-        rest = _complements(lefts, m)
-        rest_sq = np.take_along_axis(sq[lefts].sum(axis=1), rest, axis=1)
-        for lo in range(0, len(offsets), width):
-            cols = offsets[lo:lo + width]
-            rights = rest[:, cols]
-            frob2 = rest_sq[:, cols].sum(axis=2)
-            if S == Sp:
-                frob2[rights[:, :, 0] < lefts[:, :1]] = -np.inf
-            yield lefts, rights, frob2
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(outer)[:, -1], 0.0))
 
 
 def delta_exhaustive(
@@ -247,9 +220,13 @@ def theta_exhaustive(
     """Exact restricted orthogonality constant over all disjoint subset pairs
     of sizes (S, Sp).
 
-    The budget counts every pair.  The spectral norm is only computed for
-    pairs whose Frobenius bound can still beat the running max, which is
-    seeded with the largest-Frobenius pair of every left subset.
+    The budget counts every pair.  Left subsets come in batches that gather
+    no more Gram entries than ``_CHUNK`` pairs do; within a batch they are
+    visited in descending bound until the bound cannot beat the running max.
+    Their right subsets are fixed offsets into the sorted complement, taken
+    ``_CHUNK`` at a time.  When ``S == Sp`` each unordered pair is visited
+    once, with the lexicographically smaller subset on the left (disjoint
+    sorted subsets differ in their first element).
     """
     if S < 0 or Sp < 0:
         raise ValueError("subset sizes must be nonnegative")
@@ -264,19 +241,26 @@ def theta_exhaustive(
         raise EnumerationBudgetExceeded(
             f"{count} disjoint subset pairs exceeds budget {budget}"
         )
+    m = A.m
     gram = A.gram()
+    (offsets,) = _subsets(m - S, Sp, math.comb(m - S, Sp))
     worst = 0.0
-    for seeding in (True, False):
-        for lefts, rights, frob2 in _pair_tiles(gram, S, Sp):
-            if seeding:
-                j = np.argmax(frob2, axis=1)
-                i = np.nonzero(frob2[np.arange(len(j)), j] > -np.inf)[0]
-                j = j[i]
-            else:
-                bound = frob2 * (1.0 + _PRUNE_RTOL) + _PRUNE_ATOL
-                i, j = np.nonzero(bound > worst * worst)
-            if len(i):
-                worst = max(worst, _block_specnorm_max(gram, lefts[i], rights[i, j]))
+    for lefts in _subsets(m, S, max(1, _CHUNK * Sp // (m - S))):
+        rest = _complements(lefts, m)
+        cross = gram[lefts[:, :, None], rest[:, None, :]]
+        spec2 = np.linalg.eigvalsh(cross @ np.swapaxes(cross, 1, 2))[:, -1]
+        colsq = np.square(cross).sum(axis=1)
+        frob2 = np.sort(colsq, axis=1)[:, -Sp:].sum(axis=1)
+        bound = np.minimum(spec2, frob2) * (1.0 + _PRUNE_RTOL) + _PRUNE_ATOL
+        for i in np.argsort(-bound):
+            if bound[i] <= worst * worst:
+                break
+            # the complement holds every index below lefts[i, 0], so right
+            # subsets whose first index is above it start at that offset
+            first = np.searchsorted(offsets[:, 0], lefts[i, 0]) if S == Sp else 0
+            for lo in range(first, len(offsets), _CHUNK):
+                rights = rest[i][offsets[lo:lo + _CHUNK]]
+                worst = max(worst, float(np.max(_block_specnorms(gram, lefts[i], rights))))
     return worst
 
 
@@ -317,7 +301,7 @@ def theta_sampled(A: MeasurementMatrix, S: int, Sp: int, trials: int, seed: int)
         rights[k] = perm[S:S + Sp]
     worst = 0.0
     for lo in range(0, trials, _CHUNK):
-        worst = max(worst, _block_specnorm_max(gram, lefts[lo:lo + _CHUNK], rights[lo:lo + _CHUNK]))
+        worst = max(worst, float(np.max(_block_specnorms(gram, lefts[lo:lo + _CHUNK], rights[lo:lo + _CHUNK]))))
     return worst
 
 

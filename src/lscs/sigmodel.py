@@ -185,21 +185,3 @@ def generate(params: SignalModelParams) -> SignalSequence:
         removal_sets=removal_sets,
         addition_times=addition_times,
     )
-
-
-def support_change_stats(seq: SignalSequence) -> list[dict]:
-    """Per-step addition/removal counts and fractions of the current support."""
-    out = []
-    for t in range(1, len(seq.supports)):
-        prev, cur = seq.supports[t - 1], seq.supports[t]
-        adds = len(cur - prev)
-        rems = len(prev - cur)
-        size = len(cur)
-        out.append({
-            "t": t,
-            "additions": adds,
-            "removals": rems,
-            "addition_fraction": adds / size if size else 0.0,
-            "removal_fraction": rems / size if size else 0.0,
-        })
-    return out

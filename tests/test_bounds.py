@@ -5,7 +5,6 @@ import pytest
 
 from lscs.bounds import (
     BoundContext,
-    residual_bias_sqnorm_bound,
     recovery_constants,
     no_miss_residual_bound,
     simplified_residual_bound,
@@ -15,8 +14,6 @@ from lscs.bounds import (
     no_false_deletion_guarantee_violations,
     extras_deletion_guarantee_violations,
     detected_support_ls_error_bound,
-    ls_error_bound_grid,
-    grid_is_monotone,
     find_min_d0,
     deletion_condition,
     detection_condition,
@@ -28,7 +25,7 @@ from lscs.bounds import (
     check_stability_conditions,
 )
 from lscs.core import SupportSet
-from lscs.filter import FilterConfig, FilterState, initial_ls_residual, lscs_step
+from lscs.filter import FilterConfig, FilterState, lscs_step
 from lscs.measurement import (
     InsufficientRipTable,
     RipTable,
@@ -76,41 +73,6 @@ class TestConstants:
     def test_denominator_error(self):
         with pytest.raises(ValueError):
             recovery_constants(1, flat_table(delta=0.7, theta=0.4))
-
-
-class TestBetaBound:
-    def test_zero_inputs(self):
-        assert residual_bias_sqnorm_bound(0.0, 0.3, 5.0, 0.0) == 0.0
-
-    def test_hand_value(self):
-        assert residual_bias_sqnorm_bound(0.2, 0.5, 1.0, 0.0) == pytest.approx(0.32)
-
-    def test_delta_validation(self):
-        with pytest.raises(ValueError):
-            residual_bias_sqnorm_bound(0.1, 1.0, 1.0, 1.0)
-
-    def test_empirical_domination(self):
-        # actual residual bias on the known part stays below the bound
-        m = n = 16
-        A = gen_perturbed_orthonormal_matrix(n, m, 31, noise_scale=0.2)
-        table = build_rip_table(A, [4], [(4, 2)], mode="exact")
-        rng = np.random.default_rng(32)
-        for _ in range(20):
-            support = SupportSet(rng.choice(m, 6, replace=False), m)
-            missing = SupportSet(rng.choice(support.to_array(), 2, replace=False), m)
-            known = support - missing
-            x = np.zeros(m)
-            x[support.to_array()] = rng.uniform(0.5, 2.0, 6) * rng.choice([-1, 1], 6)
-            w = 0.05 * rng.standard_normal(n)
-            x_init, _ = initial_ls_residual(A, known, A.entries @ x + w)
-            beta_known = (x - x_init)[known.to_array()]
-            bound = residual_bias_sqnorm_bound(
-                table.theta(4, 2).value,
-                table.delta(4).value,
-                float(np.sum(x[missing.to_array()] ** 2)),
-                float(w @ w),
-            )
-            assert float(beta_known @ beta_known) <= bound + 1e-9
 
 
 class TestScanBound:
@@ -571,12 +533,3 @@ class TestAppendixFacts:
                 checked += 1
                 assert actual <= res.value + 1e-9
         assert checked > 0
-
-    def test_ls_bound_grid_monotone(self):
-        table = RipTable("mono")
-        for t_sz in range(1, 5):
-            for d_sz in range(1, 4):
-                table.set_theta(t_sz, d_sz, 0.05 * t_sz + 0.04 * d_sz, True)
-        ctx = make_ctx(table)
-        grid = ls_error_bound_grid(ctx, [1, 2, 3, 4], [1, 2, 3], linf=2.0)
-        assert grid_is_monotone(grid)

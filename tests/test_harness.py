@@ -376,6 +376,32 @@ class TestCli:
         assert row["holds"] is False and row["note"] == "S_T + S_Delta > m"
         assert report["holds"] is False
 
+    @pytest.mark.parametrize("model, f, rip, expected", [
+        # every detection gate fails, so each threshold is infinite
+        ({"s0": 8, "sa": 4, "d": 10}, 1, {},
+         {f"detect-addition-{i}": ("rhs", "detection gate fails") for i in range(1, 5)}),
+        # S_Delta > S**, so the gate term itself is infinite
+        ({"s0": 12, "sa": 6, "d": 12}, 0, {"mode": "sampled", "trials": 50},
+         {"detection-gate": ("lhs", "S_Delta=6 exceeds S**"),
+          "detect-addition-2": ("rhs", "detection gate fails")}),
+    ], ids=["gate-fails", "past-s-starstar"])
+    def test_check_stability_prints_strict_json(self, tmp_path, model, f, rip, expected):
+        cfg = json.loads((CONFIGS / "check_stability.json").read_text())
+        cfg["model"].update(model)
+        cfg["rip_table"].update(rip)
+        cfg.update({"f": f, "d0": 2})
+        cfg_path = tmp_path / "chk.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = self.run_cli("check-stability", str(cfg_path))
+        assert out.returncode == 0, out.stderr
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        rows = {r["identifier"]: r for r in json.loads(out.stdout, parse_constant=reject)["report"]["rows"]}
+        for identifier, (side, note) in expected.items():
+            assert rows[identifier][side] is None and rows[identifier]["note"] == note, identifier
+
     @pytest.mark.parametrize("d0", [5, "scan"])
     def test_check_stability_oversized_delta(self, tmp_path, d0):
         # S_T = 8 + (d0 + 4) > m = 16; no delta_{S_T} is computed

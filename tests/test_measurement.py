@@ -8,11 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from lscs import measurement
 from lscs.measurement import (
     EnumerationBudgetExceeded,
     InsufficientRipTable,
     MeasurementMatrix,
     RipTable,
+    _block_specnorms,
     build_rip_table,
     delta_exhaustive,
     delta_sampled,
@@ -236,6 +238,23 @@ class TestExhaustiveMatchesReference:
             assert theta_exhaustive(A, S, Sp) == reference_theta(A, S, Sp), (S, Sp)
         for S in range(1, A.m + 1):
             assert delta_exhaustive(A, S) == reference_delta(A, S), S
+
+    @pytest.mark.parametrize("A, S, Sp", [
+        (gen_perturbed_orthonormal_matrix(16, 16, 1, 0.2), 4, 8),
+        (gen_gaussian_matrix(12, 24, 0), 3, 3),
+    ], ids=["orthonormal-4-8", "gaussian-3-3"])
+    def test_prune_skips_almost_every_pair(self, monkeypatch, A, S, Sp):
+        # either bound term alone lets through far more than 2% of the pairs
+        evaluated = []
+
+        def counting(gram, lefts, rights):
+            evaluated.append(len(rights))
+            return _block_specnorms(gram, lefts, rights)
+
+        monkeypatch.setattr(measurement, "_block_specnorms", counting)
+        theta_exhaustive(A, S, Sp)
+        pairs = math.comb(A.m, S) * math.comb(A.m - S, Sp) // (2 if S == Sp else 1)
+        assert 0 < sum(evaluated) <= 0.02 * pairs
 
     @PROPERTY
     @given(st.data())

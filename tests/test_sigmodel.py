@@ -7,7 +7,6 @@ from lscs.sigmodel import (
     ROLE_INCREASING,
     SignalModelParams,
     generate,
-    support_change_stats,
 )
 
 
@@ -135,19 +134,7 @@ class TestChangeStats:
     def test_changes_only_at_schedule(self):
         seq = generate(stability_params(12))
         p = seq.params
-        for row in support_change_stats(seq):
-            t = row["t"]
-            if (t - 1) % p.d == 0:
-                assert row["additions"] == p.sa
-            else:
-                assert row["additions"] == 0
-            if t % p.d == 0:
-                assert row["removals"] == p.sa
-            else:
-                assert row["removals"] == 0
-
-    def test_change_fraction(self):
-        seq = generate(stability_params(13))
-        rows = support_change_stats(seq)
-        adds = [r for r in rows if r["additions"] > 0]
-        assert adds[0]["addition_fraction"] == pytest.approx(2 / 20)
+        for t in range(1, len(seq.supports)):
+            prev, cur = seq.supports[t - 1], seq.supports[t]
+            assert len(cur - prev) == (p.sa if (t - 1) % p.d == 0 else 0)
+            assert len(prev - cur) == (p.sa if t % p.d == 0 else 0)
