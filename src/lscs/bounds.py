@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .filter import FilterConfig, StepDiagnostics
-from .measurement import InsufficientRipTable, RipEntry, RipTable
+from .measurement import RipEntry, RipTable
 from .sigmodel import SignalModelParams
 
 _NOISE_TOL = 1e-12
@@ -142,23 +142,21 @@ def _hypotheses(
     """The hypotheses the bounds share, checked in one order.
 
     The noise budget must hold, ``|T| = size_T`` must be within S* and
-    ``s_starstar`` within S**; ``theta_{|T|, theta_with}`` is looked up and
-    returned.  A zero size makes its check hold trivially.  A missing table
-    entry makes the bound not applicable.  ``names`` label ``size_T`` and
-    ``s_starstar`` in the reason.
+    ``s_starstar`` within S**, checked in that order up to the first that
+    fails, so no constant is read for a bound that does not apply.  Then
+    ``theta_{|T|, theta_with}`` is looked up and returned.  A zero size makes
+    its check hold trivially.  ``names`` label ``size_T`` and ``s_starstar``
+    in the reason.
     """
     if not ctx.noise_budget_ok():
         return _Hypotheses("noise bound exceeds lam/||A||_1", None, False)
-    try:
-        t_ok, t_exact = _check_t_within_s_star(ctx, size_T)
-        d_ok, d_exact = _check_delta_within_s_starstar(ctx, s_starstar)
-        theta = ctx.rip.theta(size_T, theta_with)
-    except InsufficientRipTable as exc:
-        return _Hypotheses(str(exc), None, False)
+    t_ok, t_exact = _check_t_within_s_star(ctx, size_T)
     if not t_ok:
         return _Hypotheses(f"{names[0]}={size_T} exceeds S*", None, False)
+    d_ok, d_exact = _check_delta_within_s_starstar(ctx, s_starstar)
     if not d_ok:
         return _Hypotheses(f"{names[1]}={s_starstar} exceeds S**", None, False)
+    theta = ctx.rip.theta(size_T, theta_with)
     return _Hypotheses(None, theta, t_exact and d_exact and theta.exact)
 
 
@@ -362,11 +360,7 @@ def detection_condition(
     if h.reason:
         out.reasons.append(h.reason)
         return out
-    try:
-        terms, terms_exact = _gate_terms(ctx, S_T, S_Delta)
-    except InsufficientRipTable as exc:
-        out.reasons.append(str(exc))
-        return out
+    terms, terms_exact = _gate_terms(ctx, S_T, S_Delta)
     gate_ok = True
     worst = -math.inf
     worst_pair = None
@@ -532,39 +526,6 @@ def _rate_multisets(rates: np.ndarray, k: int) -> list[tuple[float, ...]]:
     return out
 
 
-def required_rip_entries(
-    model: SignalModelParams, f: int, d0: int
-) -> tuple[list[int], list[tuple[int, int]]]:
-    """All (delta, theta) table entries the stability checker and the
-    stability error caps will look up.
-
-    A constant over more than m columns is undefined and never requested:
-    ``delta_S`` needs ``S <= m`` and ``theta_{S,S'}`` needs ``S + S' <= m``.
-    The rows that would use one report that the condition does not hold."""
-    s0, sa, m = model.s0, model.sa, model.m
-    st_max = s0 + f * (d0 + sa)
-    # S_T before each addition and after the last one
-    deltas = {s0 + f * (d0 + j) for j in range(sa + 1)}
-    # keep rows: theta_{S_T, S_Delta} after addition i, and at the peak
-    thetas = {(s0 + f * (d0 + i), sa - i) for i in range(1, sa)}
-    if sa > 0:
-        thetas.add((st_max, sa))
-    # recovery-constant scan entries for the error caps
-    for s in range(1, st_max + 1):
-        if 3 * s <= m:
-            deltas.add(2 * s)
-            thetas.add((s, 2 * s))
-    # S** checks up to S_a and the detection-gate rectangle up to (S_T, S_a)
-    for d_sz in range(1, sa + 1):
-        deltas.add(2 * d_sz)
-        thetas.add((d_sz, 2 * d_sz))
-        thetas.update((t_sz, d_sz) for t_sz in range(1, st_max + 1))
-    return (
-        sorted(s for s in deltas if s <= m),
-        sorted((s, sp) for s, sp in thetas if s + sp <= m),
-    )
-
-
 def _oversized_row(identifier: str, note: str, **inputs: int) -> ConditionRow:
     """A row whose constant is undefined because its sizes do not fit in m
     columns; the condition is not established."""
@@ -584,19 +545,13 @@ def check_stability_conditions(
     ``f`` (false detections per step) is an input assumption tied to the
     choice of the detection threshold, not something derived here.  When
     ``alpha_del`` is omitted the prescribed ``2 sqrt(n) lam/||A||_1`` is used,
-    which makes the threshold condition hold by construction.
+    which makes the threshold condition hold by construction.  A constant the
+    table neither holds nor can compute raises :class:`InsufficientRipTable`.
     """
     if d0 < 1 or d0 >= model.d:
         raise ValueError("need 1 <= d0 < d")
     if f < 0:
         raise ValueError("f must be nonnegative")
-    need_delta, need_theta = required_rip_entries(model, f, d0)
-    missing = [f"delta_{s}" for s in need_delta if not ctx.rip.has_delta(s)]
-    missing += [
-        f"theta_{{{s},{sp}}}" for s, sp in need_theta if not ctx.rip.has_theta(s, sp)
-    ]
-    if missing:
-        raise InsufficientRipTable("table lacks entries: " + ", ".join(missing))
     prescribed = prescribed_alpha_del(ctx)
     if alpha_del is None:
         alpha_del = prescribed
@@ -896,10 +851,9 @@ def runtime_step_checks(
     """Evaluate the guarantee predicates and condition thresholds on one step.
 
     The guarantee predicates need no isometry constants.  The condition
-    predicates additionally
-    need a populated table in ``ctx``; at scales where constants are sampled
-    their hypotheses rarely verify, which shows up as a zero hypothesis count
-    rather than as a silent pass.
+    predicates additionally read constants from the table in ``ctx``; at
+    scales where constants are sampled their hypotheses rarely verify, which
+    shows up as a zero hypothesis count rather than as a silent pass.
     """
     tally = PredicateTally()
     if diag.failed_stage is not None or diag.true_support is None:

@@ -9,7 +9,8 @@ Commands:
 Flag overrides beat config-file values.  Each command loads and parses its
 whole config before it starts work.  Exit codes: 0 success, 1 the config
 could not be loaded or parsed, 2 any failure after parsing (a RIP table
-lacking entries included), 3 soundness assertion failed.
+file lacking an entry that a check reads included), 3 soundness assertion
+failed.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bounds import BoundContext, find_min_d0, required_rip_entries, check_stability_conditions
+from .bounds import BoundContext, find_min_d0, check_stability_conditions
 from .harness import ConfigError, config_errors, parse_model, run_experiment
-from .measurement import MeasurementMatrix, RipTable, build_rip_table, gen_matrix
+from .measurement import DEFAULT_SUBSET_BUDGET, MeasurementMatrix, RipTable, build_rip_table, gen_matrix
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -57,7 +58,7 @@ def _table_options(spec: dict, default_mode: str) -> dict:
         raise ConfigError(f"unknown mode {mode!r}")
     return {
         "mode": mode,
-        "budget": int(spec.get("budget", 2_000_000)),
+        "budget": int(spec.get("budget", DEFAULT_SUBSET_BUDGET)),
         "trials": int(spec.get("trials", 2000)),
         "seed": int(spec.get("seed", 0)),
     }
@@ -127,18 +128,13 @@ def _cmd_check_stability(args) -> int:
             "noise_linf_bound": float(ctx_cfg["noise_linf_bound"]),
         }
         rip_spec = cfg["rip_table"]
-        table = None
         if isinstance(rip_spec, str):
             table = RipTable.from_json(Path(rip_spec).read_text())
         else:
-            A = _matrix_from_spec(rip_spec["matrix"])
-            options = _table_options(rip_spec, "sampled")
-    if table is None:
-        # the scan checks every d0 in [1, d), so its table covers them all
-        needs = [required_rip_entries(model, f, k) for k in (range(1, model.d) if d0 == "scan" else [d0])]
-        deltas = sorted({s for ds, _ in needs for s in ds})
-        thetas = sorted({p for _, ts in needs for p in ts})
-        table = build_rip_table(A, deltas, thetas, **options)
+            # computes each constant when the checks first read it
+            table = build_rip_table(
+                _matrix_from_spec(rip_spec["matrix"]), [], [], **_table_options(rip_spec, "sampled")
+            )
     ctx = BoundContext(rip=table, m=model.m, **ctx_args)
     if d0 == "scan":
         d0, report = find_min_d0(model, ctx, f, alpha, alpha_del)

@@ -67,7 +67,6 @@ class StepDiagnostics:
     T_prev: SupportSet
     x_init: np.ndarray | None = None
     y_res: np.ndarray | None = None
-    beta_hat: np.ndarray | None = None
     x_csres: np.ndarray | None = None
     T_det: SupportSet | None = None
     x_det: np.ndarray | None = None
@@ -84,9 +83,7 @@ class StepDiagnostics:
     det_extras: SupportSet | None = None       # detected support minus truth
     misses: int | None = None
     extras: int | None = None
-    err_init: float | None = None
     err_csres: float | None = None
-    err_det: float | None = None
     err_final: float | None = None
 
 
@@ -148,15 +145,11 @@ def _truth_fields(diag: StepDiagnostics, x_true: np.ndarray) -> None:
     diag.true_support = truth
     diag.delta_pre = truth - diag.T_prev
     diag.delta_e_pre = diag.T_prev - truth
-    if diag.x_init is not None:
-        diag.err_init = float(np.sum((x_true - diag.x_init) ** 2))
     if diag.x_csres is not None:
         diag.err_csres = float(np.sum((x_true - diag.x_csres) ** 2))
     if diag.T_det is not None:
         diag.det_misses = truth - diag.T_det
         diag.det_extras = diag.T_det - truth
-    if diag.x_det is not None:
-        diag.err_det = float(np.sum((x_true - diag.x_det) ** 2))
     if diag.final_support is not None:
         diag.misses = len(truth - diag.final_support)
         diag.extras = len(diag.final_support - truth)
@@ -197,7 +190,6 @@ def lscs_step(
         return fallback("initial_ls", exc)
     try:
         diag.x_csres = cs_residual_estimate(A, diag.x_init, diag.y_res, cfg.lam)
-        diag.beta_hat = diag.x_csres - diag.x_init
     except (DantzigNumericsError, DantzigStatusError) as exc:
         return fallback("cs_residual", exc)
     diag.T_det = detect(diag.x_csres, T, cfg)

@@ -17,7 +17,7 @@ a runtime failure.
 A tracking trial is a pure function of the parsed setup and the trial index:
 it draws from its own generator ``default_rng([seed, k])`` and returns a
 :class:`TrialRecord` holding only what reaches the outputs (per-t squared
-errors and signal energies, misses and extras, epoch delays, CSV rows and
+errors and signal energies, misses, epoch delays, CSV rows and
 the predicate tally).  The records are then reduced in trial order, adding
 every sum in the same (trial, t) order as a single loop would.
 
@@ -58,14 +58,7 @@ from .filter import (
     lscs_step,
     simple_cs,
 )
-from .measurement import (
-    MeasurementMatrix,
-    RipTable,
-    build_rip_table,
-    delta_exhaustive,
-    gen_matrix,
-    theta_exhaustive,
-)
+from .measurement import DEFAULT_SUBSET_BUDGET, MeasurementMatrix, build_rip_table, gen_matrix
 from .sigmodel import SignalModelParams, SignalSequence, generate
 from .solver import LsSolveError, ls_on_support, optimal_zeta, solve_dantzig
 
@@ -362,9 +355,7 @@ def run_static_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
 @dataclass
 class TrackingResult:
     nmse: dict
-    per_t_nmse: dict
     mean_misses: list[float]
-    mean_extras: list[float]
     epoch_delays: list[int | None]       # flattened over (trial, epoch)
     zero_hit_fraction: float | None
     init_exact_fraction: float | None
@@ -391,29 +382,6 @@ def _epoch_delays(
                 break
         out.append(delay)
     return out
-
-
-def _condition_rip_table(
-    A: MeasurementMatrix,
-    max_t: int,
-    max_d: int,
-    trials: int,
-    seed: int,
-) -> RipTable:
-    """Sampled table covering every size pair the condition predicates enumerate.
-
-    The detection threshold maximises over all ``(|T|, |Delta|)`` pairs up to
-    the realized caps, so the whole rectangle is needed, not just realized
-    sizes."""
-    delta_sizes = set(range(1, max_t + 1))
-    for d_sz in range(1, max_d + 1):
-        delta_sizes.add(2 * d_sz)
-    pairs = {(t_sz, d_sz) for t_sz in range(1, max_t + 1) for d_sz in range(1, max_d + 1)
-             if t_sz + d_sz <= A.m}
-    pairs |= {(d_sz, 2 * d_sz) for d_sz in range(1, max_d + 1) if 3 * d_sz <= A.m}
-    return build_rip_table(
-        A, sorted(delta_sizes), sorted(pairs), mode="sampled", trials=trials, seed=seed,
-    )
 
 
 @dataclass(frozen=True)
@@ -447,7 +415,6 @@ class TrialRecord:
     rows: dict[str, list[MetricsRow]]
     sig: list[float]                   # signal energy
     misses: list[int]                  # of the estimator's support
-    extras: list[int]
     delays: list[int | None]
     init_exact: bool
     failed_steps: int
@@ -548,7 +515,7 @@ def _tracking_trial(setup: TrackingSetup, k: int) -> TrialRecord:
             rows[name].append(row)
 
     return TrialRecord(
-        rows=rows, sig=sig, misses=misses, extras=extras,
+        rows=rows, sig=sig, misses=misses,
         delays=_epoch_delays(seq, misses, extras, setup.window),
         init_exact=n0_hat == seq.support_at(0),
         failed_steps=sum(diag.failed_stage is not None for diag in diags),
@@ -560,15 +527,9 @@ def _guarantee_tally(
     setup: TrackingSetup, k: int, A: MeasurementMatrix, seq: SignalSequence, diags: list
 ) -> PredicateTally:
     """Runtime predicates on every step of one trial, with a sampled table
-    covering the support sizes the trial reached."""
-    max_t = max_d = 0
-    for diag in diags:
-        if diag.failed_stage is not None:
-            continue
-        max_t = max(max_t, len(diag.T_prev), len(diag.T_det))
-        max_d = max(max_d, len(diag.delta_pre), len(diag.det_misses))
-    table = _condition_rip_table(
-        A, max_t, max_d, trials=setup.rip_trials, seed=setup.seed + 7919 * (k + 1)
+    that computes each constant when a predicate first reads it."""
+    table = build_rip_table(
+        A, [], [], mode="sampled", trials=setup.rip_trials, seed=setup.seed + 7919 * (k + 1)
     )
     ctx = BoundContext(
         rip=table, n=setup.n, m=A.m, lam=setup.fcfg.lam,
@@ -589,7 +550,6 @@ def _reduce_trials(setup: TrackingSetup, records: list[TrialRecord]) -> Tracking
     per_t_err = {name: np.zeros(t_end + 1) for name in methods}
     per_t_sig = np.zeros(t_end + 1)
     sum_misses = np.zeros(t_end + 1)
-    sum_extras = np.zeros(t_end + 1)
     delays: list[int | None] = []
     tally = PredicateTally()
     rows = {name: [] for name in methods}
@@ -604,18 +564,13 @@ def _reduce_trials(setup: TrackingSetup, records: list[TrialRecord]) -> Tracking
             per_t_err[name] += errs
             rows[name].extend(rec.rows[name])
         sum_misses += np.asarray(rec.misses, dtype=float)
-        sum_extras += np.asarray(rec.extras, dtype=float)
         delays.extend(rec.delays)
         tally.merge(rec.tally)
 
-    per_t_nmse = {
-        name: [float(_ratio(per_t_err[name][t], per_t_sig[t])) for t in range(t_end + 1)]
-        for name in methods
-    }
     for name in methods:
         for t in range(t_end + 1):
             rows[name].append(MetricsRow(
-                trial=-1, t=t, method=name, nmse=per_t_nmse[name][t],
+                trial=-1, t=t, method=name, nmse=float(_ratio(per_t_err[name][t], per_t_sig[t])),
                 err_final=per_t_err[name][t],
             ))
         rows[name].append(MetricsRow(
@@ -626,9 +581,7 @@ def _reduce_trials(setup: TrackingSetup, records: list[TrialRecord]) -> Tracking
     hit = sum(1 for d in delays if d is not None and d <= setup.window)
     return TrackingResult(
         nmse={name: float(_ratio(err_sums[name], sig_sum_total)) for name in methods},
-        per_t_nmse=per_t_nmse,
         mean_misses=[float(v) for v in sum_misses / setup.trials],
-        mean_extras=[float(v) for v in sum_extras / setup.trials],
         epoch_delays=delays,
         zero_hit_fraction=(hit / len(delays)) if delays else None,
         init_exact_fraction=sum(rec.init_exact for rec in records) / setup.trials,
@@ -711,16 +664,6 @@ def run_low_snr_experiments(cfg: dict, out_dir: Path | None = None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _ensure_delta(table: RipTable, A: MeasurementMatrix, s: int, budget: int) -> None:
-    if s > 0 and not table.has_delta(s):
-        table.set_delta(s, delta_exhaustive(A, s, budget=budget), True)
-
-
-def _ensure_theta(table: RipTable, A: MeasurementMatrix, s: int, sp: int, budget: int) -> None:
-    if s > 0 and sp > 0 and not table.has_theta(s, sp):
-        table.set_theta(s, sp, theta_exhaustive(A, s, sp, budget=budget), True)
-
-
 def run_bound_validation(cfg: dict, out_dir: Path | None = None) -> dict:
     """Assert bounds dominate actual errors on instances whose hypotheses hold.
 
@@ -741,7 +684,7 @@ def run_bound_validation(cfg: dict, out_dir: Path | None = None) -> dict:
         if num_matrices < 1 or instances < 1:
             raise ConfigError("num_matrices and instances_per_matrix must be >= 1")
         seed = int(_req(cfg, "seed"))
-        budget = int(cfg.get("budget", 2_000_000))
+        budget = int(cfg.get("budget", DEFAULT_SUBSET_BUDGET))
         kind = cfg.get("matrix_kind", "perturbed_orthonormal")
         noise_scale = float(cfg.get("matrix_noise_scale", 0.2))
         magnitudes = (float(cfg.get("magnitude_low", 0.5)), float(cfg.get("magnitude_high", 2.0)))
@@ -759,13 +702,7 @@ def run_bound_validation(cfg: dict, out_dir: Path | None = None) -> dict:
     violations: list[dict] = []
 
     for mi, A in enumerate(matrices):
-        table = RipTable(A.digest())
-        scan_cap = size_T + delta_size
-        for s in range(1, scan_cap + 1):
-            _ensure_delta(table, A, 2 * s, budget)
-            _ensure_theta(table, A, s, 2 * s, budget)
-        _ensure_delta(table, A, size_T, budget)
-        _ensure_theta(table, A, size_T, delta_size, budget)
+        table = build_rip_table(A, [], [], mode="exact", budget=budget)
         w_max = lam / A.induced_one_norm
         ctx = BoundContext(
             rip=table, n=n, m=m, lam=lam, norm_A_1=A.induced_one_norm,
@@ -828,8 +765,6 @@ def run_bound_validation(cfg: dict, out_dir: Path | None = None) -> dict:
             det_misses = support_of(x) - t_det
             miss_idx = det_misses.to_array()
             miss_sq = float(np.sum(x[miss_idx] ** 2))
-            _ensure_delta(table, A, len(t_det), budget)
-            _ensure_theta(table, A, len(t_det), len(det_misses), budget)
             idx = t_det.to_array()
             actual_det = float(np.sum((x[idx] - x_det[idx]) ** 2))
             record(

@@ -21,13 +21,21 @@ product and ``eigvalsh`` as in a full enumeration.
 
 The ``*_sampled`` variants maximise over random subsets only; their output is
 a lower bound on the true constant and is flagged as such, because any bound
-computed from an under-estimated constant is optimistic.
+computed from an under-estimated constant is optimistic.  Both draw one block
+of ``trials`` random permutations of ``range(m)`` from ``seed``: delta_S takes
+the first S entries of each row, and theta_{S,S'} pairs the first S with the
+last S'.  A sampled entry therefore depends only on the matrix, its sizes,
+``trials`` and ``seed``, and the subsets are nested across sizes.
 
 Both constants are monotone: enlarging a column subset can only widen the
 eigenvalue range of its Gram block, and a submatrix spectral norm never
 exceeds that of the enclosing matrix.  Enumerating subsets of exactly the
 requested size therefore yields the constant for "all subsets up to that
 size".
+
+A table built by :func:`build_rip_table` is bound to its matrix and computes
+any defined entry the first time it is read, so no caller lists the
+constants a check will need.
 """
 
 from __future__ import annotations
@@ -264,44 +272,45 @@ def theta_exhaustive(
     return worst
 
 
+def _permutations(m: int, trials: int, seed: int) -> np.ndarray:
+    """``trials`` independent random permutations of ``range(m)``, one per row."""
+    rng = np.random.default_rng(seed)
+    return rng.permuted(np.tile(np.arange(m, dtype=np.intp), (trials, 1)), axis=1)
+
+
 def delta_sampled(A: MeasurementMatrix, S: int, trials: int, seed: int) -> float:
-    """Lower bound on the isometry constant from random size-S subsets."""
+    """Lower bound on the isometry constant from random size-S subsets: the
+    first S entries of each row of the seed's permutation block."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if S < 0 or S > A.m:
         raise ValueError(f"S={S} out of range [0, {A.m}]")
     if S == 0:
         return 0.0
-    rng = np.random.default_rng(seed)
+    perms = _permutations(A.m, trials, seed)
     gram = A.gram()
-    subsets = np.empty((trials, S), dtype=np.intp)
-    for k in range(trials):
-        subsets[k] = rng.choice(A.m, size=S, replace=False)
     worst = 0.0
     for lo in range(0, trials, _CHUNK):
-        worst = max(worst, _gram_deviation_max(gram, subsets[lo:lo + _CHUNK]))
+        worst = max(worst, _gram_deviation_max(gram, perms[lo:lo + _CHUNK, :S]))
     return worst
 
 
 def theta_sampled(A: MeasurementMatrix, S: int, Sp: int, trials: int, seed: int) -> float:
-    """Lower bound on the orthogonality constant from random disjoint pairs."""
+    """Lower bound on the orthogonality constant from random disjoint pairs:
+    the first S and the last Sp entries of each row of the seed's
+    permutation block."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if S + Sp > A.m:
         raise ValueError(f"S + Sp = {S + Sp} exceeds m = {A.m}")
     if S == 0 or Sp == 0:
         return 0.0
-    rng = np.random.default_rng(seed)
+    perms = _permutations(A.m, trials, seed)
     gram = A.gram()
-    lefts = np.empty((trials, S), dtype=np.intp)
-    rights = np.empty((trials, Sp), dtype=np.intp)
-    for k in range(trials):
-        perm = rng.permutation(A.m)
-        lefts[k] = perm[:S]
-        rights[k] = perm[S:S + Sp]
     worst = 0.0
     for lo in range(0, trials, _CHUNK):
-        worst = max(worst, float(np.max(_block_specnorms(gram, lefts[lo:lo + _CHUNK], rights[lo:lo + _CHUNK]))))
+        block = perms[lo:lo + _CHUNK]
+        worst = max(worst, float(np.max(_block_specnorms(gram, block[:, :S], block[:, A.m - Sp:]))))
     return worst
 
 
@@ -317,12 +326,18 @@ class RipTable:
     Entries flagged ``exact=False`` came from subset sampling and are lower
     bounds on the true constants; every consumer must propagate that flag so
     downstream reports can be marked optimistic.
+
+    A table from :func:`build_rip_table` is bound to its matrix: reading a
+    missing entry whose sizes fit in m computes and stores it.  Any other
+    table (loaded from a file, or filled by hand) holds only what was set,
+    and reading a missing entry raises :class:`InsufficientRipTable`.
     """
 
     def __init__(self, matrix_digest: str = ""):
         self.matrix_digest = matrix_digest
         self._delta: dict[int, RipEntry] = {}
         self._theta: dict[tuple[int, int], RipEntry] = {}
+        self._source: tuple | None = None   # (A, exact, budget, trials, seed)
 
     # -- writes ---------------------------------------------------------
 
@@ -332,37 +347,53 @@ class RipTable:
     def set_theta(self, S: int, Sp: int, value: float, exact: bool) -> None:
         self._theta[(int(S), int(Sp))] = RipEntry(float(value), bool(exact))
 
+    def _computable(self, columns: int) -> bool:
+        return self._source is not None and columns <= self._source[0].m
+
+    # The constant functions are looked up as module globals on every call,
+    # so a rebound name (a profiler's wrapper, say) is the one that runs.
+
+    def _compute_delta(self, S: int) -> RipEntry:
+        A, exact, budget, trials, seed = self._source
+        value = delta_exhaustive(A, S, budget=budget) if exact else delta_sampled(A, S, trials, seed)
+        self.set_delta(S, value, exact)
+        return self._delta[S]
+
+    def _compute_theta(self, S: int, Sp: int) -> RipEntry:
+        A, exact, budget, trials, seed = self._source
+        value = theta_exhaustive(A, S, Sp, budget=budget) if exact else theta_sampled(A, S, Sp, trials, seed)
+        self.set_theta(S, Sp, value, exact)
+        return self._theta[(S, Sp)]
+
     # -- reads ----------------------------------------------------------
 
     def has_delta(self, S: int) -> bool:
-        return S == 0 or S in self._delta
+        return S == 0 or S in self._delta or self._computable(S)
 
     def has_theta(self, S: int, Sp: int) -> bool:
-        return S == 0 or Sp == 0 or (S, Sp) in self._theta
+        return S == 0 or Sp == 0 or (S, Sp) in self._theta or self._computable(S + Sp)
 
     def delta(self, S: int) -> RipEntry:
         if S == 0:
             return RipEntry(0.0, True)
-        try:
+        if S in self._delta:
             return self._delta[S]
-        except KeyError:
-            raise InsufficientRipTable(f"delta_{S} missing from table") from None
+        if not self._computable(S):
+            raise InsufficientRipTable(f"delta_{S} missing from table")
+        return self._compute_delta(S)
 
     def theta(self, S: int, Sp: int) -> RipEntry:
         if S == 0 or Sp == 0:
             return RipEntry(0.0, True)
-        try:
+        if (S, Sp) in self._theta:
             return self._theta[(S, Sp)]
-        except KeyError:
-            raise InsufficientRipTable(f"theta_{{{S},{Sp}}} missing from table") from None
+        if not self._computable(S + Sp):
+            raise InsufficientRipTable(f"theta_{{{S},{Sp}}} missing from table")
+        return self._compute_theta(S, Sp)
 
     @property
     def delta_entries(self) -> dict[int, RipEntry]:
         return dict(self._delta)
-
-    @property
-    def theta_entries(self) -> dict[tuple[int, int], RipEntry]:
-        return dict(self._theta)
 
     def validate_monotone(self) -> None:
         """Check the defining-maxima monotonicity across stored entries."""
@@ -416,38 +447,22 @@ def build_rip_table(
     trials: int = 2000,
     seed: int = 0,
 ) -> RipTable:
-    """Populate a table with the requested constants.
+    """A table bound to ``A`` holding the listed constants.
 
-    ``mode="exact"`` enumerates (raises if over budget); ``mode="sampled"``
-    maximises over ``trials`` random subsets per entry and then tightens the
-    lower bounds using monotonicity (a running max over increasing sizes is
-    still a lower bound on a monotone quantity).
+    The listed entries are computed now; any other defined entry is computed
+    the first time it is read.  ``mode="exact"`` enumerates (raises if over
+    budget).  ``mode="sampled"`` maximises over ``trials`` random subsets
+    drawn from ``seed``, the same for every entry; the subsets are nested
+    across sizes, so the sampled lower bounds are monotone as they stand.
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     table = RipTable(A.digest())
-    exact = mode == "exact"
-    running = 0.0
-    for k, s in enumerate(sorted(set(int(s) for s in delta_sizes if s > 0))):
-        if exact:
-            table.set_delta(s, delta_exhaustive(A, s, budget=budget), True)
-        else:
-            running = max(running, delta_sampled(A, s, trials, seed + 17 * k))
-            table.set_delta(s, running, False)
-    pairs = sorted({(int(s), int(sp)) for s, sp in theta_pairs if s > 0 and sp > 0})
-    values: dict[tuple[int, int], float] = {}
-    for k, (s, sp) in enumerate(pairs):
-        if exact:
-            values[(s, sp)] = theta_exhaustive(A, s, sp, budget=budget)
-        else:
-            v = theta_sampled(A, s, sp, trials, seed + 1009 + 31 * k)
-            # tighten with monotonicity over already-computed dominated pairs
-            for (s2, sp2), v2 in values.items():
-                if s2 <= s and sp2 <= sp:
-                    v = max(v, v2)
-            values[(s, sp)] = v
-    for (s, sp), v in values.items():
-        table.set_theta(s, sp, v, exact)
+    table._source = (A, mode == "exact", budget, trials, seed)
+    for s in sorted({int(s) for s in delta_sizes if s > 0}):
+        table._compute_delta(s)
+    for s, sp in sorted({(int(s), int(sp)) for s, sp in theta_pairs if s > 0 and sp > 0}):
+        table._compute_theta(s, sp)
     return table
 
 

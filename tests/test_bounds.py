@@ -19,7 +19,6 @@ from lscs.bounds import (
     detection_condition,
     no_false_deletion_condition,
     prescribed_alpha_del,
-    required_rip_entries,
     stability_error_caps,
     residual_recovery_bound,
     check_stability_conditions,
@@ -110,6 +109,18 @@ class TestScanBound:
         res = residual_recovery_bound(make_ctx(table), 4, np.array([1.0]), 0.0)
         assert not res.applicable
         assert any("S*" in r for r in res.reasons)
+
+    def test_failed_hypothesis_reads_no_further_constant(self):
+        # |T| = 12 exceeds S* on this matrix, so the table computes delta_12
+        # and neither the S** constants nor theta_{12,2}
+        A = gen_gaussian_matrix(16, 16, 5)
+        table = build_rip_table(A, [], [], mode="sampled", trials=50)
+        ctx = BoundContext(rip=table, n=16, m=16, lam=0.1,
+                           norm_A_1=A.induced_one_norm, noise_linf_bound=0.0)
+        res = simplified_residual_bound(ctx, 12, 2, 1.0)
+        assert res.reasons == ["|T|=12 exceeds S*"]
+        assert table.to_json_dict()["delta"].keys() == {"12"}
+        assert table.to_json_dict()["theta"] == {}
 
     def test_not_applicable_on_noise_budget(self):
         ctx = make_ctx(flat_table(), noise=10.0)
@@ -285,17 +296,13 @@ def generous_model(m=100, s0=6, sa=2, d=20, r=2, big_m=10.0, rate=5.0, t_end=40)
     )
 
 
-def zero_rip_ctx(model, f, d0_max, n=50, lam=0.1, norm1=5.0):
-    deltas, thetas = set(), set()
-    for d0 in range(1, d0_max + 1):
-        dd, tt = required_rip_entries(model, f, d0)
-        deltas |= set(dd)
-        thetas |= set(tt)
+def zero_rip_ctx(model, n=50, lam=0.1, norm1=5.0):
+    """Every defined constant of an m-column matrix set to zero."""
     table = RipTable("zero")
-    for s in deltas:
+    for s in range(1, model.m + 1):
         table.set_delta(s, 0.0, True)
-    for s, sp in thetas:
-        table.set_theta(s, sp, 0.0, True)
+        for sp in range(1, model.m - s + 1):
+            table.set_theta(s, sp, 0.0, True)
     return BoundContext(rip=table, n=n, m=model.m, lam=lam, norm_A_1=norm1,
                         noise_linf_bound=lam / norm1)
 
@@ -303,14 +310,14 @@ def zero_rip_ctx(model, f, d0_max, n=50, lam=0.1, norm1=5.0):
 class TestStabilityConditions:
     def test_generous_config_passes(self):
         model = generous_model()
-        ctx = zero_rip_ctx(model, f=1, d0_max=3)
+        ctx = zero_rip_ctx(model)
         report = check_stability_conditions(model, ctx, f=1, d0=3, alpha=0.05)
         assert report.holds
         assert not report.optimistic
 
     def test_condition7_arithmetic(self):
         model = generous_model(d=8, sa=2, r=2)
-        ctx = zero_rip_ctx(model, f=1, d0_max=7)
+        ctx = zero_rip_ctx(model)
         for d0, expect in [(4, True), (5, False)]:
             report = check_stability_conditions(model, ctx, f=1, d0=d0, alpha=0.05)
             assert report.row("addition-spacing").holds is expect
@@ -319,14 +326,14 @@ class TestStabilityConditions:
         # no additions; ramp almost as long as the period blows only the
         # decreasing-coefficient condition
         model = generous_model(s0=5, sa=0, d=10, r=9, big_m=1.0, rate=1.0, t_end=20)
-        ctx = zero_rip_ctx(model, f=0, d0_max=1)
+        ctx = zero_rip_ctx(model)
         report = check_stability_conditions(model, ctx, f=0, d0=1, alpha=0.05)
         failing = [r.identifier for r in report.rows if not r.holds and not r.assumed]
         assert failing == ["keep-decreasing-coefficients"]
 
     def test_wrong_alpha_del_flagged(self):
         model = generous_model()
-        ctx = zero_rip_ctx(model, f=1, d0_max=3)
+        ctx = zero_rip_ctx(model)
         report = check_stability_conditions(model, ctx, f=1, d0=3, alpha=0.05, alpha_del=99.0)
         assert not report.row("deletion-threshold").holds
 
@@ -342,7 +349,7 @@ class TestStabilityConditions:
         # S_T + S_Delta > m for every keep row: the table lacks those thetas,
         # and each row reports a failure instead of looking one up
         model = generous_model(m=16, s0=8, sa=4, d=10)
-        ctx = zero_rip_ctx(model, f=1, d0_max=5)
+        ctx = zero_rip_ctx(model)
         assert not ctx.rip.has_theta(13, 4)
         report = check_stability_conditions(model, ctx, f=1, d0=5, alpha=0.05)
         oversized = [f"keep-addition-{i}" for i in range(1, 5)] + ["keep-constant-coefficients"]
@@ -364,7 +371,7 @@ class TestStabilityConditions:
         # S_T = s0 + f (d0 + S_a) passes m = 16 from d0 = 5 on: no delta of
         # that size is requested, and the rows that would read one fail
         model = generous_model(m=16, s0=8, sa=4, d=10)
-        ctx = zero_rip_ctx(model, f=1, d0_max=model.d - 1)
+        ctx = zero_rip_ctx(model)
         assert max(ctx.rip.delta_entries) <= model.m
         if d0 == "scan":
             found, report = find_min_d0(model, ctx, f=1, alpha=0.05)
@@ -380,20 +387,20 @@ class TestStabilityConditions:
     def test_scan_reaches_d0_that_fits(self):
         # S_T = 19 > m at d0 = d - 1, but d0 = 1 fits and passes
         model = generous_model(m=16, s0=3, sa=1, d=16)
-        ctx = zero_rip_ctx(model, f=1, d0_max=model.d - 1)
+        ctx = zero_rip_ctx(model)
         d0, report = find_min_d0(model, ctx, f=1, alpha=0.05)
         assert d0 == 1 and report.holds
 
     def test_find_min_d0(self):
         model = generous_model(d=8, sa=2, r=2)
-        ctx = zero_rip_ctx(model, f=1, d0_max=7)
+        ctx = zero_rip_ctx(model)
         d0, report = find_min_d0(model, ctx, f=1, alpha=0.05)
         assert d0 == 1
         assert report.holds
 
     def test_report_roundtrip(self):
         model = generous_model()
-        ctx = zero_rip_ctx(model, f=1, d0_max=3)
+        ctx = zero_rip_ctx(model)
         report = check_stability_conditions(model, ctx, f=1, d0=3, alpha=0.05)
         doc = report.to_json_dict()
         assert doc["holds"] is True
@@ -403,7 +410,7 @@ class TestStabilityConditions:
 class TestStabilityCaps:
     def test_hand_values(self):
         model = generous_model()
-        ctx = zero_rip_ctx(model, f=1, d0_max=3)
+        ctx = zero_rip_ctx(model)
         caps = stability_error_caps(model, ctx, f=1, d0=3)
         assert caps.applicable
         assert caps.miss_err_sq == pytest.approx(2 * min(10.0, 5 * 5.0) ** 2)
@@ -411,7 +418,7 @@ class TestStabilityCaps:
 
     def test_no_additions(self):
         model = generous_model(s0=5, sa=0, d=10, r=2, t_end=20)
-        ctx = zero_rip_ctx(model, f=0, d0_max=1)
+        ctx = zero_rip_ctx(model)
         caps = stability_error_caps(model, ctx, f=0, d0=1)
         assert caps.miss_err_sq == 0.0
 
@@ -428,12 +435,7 @@ class TestSmallScaleStabilityRun:
         model = SignalModelParams(m=m, s0=3, sa=1, d=8, r=2, big_m=3.0,
                                   rates=np.full(m, 1.0), t_end=24, seed=99)
         f = 0
-        deltas, thetas = set(), set()
-        for d0 in range(1, model.d):
-            dd, tt = required_rip_entries(model, f, d0)
-            deltas |= set(dd)
-            thetas |= set(tt)
-        table = build_rip_table(A, sorted(deltas), sorted(thetas), mode="exact")
+        table = build_rip_table(A, [], [], mode="exact")
         ctx = BoundContext(rip=table, n=n, m=m, lam=lam,
                            norm_A_1=A.induced_one_norm, noise_linf_bound=w_linf)
         alpha = 0.5

@@ -5,10 +5,14 @@ from pathlib import Path
 
 import pytest
 
+from lscs import measurement
+from lscs.cli import main
 from lscs.harness import (
     CSV_HEADER,
     ConfigError,
     MetricsRow,
+    _parse_tracking,
+    _tracking_trial,
     run_bound_validation,
     run_experiment,
     run_low_snr_experiments,
@@ -325,7 +329,24 @@ class TestCli:
         }))
         out = self.run_cli("check-stability", str(cfg_path))
         assert out.returncode == 2
-        assert "lacks entries" in out.stderr
+        assert "missing from table" in out.stderr
+
+    def test_entry_missing_where_read_exit_code(self, tmp_path):
+        # the file holds every constant defined at m = 16 but delta_4, which
+        # only the detection condition of detect-addition-1 (S_T = 4) reads
+        table_path = tmp_path / "table.json"
+        table_path.write_text(json.dumps({
+            "matrix_digest": "",
+            "delta": {str(s): [0.0, True] for s in range(1, 17) if s != 4},
+            "theta": {f"{s},{sp}": [0.0, True] for s in range(1, 16) for sp in range(1, 17 - s)},
+        }))
+        cfg = json.loads((CONFIGS / "check_stability.json").read_text())
+        cfg.update({"rip_table": str(table_path), "f": 1, "d0": 1})
+        cfg_path = tmp_path / "chk.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = self.run_cli("check-stability", str(cfg_path))
+        assert out.returncode == 2
+        assert "delta_4 missing from table" in out.stderr
 
     def test_missing_file_exit_code(self):
         out = self.run_cli("run", "/nonexistent/x.json")
@@ -362,8 +383,8 @@ class TestCli:
         assert "min_d0" in doc
 
     def test_check_stability_oversized_theta_pair(self, tmp_path):
-        # S_T + S_Delta = 14 + 4 > m = 16 in the keep-constant row; the table
-        # built from required_rip_entries has no theta_{14,4}
+        # S_T + S_Delta = 14 + 4 > m = 16 in the keep-constant row, where
+        # theta_{14,4} is not defined
         cfg = json.loads((CONFIGS / "check_stability.json").read_text())
         cfg["model"].update({"s0": 8, "sa": 4, "d": 10})
         cfg.update({"f": 1, "d0": 2})
@@ -455,3 +476,43 @@ class TestCli:
         }))
         out = self.run_cli("run", str(cfg_path), "--out", str(tmp_path / "bv"))
         assert out.returncode == 0, out.stderr
+
+
+def count_constants(monkeypatch) -> list:
+    """Record the function name and sizes of every constant computed from
+    now on."""
+    computed = []
+
+    def counting(fn, sizes):
+        def counted(A, *args, **kwargs):
+            computed.append((fn.__name__, *args[:sizes]))
+            return fn(A, *args, **kwargs)
+        return counted
+
+    for name, sizes in [("delta_exhaustive", 1), ("delta_sampled", 1),
+                        ("theta_exhaustive", 2), ("theta_sampled", 2)]:
+        monkeypatch.setattr(measurement, name, counting(getattr(measurement, name), sizes))
+    return computed
+
+
+class TestLazyConstants:
+    """A table computes a constant when a check first reads it, and no
+    other."""
+
+    def test_check_stability_computes_what_it_reads(self, monkeypatch, capsys):
+        computed = count_constants(monkeypatch)
+        assert main(["check-stability", str(CONFIGS / "check_stability.json")]) == 0
+        assert sorted(computed) == [
+            ("delta_exhaustive", 2), ("delta_exhaustive", 3),
+            ("theta_exhaustive", 1, 1), ("theta_exhaustive", 1, 2),
+            ("theta_exhaustive", 2, 1), ("theta_exhaustive", 3, 1),
+        ]
+
+    def test_tracking_trial_reads_no_constant(self, monkeypatch):
+        # trial 0 fails the noise budget, so no condition predicate reads one
+        computed = count_constants(monkeypatch)
+        setup = _parse_tracking(json.loads((CONFIGS / "stability.json").read_text()))
+        record = _tracking_trial(setup, 0)
+        assert computed == []
+        assert record.tally.hypotheses["no_false_deletion_guarantee"] > 0
+        assert record.tally.hypotheses["deletion_condition"] == 0

@@ -13,6 +13,7 @@ from lscs.measurement import (
     EnumerationBudgetExceeded,
     InsufficientRipTable,
     MeasurementMatrix,
+    RipEntry,
     RipTable,
     _block_specnorms,
     build_rip_table,
@@ -298,6 +299,20 @@ class TestSampledConstants:
                 hits += 1
         assert hits >= 45
 
+    def test_sampled_nested_across_sizes(self):
+        # every entry maximises over the rows of one permutation block, and a
+        # larger size only extends each row's subsets, so no entry can drop
+        A = gen_gaussian_matrix(6, 10, 1)
+        for seed in range(4):
+            delta = [delta_sampled(A, s, trials=3, seed=seed) for s in range(11)]
+            assert all(a <= b + 1e-12 for a, b in zip(delta, delta[1:])), seed
+            theta = {(s, sp): theta_sampled(A, s, sp, trials=3, seed=seed)
+                     for s in range(1, 10) for sp in range(1, 11 - s)}
+            for (s, sp), value in theta.items():
+                for larger in [(s + 1, sp), (s, sp + 1)]:
+                    if larger in theta:
+                        assert value <= theta[larger] + 1e-12, (seed, s, sp, larger)
+
 
 class TestRipTable:
     def make_table(self):
@@ -311,6 +326,39 @@ class TestRipTable:
         for s in [1, 2, 3, 4]:
             assert doc.delta(s) == table.delta(s)
         assert doc.theta(2, 4) == table.theta(2, 4)
+
+    def test_sampled_entry_ignores_other_sizes(self):
+        # an entry depends only on the matrix, its sizes, trials and seed
+        A = gen_gaussian_matrix(16, 16, 5)
+        one = build_rip_table(A, [2, 4], [], mode="sampled", trials=50)
+        two = build_rip_table(A, [2, 3, 4], [], mode="sampled", trials=50)
+        assert one.delta(4) == two.delta(4)
+        one = build_rip_table(A, [], [(2, 3)], mode="sampled", trials=50)
+        two = build_rip_table(A, [], [(1, 1), (2, 3)], mode="sampled", trials=50)
+        assert one.theta(2, 3) == two.theta(2, 3)
+
+    def test_bound_table_computes_on_first_read(self, monkeypatch):
+        A = gen_gaussian_matrix(6, 10, 3)
+        table = build_rip_table(A, [2], [], mode="exact")
+        calls = []
+
+        def counted(A, S, Sp, budget):
+            calls.append((S, Sp))
+            return theta_exhaustive(A, S, Sp, budget=budget)
+
+        monkeypatch.setattr(measurement, "theta_exhaustive", counted)
+        assert table.has_delta(10) and table.has_theta(2, 8)
+        assert not table.has_delta(11) and not table.has_theta(3, 8)
+        assert calls == []
+        assert table.theta(2, 3) == RipEntry(theta_exhaustive(A, 2, 3), True)
+        assert table.theta(2, 3) == table.theta(2, 3)
+        assert calls == [(2, 3)]
+        with pytest.raises(InsufficientRipTable):
+            table.theta(3, 8)
+        # a table read back from JSON holds the stored entries only
+        loaded = RipTable.from_json(table.to_json())
+        assert loaded.delta(2) == table.delta(2) and loaded.theta(2, 3) == table.theta(2, 3)
+        assert not loaded.has_delta(3)
 
     def test_zero_size_entries(self):
         table = RipTable("t")
