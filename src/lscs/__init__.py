@@ -21,7 +21,7 @@ from .measurement import (
     theta_exhaustive,
     theta_sampled,
 )
-from .solver import DsSolution, LsSolveError, ls_on_support, solve_dantzig
+from .solver import DsSolution, LsSolveError, SelectorLP, ls_on_support, solve_dantzig
 
 __all__ = [
     "SupportSet",
@@ -38,6 +38,7 @@ __all__ = [
     "s_star_s_starstar",
     "DsSolution",
     "LsSolveError",
+    "SelectorLP",
     "solve_dantzig",
     "ls_on_support",
     "__version__",

@@ -60,7 +60,7 @@ from .filter import (
 )
 from .measurement import DEFAULT_SUBSET_BUDGET, MeasurementMatrix, build_rip_table, gen_matrix
 from .sigmodel import SignalModelParams, SignalSequence, generate
-from .solver import LsSolveError, ls_on_support, optimal_zeta, solve_dantzig
+from .solver import LsSolveError, SelectorLP, ls_on_support, optimal_zeta, solve_dantzig
 
 CSV_HEADER = "trial,t,method,nmse,misses,extras,support_size,err_csres,err_final"
 
@@ -461,15 +461,15 @@ def _parse_tracking(cfg: dict) -> TrackingSetup:
 
 def _estimate(
     name: str, setup: TrackingSetup, A: MeasurementMatrix, y: np.ndarray,
-    state: FilterState, truth: SupportSet,
+    state: FilterState, truth: SupportSet, baseline: SelectorLP,
 ) -> tuple[np.ndarray, SupportSet | None]:
     """A method's estimate at one instant and the support it claims (none for
-    the plain selector)."""
+    the plain selector, which starts from ``baseline``'s previous basis)."""
     if name == METHOD_LSCS:
         return state.x_hat, state.support_estimate
     if name == METHOD_GENIE:
         return genie_ls(A, truth, y), truth
-    return optimal_zeta(solve_dantzig(A, y, setup.cs_lambda)), None
+    return optimal_zeta(solve_dantzig(A, y, setup.cs_lambda, warm=baseline)), None
 
 
 def _tracking_trial(setup: TrackingSetup, k: int) -> TrialRecord:
@@ -492,6 +492,7 @@ def _tracking_trial(setup: TrackingSetup, k: int) -> TrialRecord:
     rows = {name: [] for name in setup.methods}
     sig, misses, extras, diags = [], [], [], []
     state = FilterState(n0_hat, x0_hat, 0)
+    baseline = SelectorLP(A)
     for t in range(t_end + 1):
         x_true = seq.signal_at(t)
         err_csres = None
@@ -504,7 +505,7 @@ def _tracking_trial(setup: TrackingSetup, k: int) -> TrialRecord:
         misses.append(len(truth - state.support_estimate))
         extras.append(len(state.support_estimate - truth))
         for name in setup.methods:
-            x_hat, support = _estimate(name, setup, A, ys[t], state, truth)
+            x_hat, support = _estimate(name, setup, A, ys[t], state, truth, baseline)
             err = float(np.sum((x_true - x_hat) ** 2))
             row = MetricsRow(trial=k, t=t, method=name, nmse=_ratio(err, sig[t]), err_final=err)
             if support is not None:

@@ -44,6 +44,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -272,10 +273,17 @@ def theta_exhaustive(
     return worst
 
 
+@lru_cache(maxsize=4)
 def _permutations(m: int, trials: int, seed: int) -> np.ndarray:
-    """``trials`` independent random permutations of ``range(m)``, one per row."""
+    """``trials`` independent random permutations of ``range(m)``, one per row.
+
+    Every entry of a sampled table reads the same block, so it is drawn once
+    and shared read-only.
+    """
     rng = np.random.default_rng(seed)
-    return rng.permuted(np.tile(np.arange(m, dtype=np.intp), (trials, 1)), axis=1)
+    perms = rng.permuted(np.tile(np.arange(m, dtype=np.intp), (trials, 1)), axis=1)
+    perms.flags.writeable = False
+    return perms
 
 
 def delta_sampled(A: MeasurementMatrix, S: int, trials: int, seed: int) -> float:

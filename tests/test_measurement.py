@@ -337,6 +337,26 @@ class TestRipTable:
         two = build_rip_table(A, [], [(1, 1), (2, 3)], mode="sampled", trials=50)
         assert one.theta(2, 3) == two.theta(2, 3)
 
+    def test_sampled_table_draws_one_block(self, monkeypatch):
+        # the entries of one sampled table share one permutation draw
+        A = gen_gaussian_matrix(16, 20, 6)
+        measurement._permutations.cache_clear()
+        draws = []
+        default_rng = np.random.default_rng
+
+        def counting_rng(seed):
+            draws.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(measurement.np.random, "default_rng", counting_rng)
+        table = build_rip_table(A, [], [], mode="sampled", trials=40, seed=9)
+        values = (table.delta(3).value, table.theta(2, 3).value)
+        assert draws == [9]
+        assert not measurement._permutations(20, 40, 9).flags.writeable
+        measurement._permutations.cache_clear()
+        assert (delta_sampled(A, 3, trials=40, seed=9), theta_sampled(A, 2, 3, trials=40, seed=9)) == values
+        assert draws == [9, 9]
+
     def test_bound_table_computes_on_first_read(self, monkeypatch):
         A = gen_gaussian_matrix(6, 10, 3)
         table = build_rip_table(A, [2], [], mode="exact")

@@ -1,13 +1,13 @@
 import json
 import warnings
 from itertools import combinations, product
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize._highspy._core import HighsModelStatus
 
 import lscs.solver
 from lscs.cli import main as cli_main
@@ -18,6 +18,7 @@ from lscs.measurement import MeasurementMatrix, gen_gaussian_matrix
 from lscs.solver import (
     DantzigStatusError,
     LsSolveError,
+    SelectorLP,
     ls_on_support,
     optimal_zeta,
     solve_dantzig,
@@ -76,6 +77,34 @@ def inequality_form_dantzig(A: MeasurementMatrix, y: np.ndarray, lam: float) -> 
     return res.x[:m] - res.x[m:]
 
 
+def milp_ranged_dantzig(A: MeasurementMatrix, y: np.ndarray, lam: float) -> np.ndarray:
+    """Reference selector: the same ranged-row LP through ``scipy.optimize.milp``
+    with no integer variables, presolve and scaling off and 1e-10
+    tolerances, after the same zero exit.  ``milp`` hands keys it does not
+    know to HiGHS verbatim and warns about them."""
+    G = A.gram()
+    g = A.entries.T @ y
+    m = A.m
+    if lam >= np.max(np.abs(g)):
+        return np.zeros(m)
+    options = {
+        "presolve": False,
+        "simplex_scale_strategy": 0,
+        "primal_feasibility_tolerance": 1e-10,
+        "dual_feasibility_tolerance": 1e-10,
+    }
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
+        res = milp(
+            np.ones(2 * m),
+            constraints=LinearConstraint(np.hstack([G, -G]), g - lam, g + lam),
+            bounds=Bounds(0.0, np.inf),
+            options=options,
+        )
+    assert res.status == 0
+    return res.x[:m] - res.x[m:]
+
+
 def static_table_instance(n: int, seed: int, sigma: float):
     """A static-table draw: m = 200, twenty +-1 spikes, Gaussian noise."""
     rng = np.random.default_rng([seed, n])
@@ -98,6 +127,19 @@ def stability_instance(seed: int):
     x[support[18:]] = rng.choice([-1.0, 1.0], size=2) * rng.uniform(0.5, 1.0, size=2)
     y = A.entries @ x + rng.uniform(-0.0528, 0.0528, size=59)
     return A, y, ls_on_support(A, SupportSet(support[:18], 200), y)
+
+
+def stability_cfg(seed: int, trials: int) -> dict:
+    """``configs/stability.json`` with the simple_cs baseline only and no
+    runtime bound checks."""
+    return {
+        "kind": "stability", "n": 59, "trials": trials, "seed": seed,
+        "model": {"m": 200, "s0": 20, "sa": 2, "d": 8, "r": 2, "big_m": 3.0,
+                  "rates": {"classes": [0.5, 0.25]}, "t_end": 24},
+        "noise": {"kind": "uniform", "c": 0.0528},
+        "filter": {"lam": 0.35, "alpha": 0.0528, "alpha_del": 2.28 * 0.0528},
+        "methods": ["simple_cs"],
+    }
 
 
 class TestDantzig:
@@ -173,6 +215,15 @@ class TestDantzig:
         y = rng.standard_normal(20)
         sol = solve_dantzig(A, y, 0.01, max_iterations=1)
         assert sol.status == "budget_exceeded"
+        assert (sol.path, sol.iterations) == ("cold", 1)
+
+    def test_path_and_iterations(self):
+        A, y = static_table_instance(59, seed=5, sigma=0.04)
+        peak = float(np.max(np.abs(A.entries.T @ y)))
+        zero = solve_dantzig(A, y, peak)
+        assert (zero.path, zero.iterations) == ("zero_exit", 0)
+        lp = solve_dantzig(A, y, 0.16)
+        assert lp.path == "cold" and lp.iterations > 0
 
     def test_rejects_bad_inputs(self):
         A = gen_gaussian_matrix(4, 6, 0)
@@ -210,6 +261,8 @@ class TestRangedForm:
         sol = solve_dantzig(A, y, lam)
         ref = inequality_form_dantzig(A, y, lam)
         assert sol.status == "optimal"
+        # the cold path solves the program milp solves, bit for bit
+        assert np.array_equal(sol.zeta_hat, milp_ranged_dantzig(A, y, lam))
         assert np.max(np.abs(sol.zeta_hat - ref)) <= 1e-9
         assert abs(sol.objective - np.abs(ref).sum()) <= 1e-9
         assert sol.max_correlation <= lam + 1e-9
@@ -237,15 +290,7 @@ class TestRangedForm:
         # trial 25 of the acceptance stability run holds a one-shot LP that
         # HiGHS with its default scaling closes 2.8e-9 past lambda; the
         # post-solve check would raise DantzigNumericsError
-        cfg = {
-            "kind": "stability", "n": 59, "trials": 26, "seed": 424242,
-            "model": {"m": 200, "s0": 20, "sa": 2, "d": 8, "r": 2, "big_m": 3.0,
-                      "rates": {"classes": [0.5, 0.25]}, "t_end": 24},
-            "noise": {"kind": "uniform", "c": 0.0528},
-            "filter": {"lam": 0.35, "alpha": 0.0528, "alpha_del": 2.28 * 0.0528},
-            "methods": ["simple_cs"],
-        }
-        record = _tracking_trial(_parse_tracking(cfg), 25)
+        record = _tracking_trial(_parse_tracking(stability_cfg(424242, trials=26)), 25)
         assert len(record.rows["simple_cs"]) == 25
 
     def test_no_warning_escapes(self):
@@ -268,12 +313,90 @@ class TestRangedForm:
         assert np.array_equal(G, raw.T @ raw)
 
 
+class TestWarmStart:
+    """The tracking baseline starts each solve from the previous basis."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_tracking_baseline_matches_cold(self, seed, monkeypatch):
+        solves = []
+
+        def warm_and_cold(A, y, lam, max_iterations=None, *, warm=None):
+            sol = solve_dantzig(A, y, lam, max_iterations, warm=warm)
+            solves.append((sol, solve_dantzig(A, y, lam), A, y, lam))
+            return sol
+
+        monkeypatch.setattr("lscs.harness.solve_dantzig", warm_and_cold)
+        _tracking_trial(_parse_tracking(stability_cfg(seed, trials=1)), 0)
+        assert len(solves) == 25
+        warm_iterations = cold_iterations = 0
+        for t, (sol, cold, A, y, lam) in enumerate(solves):
+            assert sol.status == cold.status == "optimal"
+            g = A.entries.T @ y
+            assert np.max(np.abs(g - A.gram() @ sol.zeta_hat)) <= lam + 1e-9
+            assert np.max(np.abs(sol.zeta_hat - cold.zeta_hat)) <= 1e-9
+            if t == 0:
+                # the handle's first solve loads a fresh instance
+                assert sol.path == "cold" and np.array_equal(sol.zeta_hat, cold.zeta_hat)
+            else:
+                assert sol.path == "warm", t
+                warm_iterations += sol.iterations
+                cold_iterations += cold.iterations
+        assert warm_iterations < cold_iterations / 2
+
+    @pytest.mark.parametrize("failure", ["not_optimal", "past_lambda"])
+    def test_rejected_warm_run_falls_back_to_cold(self, failure, monkeypatch):
+        A, y, x_init = stability_instance(1)
+        handle = SelectorLP(A)
+        assert solve_dantzig(A, y, 0.35, warm=handle).path == "cold"
+        stale, run = handle._highs, lscs.solver._run
+
+        def sabotaged(highs):
+            if highs is not stale:
+                return run(highs)
+            if failure == "not_optimal":
+                return HighsModelStatus.kIterationLimit
+            # with every row free the optimum is zero, past lambda on the real rows
+            for i in range(A.m):
+                highs.changeRowBounds(i, -np.inf, np.inf)
+            return run(highs)
+
+        monkeypatch.setattr(lscs.solver, "_run", sabotaged)
+        y_res = y - A.entries @ x_init
+        sol = solve_dantzig(A, y_res, 0.35, warm=handle)
+        assert sol.status == "optimal" and sol.path == "fallback"
+        assert np.array_equal(sol.zeta_hat, solve_dantzig(A, y_res, 0.35).zeta_hat)
+        assert handle._highs is not stale
+
+    def test_budget_caps_warm_and_fallback_runs(self):
+        A, y, x_init = stability_instance(2)
+        handle = SelectorLP(A)
+        solve_dantzig(A, y, 0.35, warm=handle)
+        sol = solve_dantzig(A, y - A.entries @ x_init, 0.35, max_iterations=1, warm=handle)
+        assert (sol.status, sol.path, sol.iterations) == ("budget_exceeded", "fallback", 2)
+        with pytest.raises(DantzigStatusError):
+            optimal_zeta(sol)
+
+    def test_zero_exit_keeps_basis(self):
+        A, y, _ = stability_instance(3)
+        handle = SelectorLP(A)
+        solve_dantzig(A, y, 0.35, warm=handle)
+        highs = handle._highs
+        sol = solve_dantzig(A, y, float(np.max(np.abs(A.entries.T @ y))), warm=handle)
+        assert (sol.path, sol.iterations) == ("zero_exit", 0)
+        assert handle._highs is highs
+
+    def test_handle_of_another_matrix_rejected(self):
+        A, y, _ = stability_instance(1)
+        with pytest.raises(ValueError):
+            solve_dantzig(A, y, 0.35, warm=SelectorLP(gen_gaussian_matrix(59, 200, 1)))
+
+
 class TestSelectorFailure:
     """A non-optimal selector status must surface, never score as zeros."""
 
     @pytest.fixture(autouse=True)
     def failing_lp(self, monkeypatch):
-        monkeypatch.setattr(lscs.solver, "milp", lambda *a, **k: SimpleNamespace(status=2, x=None))
+        monkeypatch.setattr(lscs.solver, "_run", lambda highs: HighsModelStatus.kInfeasible)
 
     def test_status_reported(self):
         A = gen_gaussian_matrix(10, 20, 1)
@@ -284,7 +407,7 @@ class TestSelectorFailure:
             optimal_zeta(sol)
 
     def test_iteration_limit_reported(self, monkeypatch):
-        monkeypatch.setattr(lscs.solver, "milp", lambda *a, **k: SimpleNamespace(status=1, x=None))
+        monkeypatch.setattr(lscs.solver, "_run", lambda highs: HighsModelStatus.kIterationLimit)
         A = gen_gaussian_matrix(10, 20, 1)
         sol = solve_dantzig(A, A.entries @ np.ones(20), 0.01)
         assert sol.status == "budget_exceeded"
