@@ -10,14 +10,13 @@ Carlo harness.
 
 __version__ = "0.1.0"
 
-from .core import SupportSet, kth_largest_magnitude, smallest_k_subvector, support_of
+from .core import SupportSet, support_of
 from .measurement import (
     MeasurementMatrix,
     RipTable,
     delta_exhaustive,
     delta_sampled,
     gen_gaussian_matrix,
-    s_star_s_starstar,
     theta_exhaustive,
     theta_sampled,
 )
@@ -26,8 +25,6 @@ from .solver import DsSolution, LsSolveError, SelectorLP, ls_on_support, solve_d
 __all__ = [
     "SupportSet",
     "support_of",
-    "kth_largest_magnitude",
-    "smallest_k_subvector",
     "MeasurementMatrix",
     "RipTable",
     "gen_gaussian_matrix",
@@ -35,7 +32,6 @@ __all__ = [
     "theta_exhaustive",
     "delta_sampled",
     "theta_sampled",
-    "s_star_s_starstar",
     "DsSolution",
     "LsSolveError",
     "SelectorLP",

@@ -10,6 +10,12 @@ the true ones, so any bound computed from them may be too small.  Such results
 are flagged ``optimistic`` and soundness is only ever asserted for exact
 inputs.
 
+Every bound and stability condition rests on two support-size thresholds: S*,
+the largest S with ``delta_S < 1/2``, and S**, the largest S with ``delta_2S +
+theta_{S,2S} < 1``.  Each is defined once, by the entry that decides whether a
+size lies within it (:func:`_s_star_entry` and :func:`_s_starstar_entry`), and
+every check reads that entry.
+
 Max-over-sizes expressions (the detection threshold and the stability gate)
 are evaluated by explicit enumeration of integer ``(|T|, |Delta|)`` pairs up
 to the stated caps.  The detection ratio is not monotone in ``|Delta|``, so no
@@ -20,9 +26,8 @@ whichever is worse.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -101,29 +106,24 @@ def _smallest_sqnorm(values: np.ndarray, k: int) -> float:
     return float(np.sum(mags[:k] ** 2))
 
 
-def _check_t_within_s_star(ctx: BoundContext, size_T: int) -> tuple[bool, bool]:
-    """(|T| <= S*) == (delta_{|T|} < 1/2); returns (holds, exact).
-
-    S* <= m, so a size past m fails without a lookup."""
-    if size_T == 0:
-        return True, True
-    if size_T > ctx.m:
-        return False, True
-    e = ctx.rip.delta(size_T)
-    return e.value < 0.5, e.exact
+def _s_star_entry(ctx: BoundContext, k: int) -> RipEntry | None:
+    """The entry that decides ``k <= S*``: ``delta_k``, which must be below
+    1/2.  ``None`` past m, where ``delta_k`` is undefined and the check fails
+    without a lookup."""
+    if k > ctx.m:
+        return None
+    return ctx.rip.delta(k)
 
 
-def _check_delta_within_s_starstar(ctx: BoundContext, size_delta: int) -> tuple[bool, bool]:
-    """(|Delta| <= S**) == (delta_{2|Delta|} + theta_{|Delta|,2|Delta|} < 1).
-
-    theta_{|Delta|,2|Delta|} needs 3|Delta| <= m; past that the check fails."""
-    if size_delta == 0:
-        return True, True
-    if 3 * size_delta > ctx.m:
-        return False, True
-    d = ctx.rip.delta(2 * size_delta)
-    th = ctx.rip.theta(size_delta, 2 * size_delta)
-    return d.value + th.value < 1.0, d.exact and th.exact
+def _s_starstar_entry(ctx: BoundContext, k: int) -> RipEntry | None:
+    """The entry that decides ``k <= S**``: ``delta_2k + theta_{k,2k}``, which
+    must be below 1, exact when both constants are.  ``None`` when ``3k > m``,
+    where ``theta_{k,2k}`` is undefined and the check fails without a lookup."""
+    if 3 * k > ctx.m:
+        return None
+    d = ctx.rip.delta(2 * k)
+    th = ctx.rip.theta(k, 2 * k)
+    return RipEntry(d.value + th.value, d.exact and th.exact)
 
 
 class _Hypotheses(NamedTuple):
@@ -150,14 +150,14 @@ def _hypotheses(
     """
     if not ctx.noise_budget_ok():
         return _Hypotheses("noise bound exceeds lam/||A||_1", None, False)
-    t_ok, t_exact = _check_t_within_s_star(ctx, size_T)
-    if not t_ok:
+    t = _s_star_entry(ctx, size_T)
+    if t is None or t.value >= 0.5:
         return _Hypotheses(f"{names[0]}={size_T} exceeds S*", None, False)
-    d_ok, d_exact = _check_delta_within_s_starstar(ctx, s_starstar)
-    if not d_ok:
+    d = _s_starstar_entry(ctx, s_starstar)
+    if d is None or d.value >= 1.0:
         return _Hypotheses(f"{names[1]}={s_starstar} exceeds S**", None, False)
     theta = ctx.rip.theta(size_T, theta_with)
-    return _Hypotheses(None, theta, t_exact and d_exact and theta.exact)
+    return _Hypotheses(None, theta, t.exact and d.exact and theta.exact)
 
 
 def _min_over_s(ctx: BoundContext, cap: int, tail, exact: bool) -> BoundResult:
@@ -172,7 +172,8 @@ def _min_over_s(ctx: BoundContext, cap: int, tail, exact: bool) -> BoundResult:
     for s in range(1, cap + 1):
         if not (ctx.rip.has_delta(2 * s) and ctx.rip.has_theta(s, 2 * s)):
             break
-        if ctx.rip.delta(2 * s).value + ctx.rip.theta(s, 2 * s).value >= 1.0:
+        e = _s_starstar_entry(ctx, s)
+        if e is None or e.value >= 1.0:
             break
         scan_cap = s
         cc = recovery_constants(s, ctx.rip)
@@ -308,7 +309,6 @@ class DetectionCondition:
     threshold_sq: float       # squared magnitude guaranteeing detection
     optimistic: bool
     reasons: list[str] = field(default_factory=list)
-    worst_pair: tuple[int, int] | None = None
 
 
 def _gate_terms(
@@ -325,7 +325,8 @@ def _gate_terms(
     terms = []
     exact = True
     for d_sz in range(1, S_Delta + 1):
-        if not _check_delta_within_s_starstar(ctx, d_sz)[0]:
+        e = _s_starstar_entry(ctx, d_sz)
+        if e is None or e.value >= 1.0:
             terms.append(((0, d_sz), math.inf, math.inf))
             break
         cc = recovery_constants(d_sz, ctx.rip)
@@ -363,20 +364,15 @@ def detection_condition(
     terms, terms_exact = _gate_terms(ctx, S_T, S_Delta)
     gate_ok = True
     worst = -math.inf
-    worst_pair = None
-    for pair, gate, c_prime in terms:
+    for _, gate, c_prime in terms:
         if gate >= 1.0:
             gate_ok = False
-            worst_pair = pair
             continue
-        ratio = (2.0 * alpha ** 2 + 2.0 * c_prime) / (1.0 - gate)
-        if ratio > worst:
-            worst, worst_pair = ratio, pair
+        worst = max(worst, (2.0 * alpha ** 2 + 2.0 * c_prime) / (1.0 - gate))
     out.applicable = True
     out.gate_holds = gate_ok
     out.threshold_sq = worst if gate_ok else math.inf
     out.optimistic = not (h.exact and terms_exact)
-    out.worst_pair = worst_pair
     return out
 
 
@@ -454,18 +450,6 @@ class ConditionRow:
     assumed: bool = False
     note: str = ""
 
-    def to_json_dict(self) -> dict:
-        return {
-            "identifier": self.identifier,
-            "holds": self.holds,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "inputs": self.inputs,
-            "exact": self.exact,
-            "assumed": self.assumed,
-            "note": self.note,
-        }
-
 
 @dataclass
 class ConditionReport:
@@ -482,16 +466,7 @@ class ConditionReport:
         raise KeyError(identifier)
 
     def to_json_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "optimistic": self.optimistic,
-            "f": self.f,
-            "d0": self.d0,
-            "rows": [r.to_json_dict() for r in self.rows],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True, allow_nan=False)
+        return asdict(self)
 
 
 def prescribed_alpha_del(ctx: BoundContext) -> float:
@@ -574,31 +549,24 @@ def check_stability_conditions(
         note="at most f false detections per step is an assumption on alpha",
     ))
 
-    noise_rhs = ctx.lam / ctx.norm_A_1
     rows.append(ConditionRow(
-        "noise-budget", bool(ctx.noise_linf_bound <= noise_rhs + _NOISE_TOL),
-        ctx.noise_linf_bound, noise_rhs,
+        "noise-budget", bool(ctx.noise_budget_ok()), ctx.noise_linf_bound, ctx.lam / ctx.norm_A_1,
     ))
-    if 3 * sa > model.m:
+    sa_entry = _s_starstar_entry(ctx, sa)
+    if sa_entry is None:
         rows.append(_oversized_row("addition-count-within-recovery-range", "3 S_a > m", S_a=sa))
     else:
-        sa_ok, sa_exact = _check_delta_within_s_starstar(ctx, sa)
-        sa_lhs = None
-        if sa > 0:
-            sa_lhs = ctx.rip.delta(2 * sa).value + ctx.rip.theta(sa, 2 * sa).value
         rows.append(ConditionRow(
-            "addition-count-within-recovery-range", bool(sa_ok), sa_lhs, 1.0, exact=sa_exact,
-            note="S_a <= S**",
+            "addition-count-within-recovery-range", sa_entry.value < 1.0,
+            sa_entry.value if sa > 0 else None, 1.0, exact=sa_entry.exact, note="S_a <= S**",
         ))
-    if st_max > model.m:
+    st_entry = _s_star_entry(ctx, st_max)
+    if st_entry is None:
         rows.append(_oversized_row("support-size-within-ls-range", "S_T > m", S_T=st_max))
     else:
-        st_ok, st_exact = _check_t_within_s_star(ctx, st_max)
         rows.append(ConditionRow(
-            "support-size-within-ls-range", bool(st_ok), ctx.rip.delta(st_max).value if st_max else 0.0,
-            0.5, exact=st_exact,
-            inputs={"S_T": st_max},
-            note="S_0 + f (d_0 + S_a) <= S*",
+            "support-size-within-ls-range", st_entry.value < 0.5, st_entry.value, 0.5,
+            exact=st_entry.exact, inputs={"S_T": st_max}, note="S_0 + f (d_0 + S_a) <= S*",
         ))
 
     # detection gate over the enumerated rectangle at (S_T, S_Delta) = (st_max, sa)

@@ -1,4 +1,4 @@
-"""Index-set algebra and magnitude order statistics for sparse vectors.
+"""Index-set algebra and magnitude ordering for sparse vectors.
 
 Signal vectors are plain 1-D numpy arrays of length ``m``.  Support sets are
 immutable sorted index sets that carry their ambient dimension so that set
@@ -111,35 +111,3 @@ def magnitude_order(v: np.ndarray, support: SupportSet | None = None) -> np.ndar
     # stable sort on -|v| keeps the original (increasing index) order on ties
     order = np.argsort(-np.abs(v[idx]), kind="stable")
     return idx[order]
-
-
-def kth_largest_magnitude(v: np.ndarray, k: int, support: SupportSet | None = None) -> float:
-    """Magnitude of the k-th largest-magnitude entry of ``v`` (1-based ``k``).
-
-    Restricted to ``support`` when given.
-    """
-    order = magnitude_order(v, support)
-    if not 1 <= k <= order.shape[0]:
-        raise ValueError(f"k={k} out of range [1, {order.shape[0]}]")
-    return float(abs(np.asarray(v, dtype=float)[order[k - 1]]))
-
-
-def smallest_k_subvector(
-    v: np.ndarray, support: SupportSet, k: int
-) -> tuple[SupportSet, float]:
-    """Index set of the ``k`` smallest-magnitude entries of ``v`` on ``support``
-    together with their squared Euclidean norm.
-
-    ``k == 0`` returns the empty set and 0.
-    """
-    if not 0 <= k <= len(support):
-        raise ValueError(f"k={k} out of range [0, {len(support)}]")
-    if k == 0:
-        return SupportSet.empty(support.m), 0.0
-    v = np.asarray(v, dtype=float)
-    idx = support.to_array()
-    # ascending magnitude, ties broken by smaller index
-    order = idx[np.argsort(np.abs(v[idx]), kind="stable")]
-    chosen = order[:k]
-    sq = float(np.sum(v[chosen] ** 2))
-    return SupportSet(chosen, support.m), sq

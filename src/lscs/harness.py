@@ -355,7 +355,6 @@ def run_static_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
 @dataclass
 class TrackingResult:
     nmse: dict
-    mean_misses: list[float]
     epoch_delays: list[int | None]       # flattened over (trial, epoch)
     zero_hit_fraction: float | None
     init_exact_fraction: float | None
@@ -414,7 +413,6 @@ class TrialRecord:
 
     rows: dict[str, list[MetricsRow]]
     sig: list[float]                   # signal energy
-    misses: list[int]                  # of the estimator's support
     delays: list[int | None]
     init_exact: bool
     failed_steps: int
@@ -516,7 +514,7 @@ def _tracking_trial(setup: TrackingSetup, k: int) -> TrialRecord:
             rows[name].append(row)
 
     return TrialRecord(
-        rows=rows, sig=sig, misses=misses,
+        rows=rows, sig=sig,
         delays=_epoch_delays(seq, misses, extras, setup.window),
         init_exact=n0_hat == seq.support_at(0),
         failed_steps=sum(diag.failed_stage is not None for diag in diags),
@@ -550,7 +548,6 @@ def _reduce_trials(setup: TrackingSetup, records: list[TrialRecord]) -> Tracking
     sig_sum_total = 0.0
     per_t_err = {name: np.zeros(t_end + 1) for name in methods}
     per_t_sig = np.zeros(t_end + 1)
-    sum_misses = np.zeros(t_end + 1)
     delays: list[int | None] = []
     tally = PredicateTally()
     rows = {name: [] for name in methods}
@@ -564,7 +561,6 @@ def _reduce_trials(setup: TrackingSetup, records: list[TrialRecord]) -> Tracking
                 err_sums[name] += err
             per_t_err[name] += errs
             rows[name].extend(rec.rows[name])
-        sum_misses += np.asarray(rec.misses, dtype=float)
         delays.extend(rec.delays)
         tally.merge(rec.tally)
 
@@ -582,7 +578,6 @@ def _reduce_trials(setup: TrackingSetup, records: list[TrialRecord]) -> Tracking
     hit = sum(1 for d in delays if d is not None and d <= setup.window)
     return TrackingResult(
         nmse={name: float(_ratio(err_sums[name], sig_sum_total)) for name in methods},
-        mean_misses=[float(v) for v in sum_misses / setup.trials],
         epoch_delays=delays,
         zero_hit_fraction=(hit / len(delays)) if delays else None,
         init_exact_fraction=sum(rec.init_exact for rec in records) / setup.trials,

@@ -472,35 +472,3 @@ def build_rip_table(
     for s, sp in sorted({(int(s), int(sp)) for s, sp in theta_pairs if s > 0 and sp > 0}):
         table._compute_theta(s, sp)
     return table
-
-
-def s_star_s_starstar(rip: RipTable, scan_limit: int) -> tuple[int, int]:
-    """Support-size thresholds under which the error bounds operate.
-
-    Returns ``(s_star, s_starstar)`` scanned up to ``scan_limit``:
-    ``s_star`` is the largest S with ``delta_S < 1/2`` and ``s_starstar`` the
-    largest S with ``delta_2S + theta_{S,2S} < 1``.  Either is 0 when the
-    condition already fails at S=1.  Raises :class:`InsufficientRipTable` if
-    an entry is missing before the scan resolves.
-    """
-    if scan_limit < 1:
-        raise ValueError("scan_limit must be >= 1")
-    s_star = 0
-    for s in range(1, scan_limit + 1):
-        if not rip.has_delta(s):
-            raise InsufficientRipTable(f"delta_{s} missing (s_star scan)")
-        if rip.delta(s).value < 0.5:
-            s_star = s
-        else:
-            break
-    s_starstar = 0
-    for s in range(1, scan_limit + 1):
-        if not (rip.has_delta(2 * s) and rip.has_theta(s, 2 * s)):
-            raise InsufficientRipTable(
-                f"delta_{2*s} or theta_{{{s},{2*s}}} missing (s_starstar scan)"
-            )
-        if rip.delta(2 * s).value + rip.theta(s, 2 * s).value < 1.0:
-            s_starstar = s
-        else:
-            break
-    return s_star, s_starstar

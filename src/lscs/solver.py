@@ -35,9 +35,7 @@ costs depend on ``A`` only, so a solve for a new ``y`` or ``lambda`` resets
 the row bounds and the simplex starts from the basis of the handle's
 previous solve.  A warm run that is not optimal, or whose answer fails the
 feasibility check, is solved again on a fresh instance, and that answer
-stands.  ``max_iterations`` caps the simplex iterations of each run: of the
-cold run, or of the warm run from the previous basis and then again of the
-fresh run that replaces it.
+stands.
 
 The constraint is stated with ``<=`` although the original program uses a
 strict inequality: the closed program is well posed and has the same optimum.
@@ -54,7 +52,6 @@ from scipy.optimize._highspy._core import (
     MatrixFormat,
     ObjSense,
     _Highs,
-    kHighsIInf,
 )
 
 from .core import SupportSet
@@ -133,12 +130,11 @@ def _run(highs: _Highs) -> HighsModelStatus:
 
 
 def _solve_loaded(
-    highs: _Highs, G: np.ndarray, g: np.ndarray, limit: int
+    highs: _Highs, G: np.ndarray, g: np.ndarray
 ) -> tuple[HighsModelStatus, np.ndarray | None, float, int]:
-    """Run a loaded instance under an iteration ``limit``.  Returns the model
-    status, zeta and ``||g - G zeta||_inf`` (``None`` and nan unless
-    optimal) and the iteration count."""
-    highs.setOptionValue("simplex_iteration_limit", limit)
+    """Run a loaded instance.  Returns the model status, zeta and
+    ``||g - G zeta||_inf`` (``None`` and nan unless optimal) and the
+    iteration count."""
     status = _run(highs)
     iterations = int(highs.getInfo().simplex_iteration_count)
     if status != HighsModelStatus.kOptimal:
@@ -150,7 +146,7 @@ def _solve_loaded(
 
 
 def _solve_fresh(
-    G: np.ndarray, g: np.ndarray, lam: float, limit: int
+    G: np.ndarray, g: np.ndarray, lam: float
 ) -> tuple[_Highs, HighsModelStatus, np.ndarray | None, float, int]:
     """Load the ranged-row LP into a fresh HiGHS instance and solve it; the
     instance comes first, then what :func:`_solve_loaded` returns."""
@@ -173,14 +169,13 @@ def _solve_fresh(
     if loaded == HighsStatus.kError:
         # a model HiGHS cannot load is a model error, reported as "infeasible"
         return highs, HighsModelStatus.kModelError, None, float("nan"), 0
-    return (highs, *_solve_loaded(highs, G, g, limit))
+    return (highs, *_solve_loaded(highs, G, g))
 
 
 def solve_dantzig(
     A: MeasurementMatrix,
     y: np.ndarray,
     lam: float,
-    max_iterations: int | None = None,
     *,
     warm: SelectorLP | None = None,
 ) -> DsSolution:
@@ -190,11 +185,8 @@ def solve_dantzig(
     :class:`SelectorLP` handle for ``A``, the solve starts from the basis of
     the handle's previous LP solve; a warm run that is not optimal or ends
     past ``lam + 1e-9`` is solved again cold, and that answer stands.
-
-    ``max_iterations`` is the HiGHS ``simplex_iteration_limit`` of each run
-    on the ranged-row LP described in the module docstring; past the cap the
-    status is ``"budget_exceeded"``.  Iteration counts depend on the form of
-    the program, so a budget chosen for another form does not carry over.
+    A run that HiGHS stops at an iteration or time limit has the status
+    ``"budget_exceeded"``.
     """
     y = np.asarray(y, dtype=float)
     if lam < 0:
@@ -214,7 +206,6 @@ def solve_dantzig(
         return DsSolution(np.zeros(m), 0.0, peak, "optimal", "zero_exit", 0)
 
     G = A.gram()
-    limit = kHighsIInf if max_iterations is None else int(max_iterations)
     path, iterations = "cold", 0
     if warm is not None and warm._highs is not None:
         highs = warm._highs
@@ -224,10 +215,10 @@ def solve_dantzig(
         # previous run's updated factors, warm answers ended up to 6e-10 past
         # lam and 1.7e-9 from the cold answer
         highs.setBasis(highs.getBasis())
-        status, zeta, max_corr, iterations = _solve_loaded(highs, G, g, limit)
+        status, zeta, max_corr, iterations = _solve_loaded(highs, G, g)
         path = "warm" if zeta is not None and max_corr <= lam + _FEASIBILITY_TOL else "fallback"
     if path != "warm":
-        highs, status, zeta, max_corr, fresh_iterations = _solve_fresh(G, g, lam, limit)
+        highs, status, zeta, max_corr, fresh_iterations = _solve_fresh(G, g, lam)
         iterations += fresh_iterations
     if warm is not None:
         warm._highs = highs
@@ -259,12 +250,12 @@ def ls_on_support(
     A: MeasurementMatrix,
     T: SupportSet,
     y: np.ndarray,
-    cond_cap: float = DEFAULT_GRAM_CONDITION_CAP,
 ) -> np.ndarray:
     """Least squares restricted to the columns in ``T``, zero elsewhere.
 
     Raises :class:`LsSolveError` when ``|T| > n`` or when ``cond(A_T' A_T)``
-    exceeds ``cond_cap``; the error carries the condition number.
+    exceeds ``DEFAULT_GRAM_CONDITION_CAP``; the error carries the condition
+    number.
     """
     y = np.asarray(y, dtype=float)
     if T.m != A.m:
@@ -279,9 +270,9 @@ def ls_on_support(
     if rank < len(T):
         raise LsSolveError(f"A_T is rank deficient (rank {rank} < {len(T)})")
     gram_cond = float((sv[0] / sv[-1]) ** 2)
-    if gram_cond > cond_cap:
+    if gram_cond > DEFAULT_GRAM_CONDITION_CAP:
         raise LsSolveError(
-            f"cond(A_T'A_T) = {gram_cond:.3e} exceeds cap {cond_cap:.3e}",
+            f"cond(A_T'A_T) = {gram_cond:.3e} exceeds cap {DEFAULT_GRAM_CONDITION_CAP:.3e}",
             condition_number=gram_cond,
         )
     x[T.to_array()] = coef

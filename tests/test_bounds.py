@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -383,6 +384,32 @@ class TestStabilityConditions:
         assert not row.holds and row.note == "S_T > m"
         assert row.lhs is None and row.inputs["S_T"] > model.m
         assert not report.holds
+
+    def test_threshold_rows_read_the_definitions(self):
+        # distinct constants, so a row reading the wrong entry shows
+        table = RipTable("graded")
+        for s in range(1, 31):
+            table.set_delta(s, 0.013 * s, True)
+            for sp in range(1, 31 - s):
+                table.set_theta(s, sp, 0.007 * (s + sp), True)
+        ctx = BoundContext(rip=table, n=50, m=30, lam=0.1, norm_A_1=5.0, noise_linf_bound=0.02)
+        for sa in (0, 1, 2, 4):
+            model = generous_model(m=30, s0=8, sa=sa, d=10)
+            report = check_stability_conditions(model, ctx, f=1, d0=2, alpha=0.05)
+            row = report.row("addition-count-within-recovery-range")
+            if sa == 0:
+                assert row.lhs is None and row.holds
+            else:
+                assert row.lhs == table.delta(2 * sa).value + table.theta(sa, 2 * sa).value
+            row = report.row("support-size-within-ls-range")
+            assert row.inputs["S_T"] == 8 + (2 + sa)
+            assert row.lhs == table.delta(8 + (2 + sa)).value
+        model = generous_model(m=30, s0=8, sa=1, d=10)
+        for excess in (0.0, 5e-13, 2e-12, 1e-3):
+            noisy = replace(ctx, noise_linf_bound=0.1 / 5.0 + excess)
+            row = check_stability_conditions(model, noisy, f=1, d0=2, alpha=0.05).row("noise-budget")
+            assert row.holds is noisy.noise_budget_ok()
+            assert row.holds is (excess < 1e-12)
 
     def test_scan_reaches_d0_that_fits(self):
         # S_T = 19 > m at d0 = d - 1, but d0 = 1 fits and passes

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lscs
 from lscs.core import (
     AmbientDimensionMismatch,
     SupportSet,
-    kth_largest_magnitude,
     magnitude_order,
-    smallest_k_subvector,
     support_of,
 )
 
@@ -90,54 +89,13 @@ class TestSupportSetProperties:
             assert all(i in s for i in r)
 
 
-class TestOrderStatistics:
-    def test_kth_largest_basic(self):
-        assert kth_largest_magnitude(np.array([3.0, -5.0, 1.0]), 1) == 5.0
+def test_magnitude_order_tie_rule():
+    assert list(magnitude_order(np.array([2.0, -2.0]))) == [0, 1]
 
-    def test_kth_largest_tie_rule(self):
-        v = np.array([2.0, -2.0])
-        order = magnitude_order(v)
-        assert list(order) == [0, 1]
-        assert kth_largest_magnitude(v, 2) == 2.0
 
-    def test_kth_largest_third_example(self):
-        assert kth_largest_magnitude(np.array([0.5, 0.25, 1.0, 0.0]), 2) == 0.5
-
-    def test_kth_out_of_range(self):
-        with pytest.raises(ValueError):
-            kth_largest_magnitude(np.array([1.0]), 2)
-
-    def test_kth_non_increasing(self):
-        rng = np.random.default_rng(3)
-        v = rng.standard_normal(20)
-        mags = [kth_largest_magnitude(v, k) for k in range(1, 21)]
-        assert all(a >= b for a, b in zip(mags, mags[1:]))
-
-    def test_energy_partition(self):
-        rng = np.random.default_rng(4)
-        v = rng.standard_normal(15)
-        total = sum(kth_largest_magnitude(v, k) ** 2 for k in range(1, 16))
-        assert total == pytest.approx(float(v @ v), rel=1e-12)
-
-    def test_smallest_k_basic(self):
-        v = np.zeros(3)
-        v[[0, 1, 2]] = [4.0, 1.0, 2.0]
-        idx, sq = smallest_k_subvector(v, SupportSet([0, 1, 2], 3), 2)
-        assert idx.indices == (1, 2)
-        assert sq == pytest.approx(5.0)
-
-    def test_smallest_zero(self):
-        idx, sq = smallest_k_subvector(np.array([1.0, 2.0]), SupportSet([0, 1], 2), 0)
-        assert len(idx) == 0 and sq == 0.0
-
-    def test_smallest_tie_rule(self):
-        idx, sq = smallest_k_subvector(np.array([-3.0, 3.0]), SupportSet([0, 1], 2), 1)
-        assert idx.indices == (0,)
-        assert sq == pytest.approx(9.0)
-
-    def test_smallest_out_of_range(self):
-        with pytest.raises(ValueError):
-            smallest_k_subvector(np.array([1.0]), SupportSet([0], 1), 2)
+def test_package_exports_resolve():
+    for name in lscs.__all__:
+        assert hasattr(lscs, name), name
 
 
 def test_support_of():

@@ -22,7 +22,6 @@ from lscs.measurement import (
     gen_gaussian_matrix,
     gen_matrix,
     gen_perturbed_orthonormal_matrix,
-    s_star_s_starstar,
     theta_exhaustive,
     theta_sampled,
 )
@@ -410,37 +409,3 @@ class TestRipTable:
         )
         table.validate_monotone()
         assert not table.delta(3).exact
-
-
-class TestSupportThresholds:
-    def test_orthonormal_hits_scan_limit(self):
-        I = MeasurementMatrix(np.eye(12))
-        table = build_rip_table(I, range(1, 13), [(s, 2 * s) for s in range(1, 5)], mode="exact")
-        s_star, s_ss = s_star_s_starstar(table, scan_limit=4)
-        assert (s_star, s_ss) == (4, 4)
-
-    def test_first_condition_fails(self):
-        table = RipTable("x")
-        table.set_delta(1, 0.6, True)
-        table.set_delta(2, 0.7, True)
-        table.set_theta(1, 2, 0.1, True)
-        assert s_star_s_starstar(table, scan_limit=1)[0] == 0
-
-    def test_hand_scan(self):
-        # delta_2=0.3, delta_4=0.8, theta_{1,2}=0.2, theta_{2,4}=0.5, delta_3 < 1/2
-        table = RipTable("x")
-        table.set_delta(1, 0.2, True)
-        table.set_delta(2, 0.3, True)
-        table.set_delta(3, 0.4, True)
-        table.set_delta(4, 0.8, True)
-        table.set_theta(1, 2, 0.2, True)
-        table.set_theta(2, 4, 0.5, True)
-        s_star, s_ss = s_star_s_starstar(table, scan_limit=3)
-        assert s_star == 3      # delta_4 >= 1/2 would stop the scan at 3 anyway
-        assert s_ss == 1        # 0.3+0.2 < 1 but 0.8+0.5 >= 1
-
-    def test_insufficient_table(self):
-        table = RipTable("x")
-        table.set_delta(1, 0.1, True)
-        with pytest.raises(InsufficientRipTable):
-            s_star_s_starstar(table, scan_limit=3)
