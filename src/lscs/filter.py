@@ -30,6 +30,7 @@ from .solver import (
     DantzigNumericsError,
     DantzigStatusError,
     LsSolveError,
+    SelectorLP,
     ls_on_support,
     optimal_zeta,
     solve_dantzig,
@@ -97,10 +98,12 @@ def initial_ls_residual(
 
 
 def cs_residual_estimate(
-    A: MeasurementMatrix, x_init: np.ndarray, y_res: np.ndarray, lam: float
+    A: MeasurementMatrix, x_init: np.ndarray, y_res: np.ndarray, lam: float,
+    lp: SelectorLP | None = None,
 ) -> np.ndarray:
-    """Dantzig-selector solve on the residual, added back to the LS estimate."""
-    return optimal_zeta(solve_dantzig(A, y_res, lam)) + x_init
+    """Dantzig-selector solve on the residual, through the handle ``lp`` when
+    given, added back to the LS estimate."""
+    return optimal_zeta(solve_dantzig(A, y_res, lam, warm=lp)) + x_init
 
 
 def detect(x_csres: np.ndarray, T: SupportSet, cfg: FilterConfig) -> SupportSet:
@@ -163,8 +166,10 @@ def lscs_step(
     y: np.ndarray,
     cfg: FilterConfig,
     x_true: np.ndarray | None = None,
+    lp: SelectorLP | None = None,
 ) -> tuple[FilterState, StepDiagnostics]:
-    """Advance the estimator one time step.
+    """Advance the estimator one time step; its selector solve goes through
+    the handle ``lp`` for ``A`` when given.
 
     On a stage failure (ill-conditioned least squares, selector breakdown) the
     step keeps the previous support estimate, reports the stage in the
@@ -189,7 +194,7 @@ def lscs_step(
     except LsSolveError as exc:
         return fallback("initial_ls", exc)
     try:
-        diag.x_csres = cs_residual_estimate(A, diag.x_init, diag.y_res, cfg.lam)
+        diag.x_csres = cs_residual_estimate(A, diag.x_init, diag.y_res, cfg.lam, lp)
     except (DantzigNumericsError, DantzigStatusError) as exc:
         return fallback("cs_residual", exc)
     diag.T_det = detect(diag.x_csres, T, cfg)

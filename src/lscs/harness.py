@@ -229,6 +229,16 @@ def _noise_linf_bound(noise: dict) -> float:
     return float("inf")
 
 
+def _check_sizes(m: int, support_size: int, delta_size: int, delta_e_size: int) -> None:
+    """Raise :class:`ConfigError` unless :func:`_draw_instance` can draw these
+    sizes: ``0 <= delta_size <= support_size <= m`` and ``0 <= delta_e_size
+    <= m - support_size``."""
+    if not 0 <= delta_size <= support_size <= m:
+        raise ConfigError("need 0 <= delta_size <= support_size <= m")
+    if not 0 <= delta_e_size <= m - support_size:
+        raise ConfigError("need 0 <= delta_e_size <= m - support_size")
+
+
 def _draw_instance(
     rng: np.random.Generator,
     m: int,
@@ -285,8 +295,7 @@ def run_static_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
         ds_factors = [float(v) for v in cfg.get("ds_lambda_factors", [12.0, 4.0, 0.4])]
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    if not 0 <= delta_size <= support_size or support_size > m:
-        raise ConfigError("need delta_size <= support_size <= m")
+    _check_sizes(m, support_size, delta_size, delta_e_size)
 
     methods = ["cs_residual"] + [_ds_method_name(f) for f in ds_factors]
     summary = []
@@ -299,6 +308,7 @@ def run_static_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
         for k in range(trials):
             rng = np.random.default_rng([seed, ci, k])
             A = MeasurementMatrix.from_columns(rng.standard_normal((n, m)))
+            lp = SelectorLP(A, warm=False)
             x, known, _ = _draw_instance(rng, m, support_size, delta_size, delta_e_size)
             w = sigma * rng.standard_normal(n)
             y = A.entries @ x + w
@@ -306,7 +316,7 @@ def run_static_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
             sig_sum += sig_sq
 
             x_init, y_res = initial_ls_residual(A, known, y)
-            x_csres = optimal_zeta(solve_dantzig(A, y_res, csres_factor * sigma)) + x_init
+            x_csres = optimal_zeta(solve_dantzig(A, y_res, csres_factor * sigma, warm=lp)) + x_init
             err = float(np.sum((x - x_csres) ** 2))
             err_sum["cs_residual"] += err
             rows["cs_residual"].append(MetricsRow(
@@ -316,7 +326,7 @@ def run_static_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
 
             for factor in ds_factors:
                 name = _ds_method_name(factor)
-                zeta = optimal_zeta(solve_dantzig(A, y, factor * sigma))
+                zeta = optimal_zeta(solve_dantzig(A, y, factor * sigma, warm=lp))
                 err = float(np.sum((x - zeta) ** 2))
                 err_sum[name] += err
                 rows[name].append(MetricsRow(
@@ -490,12 +500,14 @@ def _tracking_trial(setup: TrackingSetup, k: int) -> TrialRecord:
     rows = {name: [] for name in setup.methods}
     sig, misses, extras, diags = [], [], [], []
     state = FilterState(n0_hat, x0_hat, 0)
-    baseline = SelectorLP(A)
+    # the residual LPs clear their solver, which would discard the basis the
+    # baseline's solves start from, so each has its own handle
+    residual, baseline = SelectorLP(A, warm=False), SelectorLP(A)
     for t in range(t_end + 1):
         x_true = seq.signal_at(t)
         err_csres = None
         if t > 0:
-            state, diag = lscs_step(state, A, ys[t], setup.fcfg, x_true=x_true)
+            state, diag = lscs_step(state, A, ys[t], setup.fcfg, x_true=x_true, lp=residual)
             diags.append(diag)
             err_csres = diag.err_csres
         truth = seq.support_at(t)
@@ -689,6 +701,7 @@ def run_bound_validation(cfg: dict, out_dir: Path | None = None) -> dict:
             lam=lam, alpha=alpha, alpha_del=alpha,
             max_additions_per_step=None if max_additions is None else int(max_additions),
         )
+        _check_sizes(m, support_size, delta_size, delta_e_size)
         matrices = [gen_matrix(kind, n, m, seed + 1000 * mi, noise_scale) for mi in range(num_matrices)]
 
     size_T = support_size - delta_size + delta_e_size
@@ -699,6 +712,7 @@ def run_bound_validation(cfg: dict, out_dir: Path | None = None) -> dict:
 
     for mi, A in enumerate(matrices):
         table = build_rip_table(A, [], [], mode="exact", budget=budget)
+        lp = SelectorLP(A, warm=False)
         w_max = lam / A.induced_one_norm
         ctx = BoundContext(
             rip=table, n=n, m=m, lam=lam, norm_A_1=A.induced_one_norm,
@@ -714,7 +728,7 @@ def run_bound_validation(cfg: dict, out_dir: Path | None = None) -> dict:
             y = A.entries @ x + w
 
             x_init, y_res = initial_ls_residual(A, known, y)
-            x_csres = optimal_zeta(solve_dantzig(A, y_res, lam)) + x_init
+            x_csres = optimal_zeta(solve_dantzig(A, y_res, lam, warm=lp)) + x_init
             err_csres = float(np.sum((x - x_csres) ** 2))
             x_delta = x[delta]
             w_sq = float(w @ w)

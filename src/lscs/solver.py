@@ -28,14 +28,16 @@ the rows exactly as stated, which is what the post-solve check
 scaling a row of one tracking LP ended 2.8e-9 past ``lambda``.  HiGHS is
 deterministic for fixed input.
 
-A solve takes one of two paths.  The cold path loads the program into a
-fresh instance, so a call depends on its arguments alone.  The warm path
-keeps one instance per :class:`SelectorLP` handle: the constraint matrix and
-costs depend on ``A`` only, so a solve for a new ``y`` or ``lambda`` resets
-the row bounds and the simplex starts from the basis of the handle's
-previous solve.  A warm run that is not optimal, or whose answer fails the
-feasibility check, is solved again on a fresh instance, and that answer
-stands.
+A :class:`SelectorLP` handle owns the program of one matrix.  The
+constraint matrix and costs depend on ``A`` only, so the handle's first LP
+solve loads the program into a fresh instance and every later one only
+resets the row bounds for its ``y`` and ``lambda``.  Whether a handle is
+cold or warm is fixed when it is made, and a call without a handle makes a
+cold one for itself.  A cold solve clears the handle's solver, so its answer
+depends on its arguments alone.  A warm solve starts the simplex from the
+basis of the handle's previous solve; a warm run that is not optimal, or
+whose answer fails the feasibility check, is solved again on a fresh
+instance, and that answer stands.
 
 The constraint is stated with ``<=`` although the original program uses a
 strict inequality: the closed program is well posed and has the same optimum.
@@ -97,10 +99,10 @@ class DsSolution:
     ``objective`` is recomputed from ``zeta_hat`` and ``max_correlation`` is
     the achieved ``||A'(y - A zeta_hat)||_inf``.  ``status`` is one of
     ``"optimal"``, ``"infeasible"``, ``"budget_exceeded"``.  ``path`` names
-    what answered: ``"zero_exit"`` (no LP), ``"cold"`` (a fresh instance),
-    ``"warm"`` (the handle's previous basis) or ``"fallback"`` (a fresh
-    instance after a rejected warm run).  ``iterations`` counts the simplex
-    iterations of the call, a rejected warm run included.
+    what answered: ``"zero_exit"`` (no LP), ``"cold"`` (a fresh or cleared
+    instance), ``"warm"`` (the handle's previous basis) or ``"fallback"`` (a
+    fresh instance after a rejected warm run).  ``iterations`` counts the
+    simplex iterations of the call, a rejected warm run included.
     """
 
     zeta_hat: np.ndarray
@@ -112,14 +114,17 @@ class DsSolution:
 
 
 class SelectorLP:
-    """Warm-start handle for a sequence of selector solves on one matrix.
+    """The selector program of one matrix, loaded into HiGHS once.
 
-    It holds the HiGHS instance of its last LP solve, so that the next solve
-    through it starts from that basis; see :func:`solve_dantzig`.
+    The first LP solve through a handle loads the program; every later one
+    only resets the row bounds.  A warm handle starts each solve from the
+    basis of its previous one, a cold handle (``warm=False``) clears the
+    solver first; see :func:`solve_dantzig`.
     """
 
-    def __init__(self, A: MeasurementMatrix):
+    def __init__(self, A: MeasurementMatrix, warm: bool = True):
         self.A = A
+        self.warm = warm
         self._highs: _Highs | None = None
 
 
@@ -145,11 +150,9 @@ def _solve_loaded(
     return status, zeta, float(np.max(np.abs(g - G @ zeta))), iterations
 
 
-def _solve_fresh(
-    G: np.ndarray, g: np.ndarray, lam: float
-) -> tuple[_Highs, HighsModelStatus, np.ndarray | None, float, int]:
-    """Load the ranged-row LP into a fresh HiGHS instance and solve it; the
-    instance comes first, then what :func:`_solve_loaded` returns."""
+def _load(G: np.ndarray, g: np.ndarray, lam: float) -> _Highs | None:
+    """A fresh HiGHS instance holding the ranged-row LP, or ``None`` when
+    HiGHS cannot load it."""
     m = G.shape[0]
     highs = _Highs()
     for name, value in _OPTIONS:
@@ -166,10 +169,7 @@ def _solve_fresh(
         # an empty integrality array is an error, so every column is marked continuous
         start, (np.flatnonzero(nonzero) % m).astype(np.int32), cols[nonzero], np.zeros(2 * m, dtype=np.int32),
     )
-    if loaded == HighsStatus.kError:
-        # a model HiGHS cannot load is a model error, reported as "infeasible"
-        return highs, HighsModelStatus.kModelError, None, float("nan"), 0
-    return (highs, *_solve_loaded(highs, G, g))
+    return None if loaded == HighsStatus.kError else highs
 
 
 def solve_dantzig(
@@ -181,12 +181,15 @@ def solve_dantzig(
 ) -> DsSolution:
     """Solve ``min ||zeta||_1  s.t.  ||A'(y - A zeta)||_inf <= lam``.
 
-    With ``warm=None`` the LP is solved on a fresh HiGHS instance.  With a
-    :class:`SelectorLP` handle for ``A``, the solve starts from the basis of
-    the handle's previous LP solve; a warm run that is not optimal or ends
-    past ``lam + 1e-9`` is solved again cold, and that answer stands.
-    A run that HiGHS stops at an iteration or time limit has the status
-    ``"budget_exceeded"``.
+    ``warm`` is a :class:`SelectorLP` handle for ``A``; without one the LP
+    is solved through a cold handle made for this call.  The handle's first
+    LP solve loads the program, later ones reuse it.  Through a warm handle
+    a solve starts from the basis of the handle's previous LP solve; a warm
+    run that is not optimal or ends past ``lam + 1e-9`` is solved again on
+    a fresh instance, and that answer stands.  A program HiGHS cannot load
+    has the status ``"infeasible"`` and leaves the handle without an
+    instance.  A run that HiGHS stops at an iteration or time limit has the
+    status ``"budget_exceeded"``.
     """
     y = np.asarray(y, dtype=float)
     if lam < 0:
@@ -195,8 +198,9 @@ def solve_dantzig(
         raise ValueError(f"y must have shape ({A.n},)")
     if not np.all(np.isfinite(y)):
         raise ValueError("y must be finite")
-    if warm is not None and warm.A is not A:
-        raise ValueError("the warm-start handle belongs to another matrix")
+    lp = SelectorLP(A, warm=False) if warm is None else warm
+    if lp.A is not A:
+        raise ValueError("the selector handle belongs to another matrix")
 
     g = A.entries.T @ y
     m = A.m
@@ -207,21 +211,28 @@ def solve_dantzig(
 
     G = A.gram()
     path, iterations = "cold", 0
-    if warm is not None and warm._highs is not None:
-        highs = warm._highs
+    if lp._highs is not None:
+        highs = lp._highs
         for i, gi in enumerate(g.tolist()):
             highs.changeRowBounds(i, gi - lam, gi + lam)
-        # passing the basis back makes HiGHS factorize it afresh; run on the
-        # previous run's updated factors, warm answers ended up to 6e-10 past
-        # lam and 1.7e-9 from the cold answer
-        highs.setBasis(highs.getBasis())
+        if lp.warm:
+            # passing the basis back makes HiGHS factorize it afresh; run on
+            # the previous run's updated factors, warm answers ended up to
+            # 6e-10 past lam and 1.7e-9 from the cold answer
+            highs.setBasis(highs.getBasis())
+        else:
+            highs.clearSolver()
         status, zeta, max_corr, iterations = _solve_loaded(highs, G, g)
-        path = "warm" if zeta is not None and max_corr <= lam + _FEASIBILITY_TOL else "fallback"
-    if path != "warm":
-        highs, status, zeta, max_corr, fresh_iterations = _solve_fresh(G, g, lam)
-        iterations += fresh_iterations
-    if warm is not None:
-        warm._highs = highs
+        if lp.warm:
+            path = "warm" if zeta is not None and max_corr <= lam + _FEASIBILITY_TOL else "fallback"
+    if lp._highs is None or path == "fallback":
+        lp._highs = _load(G, g, lam)
+        if lp._highs is None:
+            # a model HiGHS cannot load is a model error, reported as "infeasible"
+            status, zeta = HighsModelStatus.kModelError, None
+        else:
+            status, zeta, max_corr, fresh_iterations = _solve_loaded(lp._highs, G, g)
+            iterations += fresh_iterations
 
     if status in _BUDGET_STATUSES:
         return DsSolution(np.zeros(m), float("nan"), float("nan"), "budget_exceeded", path, iterations)

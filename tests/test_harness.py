@@ -476,6 +476,25 @@ class TestCli:
         out = self.run_cli("run", str(cfg_path), "--out", str(tmp_path / "bv"))
         assert out.returncode == 0, out.stderr
 
+    @pytest.mark.parametrize("kind, sizes", [
+        ("static_table", {"delta_e_size": 35}),    # past m - support_size = 34
+        ("static_table", {"delta_e_size": -1}),
+        ("bound_validation", {"support_size": 17}),  # past m = 16
+        ("bound_validation", {"delta_e_size": 14}),  # past m - support_size = 13
+    ])
+    def test_undrawable_sizes_exit_code(self, kind, sizes, tmp_path):
+        cfg = small_static_cfg(trials=1) if kind == "static_table" else {
+            "kind": "bound_validation",
+            "m": 16, "n": 16, "support_size": 3, "delta_size": 1, "delta_e_size": 1,
+            "lam": 0.5, "num_matrices": 1, "instances_per_matrix": 1, "seed": 13,
+        }
+        cfg.update(sizes)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = self.run_cli("run", str(cfg_path))
+        assert out.returncode == 1, out.stderr
+        assert "config error" in out.stderr
+
 
 def count_constants(monkeypatch) -> list:
     """Record the function name and sizes of every constant computed from

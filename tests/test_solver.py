@@ -1,13 +1,14 @@
 import json
 import warnings
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
-from scipy.optimize._highspy._core import HighsModelStatus
+from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
 import lscs.solver
 from lscs.cli import main as cli_main
@@ -23,6 +24,8 @@ from lscs.solver import (
     optimal_zeta,
     solve_dantzig,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def soft_threshold(y: np.ndarray, lam: float) -> np.ndarray:
@@ -278,6 +281,27 @@ class TestRangedForm:
             assert np.max(np.abs(A.entries.T @ rhs)) > 0.35  # an LP, not the zero exit
             self.assert_agrees(A, rhs, 0.35)
 
+    @pytest.mark.parametrize("family", ["static_table", "stability"])
+    def test_reused_handle_matches_reference(self, family):
+        # cold solves through one handle per matrix, in a shuffled order with
+        # repeats, answer as milp does, bit for bit, and take the iterations
+        # of a solve through a handle of its own
+        rng = np.random.default_rng(17)
+        for draw in (1, 2, 3):
+            if family == "static_table":
+                A, y = static_table_instance((45, 59, 100)[draw - 1], seed=5, sigma=0.04)
+                cases = [(y, f * 0.04) for f in (12.0, 4.0, 0.4)]
+            else:
+                A, y, x_init = stability_instance(draw)
+                cases = [(rhs, lam) for rhs in (y, y - A.entries @ x_init) for lam in (0.35, 0.1)]
+            lp = SelectorLP(A, warm=False)
+            for i in rng.permutation(np.repeat(np.arange(len(cases)), 2)):
+                rhs, lam = cases[i]
+                sol = solve_dantzig(A, rhs, lam, warm=lp)
+                assert sol.path == "cold" and sol.status == "optimal"
+                assert np.array_equal(sol.zeta_hat, milp_ranged_dantzig(A, rhs, lam))
+                assert sol.iterations == solve_dantzig(A, rhs, lam).iterations
+
     def test_stability_trial_within_contract(self):
         # trial 25 of the acceptance stability run holds a one-shot LP that
         # HiGHS with its default scaling closes 2.8e-9 past lambda; the
@@ -310,16 +334,30 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_tracking_baseline_matches_cold(self, seed, monkeypatch):
-        solves = []
+        solves, residuals = [], []
 
         def warm_and_cold(A, y, lam, *, warm=None):
             sol = solve_dantzig(A, y, lam, warm=warm)
             solves.append((sol, solve_dantzig(A, y, lam), A, y, lam))
             return sol
 
+        def reused_and_fresh(A, y, lam, *, warm=None):
+            sol = solve_dantzig(A, y, lam, warm=warm)
+            residuals.append((sol, solve_dantzig(A, y, lam), warm))
+            return sol
+
         monkeypatch.setattr("lscs.harness.solve_dantzig", warm_and_cold)
+        monkeypatch.setattr("lscs.filter.solve_dantzig", reused_and_fresh)
         _tracking_trial(_parse_tracking(stability_cfg(seed, trials=1)), 0)
         assert len(solves) == 25
+        # the residual LPs go through one cold handle, apart from the baseline's
+        assert len(residuals) == 24 and len({id(warm) for *_, warm in residuals}) == 1
+        handle = residuals[0][2]
+        assert not handle.warm and handle.A is solves[0][2]
+        assert sum(sol.path == "cold" for sol, *_ in residuals) > 1
+        for sol, fresh, _ in residuals:
+            assert sol.path == fresh.path and sol.iterations == fresh.iterations
+            assert np.array_equal(sol.zeta_hat, fresh.zeta_hat)
         warm_iterations = cold_iterations = 0
         for t, (sol, cold, A, y, lam) in enumerate(solves):
             assert sol.status == cold.status == "optimal"
@@ -370,8 +408,49 @@ class TestWarmStart:
 
     def test_handle_of_another_matrix_rejected(self):
         A, y, _ = stability_instance(1)
+        other = gen_gaussian_matrix(59, 200, 1)
         with pytest.raises(ValueError):
-            solve_dantzig(A, y, 0.35, warm=SelectorLP(gen_gaussian_matrix(59, 200, 1)))
+            solve_dantzig(A, y, 0.35, warm=SelectorLP(other))
+        with pytest.raises(ValueError):
+            solve_dantzig(A, y, 0.35, warm=SelectorLP(other, warm=False))
+
+
+class TestHandle:
+    """A handle loads its matrix's program once and keeps only a loaded
+    instance."""
+
+    def test_static_draw_loads_once(self, monkeypatch):
+        loads, paths = [], []
+        load = lscs.solver._load
+        monkeypatch.setattr(lscs.solver, "_load", lambda *args: loads.append(args) or load(*args))
+
+        def recorded(*args, **kwargs):
+            sol = solve_dantzig(*args, **kwargs)
+            paths.append(sol.path)
+            return sol
+
+        monkeypatch.setattr("lscs.harness.solve_dantzig", recorded)
+        cfg = json.loads((CONFIGS / "static_table.json").read_text())
+        run_static_experiment({**cfg, "trials": 1, "cells": cfg["cells"][:1]})
+        assert paths == ["cold"] * 4
+        assert len(loads) == 1
+
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_failed_load_keeps_no_instance(self, warm, monkeypatch):
+        class Unloadable(_Highs):
+            def passModel(self, *args):
+                return HighsStatus.kError
+
+        A, y, _ = stability_instance(2)
+        handle = SelectorLP(A, warm=warm)
+        monkeypatch.setattr(lscs.solver, "_Highs", Unloadable)
+        sol = solve_dantzig(A, y, 0.35, warm=handle)
+        assert (sol.status, sol.path) == ("infeasible", "cold")
+        assert handle._highs is None
+        monkeypatch.undo()
+        sol = solve_dantzig(A, y, 0.35, warm=handle)
+        assert (sol.status, sol.path) == ("optimal", "cold")
+        assert type(handle._highs) is _Highs
 
 
 class TestSelectorFailure:
