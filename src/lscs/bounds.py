@@ -16,6 +16,14 @@ theta_{S,2S} < 1``.  Each is defined once, by the entry that decides whether a
 size lies within it (:func:`_s_star_entry` and :func:`_s_starstar_entry`), and
 every check reads that entry.
 
+The deletion side rests on one lemma: least squares on a support that misses
+``count`` coefficients of squared magnitude at most ``mag_sq`` errs by at
+most ``4 n lam^2/||A||_1^2 + 8 theta^2 count mag_sq``.  :func:`_ls_error`
+defines it, and :func:`_keep_threshold` the survival threshold built on it,
+``2 alpha_del^2 + 8 n lam^2/||A||_1^2 + 16 theta^2 count mag_sq``.  The
+detected-support bound, the keep rows of the stability check, the stability
+error caps and the runtime deletion predicates all read these two.
+
 Max-over-sizes expressions (the detection threshold and the stability gate)
 are evaluated by explicit enumeration of integer ``(|T|, |Delta|)`` pairs up
 to the stated caps.  The detection ratio is not monotone in ``|Delta|``, so no
@@ -302,13 +310,30 @@ def _c_prime_dprime(ctx: BoundContext, size_T: int, size_delta: int, cc: Recover
     return c_prime, c_dprime
 
 
-@dataclass
-class DetectionCondition:
-    applicable: bool
-    gate_holds: bool          # 2 theta^2 |Delta| C'' < 1 at every enumerated pair
-    threshold_sq: float       # squared magnitude guaranteeing detection
-    optimistic: bool
-    reasons: list[str] = field(default_factory=list)
+def _ls_error(ctx: BoundContext, theta: float, count: int, mag_sq: float) -> float:
+    """The LS-error lemma of the module docstring.  An ``alpha_del`` whose
+    square reaches it deletes every extra."""
+    return 4.0 * ctx.w_max_sq() + 8.0 * theta ** 2 * count * mag_sq
+
+
+def _keep_threshold(ctx: BoundContext, alpha_del: float, theta: float, count: int, mag_sq: float) -> float:
+    """A true coefficient whose square exceeds ``2 alpha_del^2`` plus twice
+    :func:`_ls_error` survives deletion.  The sum is written out: ``2
+    alpha_del^2 + 2 _ls_error(...)`` groups it differently and moves the last
+    digit."""
+    return 2.0 * alpha_del ** 2 + 8.0 * ctx.w_max_sq() + 16.0 * theta ** 2 * count * mag_sq
+
+
+def detected_support_ls_error_bound(
+    ctx: BoundContext, size_T_det: int, det_misses_sqnorm: float, size_det_misses: int
+) -> BoundResult:
+    """Bound on the detected-support LS error:
+    ``4 n lam^2/||A||_1^2 + 8 theta^2 ||x_misses||^2`` with theta at
+    ``(|T_det|, |misses|)``."""
+    h = _hypotheses(ctx, size_T_det, theta_with=size_det_misses, names=("|T_det|", "|misses|"))
+    if h.reason:
+        return BoundResult(None, False, reasons=[h.reason])
+    return BoundResult(_ls_error(ctx, h.theta.value, 1, det_misses_sqnorm), True, optimistic=not h.exact)
 
 
 def _gate_terms(
@@ -343,95 +368,28 @@ def _gate_terms(
 
 def detection_condition(
     ctx: BoundContext, S_T: int, S_Delta: int, alpha: float
-) -> DetectionCondition:
-    """Detection guarantee threshold.
+) -> BoundResult:
+    """Detection guarantee threshold, squared.
 
     Enumerates every ``(|T|, |Delta|)`` with ``|T| <= S_T`` and
-    ``1 <= |Delta| <= S_Delta`` and returns whether the gate
-    ``2 theta^2 |Delta| C'' < 1`` holds at all of them, together with the max
-    of ``(2 alpha^2 + 2 C') / (1 - 2 theta^2 |Delta| C'')``.  Any undetected
-    true coefficient whose squared magnitude exceeds the threshold is
-    guaranteed to be detected this step.
+    ``1 <= |Delta| <= S_Delta``.  When the gate ``2 theta^2 |Delta| C'' < 1``
+    holds at all of them, the value is the max of ``(2 alpha^2 + 2 C') / (1 -
+    2 theta^2 |Delta| C'')``: any undetected true coefficient whose square
+    exceeds it is detected this step.  A failing gate is not applicable, with
+    the reason ``"detection gate fails"``, and keeps the ``optimistic`` flag
+    of the constants it read.
     """
-    out = DetectionCondition(False, False, math.inf, False)
     if S_Delta < 1:
-        out.reasons.append("no undetected coefficients to consider (S_Delta = 0)")
-        return out
+        return BoundResult(None, False, reasons=["no undetected coefficients to consider (S_Delta = 0)"])
     h = _hypotheses(ctx, S_T, s_starstar=S_Delta, names=("S_T", "S_Delta"))
     if h.reason:
-        out.reasons.append(h.reason)
-        return out
+        return BoundResult(None, False, reasons=[h.reason])
     terms, terms_exact = _gate_terms(ctx, S_T, S_Delta)
-    gate_ok = True
-    worst = -math.inf
-    for _, gate, c_prime in terms:
-        if gate >= 1.0:
-            gate_ok = False
-            continue
-        worst = max(worst, (2.0 * alpha ** 2 + 2.0 * c_prime) / (1.0 - gate))
-    out.applicable = True
-    out.gate_holds = gate_ok
-    out.threshold_sq = worst if gate_ok else math.inf
-    out.optimistic = not (h.exact and terms_exact)
-    return out
-
-
-@dataclass
-class DeletionCondition:
-    applicable: bool
-    threshold_sq: float
-    optimistic: bool
-    reasons: list[str] = field(default_factory=list)
-
-
-def _deletion_family(
-    ctx: BoundContext,
-    S_T: int,
-    S_Delta: int,
-    det_misses_count: int,
-    det_misses_linf: float,
-    alpha_del: float | None,
-) -> DeletionCondition:
-    out = DeletionCondition(False, math.inf, False)
-    h = _hypotheses(ctx, S_T, theta_with=S_Delta, names=("S_T", "S_Delta"))
-    if h.reason:
-        out.reasons.append(h.reason)
-        return out
-    coupling = h.theta.value ** 2 * det_misses_count * det_misses_linf ** 2
-    if alpha_del is None:
-        # deletion condition: smallest alpha_del^2 that flushes every extra
-        out.threshold_sq = 4.0 * ctx.w_max_sq() + 8.0 * coupling
-    else:
-        # no-false-deletion condition: squared magnitude that survives deletion
-        out.threshold_sq = 2.0 * alpha_del ** 2 + 8.0 * ctx.w_max_sq() + 16.0 * coupling
-    out.applicable = True
-    out.optimistic = not h.exact
-    return out
-
-
-def no_false_deletion_condition(
-    ctx: BoundContext,
-    S_T: int,
-    S_Delta: int,
-    det_misses_count: int,
-    det_misses_linf: float,
-    alpha_del: float,
-) -> DeletionCondition:
-    """Threshold above which a true detected coefficient cannot be deleted:
-    ``2 alpha_del^2 + 8 n lam^2/||A||_1^2 + 16 theta^2 |misses| linf^2``."""
-    return _deletion_family(ctx, S_T, S_Delta, det_misses_count, det_misses_linf, alpha_del)
-
-
-def deletion_condition(
-    ctx: BoundContext,
-    S_T: int,
-    S_Delta: int,
-    det_misses_count: int,
-    det_misses_linf: float,
-) -> DeletionCondition:
-    """Smallest ``alpha_del^2`` guaranteeing every extra is deleted:
-    ``4 n lam^2/||A||_1^2 + 8 theta^2 |misses| linf^2``."""
-    return _deletion_family(ctx, S_T, S_Delta, det_misses_count, det_misses_linf, None)
+    optimistic = not (h.exact and terms_exact)
+    if any(gate >= 1.0 for _, gate, _ in terms):
+        return BoundResult(None, False, optimistic=optimistic, reasons=["detection gate fails"])
+    worst = max((2.0 * alpha ** 2 + 2.0 * c_prime) / (1.0 - gate) for _, gate, c_prime in terms)
+    return BoundResult(worst, True, optimistic=optimistic)
 
 
 # ---------------------------------------------------------------------------
@@ -589,14 +547,10 @@ def check_stability_conditions(
         lhs_i = min(
             min(big_m, (d0 + i) * ms[i - 1]) ** 2 for ms in multisets
         )
-        # a failing gate leaves the threshold infinite, which JSON cannot carry
-        gated = det.applicable and det.gate_holds
         rows.append(ConditionRow(
-            f"detect-addition-{i}", bool(gated and lhs_i > det.threshold_sq), lhs_i,
-            det.threshold_sq if gated else None,
+            f"detect-addition-{i}", bool(det.applicable and lhs_i > det.value), lhs_i, det.value,
             inputs={"S_T": st_i, "S_Delta": sd_i},
-            exact=not det.optimistic if det.applicable else True,
-            note="; ".join(det.reasons) or ("" if gated else "detection gate fails"),
+            exact=not det.optimistic, note="; ".join(det.reasons),
         ))
 
         st_b = s0 + f * (d0 + i)
@@ -610,11 +564,7 @@ def check_stability_conditions(
         for ms in multisets:
             lhs = min(big_m, (d0 + i) * ms[i - 1]) ** 2
             nxt = ms[i] if i < sa else 0.0
-            rhs = (
-                2.0 * alpha_del ** 2
-                + 8.0 * ctx.w_max_sq()
-                + 16.0 * theta_b.value ** 2 * (sa - i) * min(big_m, (d0 + i) * nxt) ** 2
-            )
+            rhs = _keep_threshold(ctx, alpha_del, theta_b.value, sa - i, min(big_m, (d0 + i) * nxt) ** 2)
             if lhs - rhs < worst_margin:
                 worst_margin, worst_lhs, worst_rhs = lhs - rhs, lhs, rhs
         rows.append(ConditionRow(
@@ -631,10 +581,7 @@ def check_stability_conditions(
         rows.append(_oversized_row("keep-constant-coefficients", "S_T + S_Delta > m", S_T=st_max, S_Delta=sa))
     else:
         theta_c = ctx.rip.theta(st_max, sa)
-        rhs5 = (
-            2.0 * alpha_del ** 2 + 8.0 * ctx.w_max_sq()
-            + 16.0 * theta_c.value ** 2 * sa * peak
-        )
+        rhs5 = _keep_threshold(ctx, alpha_del, theta_c.value, sa, peak)
         rows.append(ConditionRow(
             "keep-constant-coefficients", bool(const_lhs > rhs5), const_lhs, rhs5,
             inputs={"S_T": st_max, "S_Delta": sa}, exact=theta_c.exact,
@@ -688,104 +635,22 @@ def stability_error_caps(
     sa, s0 = model.sa, model.s0
     st = s0 + f * (d0 + sa)
     peak = min(model.big_m, (d0 + sa) * float(np.max(model.rates))) ** 2
-    out = StabilityErrorCaps(False)
     b0 = no_miss_residual_bound(ctx, st)
     if not b0.applicable:
-        out.reasons.extend(b0.reasons)
-        return out
+        return StabilityErrorCaps(False, reasons=b0.reasons)
     if sa == 0:
-        out.applicable = True
-        out.miss_err_sq = 0.0
-        out.support_err_sq = 4.0 * ctx.w_max_sq()
-        out.csres_err_cap = b0.value
-        out.optimistic = b0.optimistic
-        return out
+        return StabilityErrorCaps(True, 0.0, _ls_error(ctx, 0.0, 0, 0.0), b0.value, b0.optimistic)
     cor1 = simplified_residual_bound(ctx, st, sa, sa * peak)
     if not cor1.applicable:
-        out.reasons.extend(cor1.reasons)
-        return out
-    out.applicable = True
-    out.miss_err_sq = sa * peak
-    out.support_err_sq = 8.0 * cor1.details["theta"] ** 2 * sa * peak + 4.0 * ctx.w_max_sq()
-    out.csres_err_cap = max(b0.value, cor1.value)
-    out.optimistic = b0.optimistic or cor1.optimistic
-    return out
-
-
-# ---------------------------------------------------------------------------
-# per-step guarantee predicates
-# ---------------------------------------------------------------------------
-
-
-def _det_stage_err_sq(diag: StepDiagnostics, x_true: np.ndarray) -> float:
-    idx = diag.T_det.to_array()
-    d = np.asarray(x_true, dtype=float)[idx] - np.asarray(diag.x_det, dtype=float)[idx]
-    return float(d @ d)
-
-
-def detection_guarantee_violations(
-    diag: StepDiagnostics, x_true: np.ndarray, alpha: float
-) -> tuple[int, list[int]]:
-    """Indices whose detection was guaranteed but did not happen.
-
-    Guarantee: an undetected true coefficient with
-    ``x_i^2 > 2 alpha^2 + 2 ||x - x_csres||^2`` lands in the detected support.
-    Returns (number of indices meeting the hypothesis, violating indices).
-    """
-    if diag.x_csres is None or diag.T_det is None or diag.delta_pre is None:
-        return 0, []
-    thresh = 2.0 * alpha ** 2 + 2.0 * diag.err_csres
-    hyp = [i for i in diag.delta_pre if x_true[i] ** 2 > thresh]
-    return len(hyp), [i for i in hyp if i not in diag.T_det]
-
-
-def no_false_deletion_guarantee_violations(
-    diag: StepDiagnostics, x_true: np.ndarray, alpha_del: float
-) -> tuple[int, list[int]]:
-    """True detected coefficients that were guaranteed to survive but were
-    deleted.  Guarantee threshold: ``x_i^2 > 2 alpha_del^2 + 2 ||(x -
-    x_det)_{T_det}||^2``."""
-    if diag.x_det is None or diag.T_det is None or diag.final_support is None:
-        return 0, []
-    err = _det_stage_err_sq(diag, x_true)
-    thresh = 2.0 * alpha_del ** 2 + 2.0 * err
-    truth = diag.true_support
-    hyp = [i for i in diag.T_det if i in truth and x_true[i] ** 2 > thresh]
-    return len(hyp), [i for i in hyp if i not in diag.final_support]
-
-
-def extras_deletion_guarantee_violations(
-    diag: StepDiagnostics, x_true: np.ndarray, alpha_del: float
-) -> tuple[int, list[int]]:
-    """Extras that were guaranteed to be deleted but survived.
-
-    Guarantee: when ``alpha_del^2 >= ||(x - x_det)_{T_det}||^2`` every index
-    of the detected support outside the true support is deleted."""
-    if diag.x_det is None or diag.det_extras is None or diag.final_support is None:
-        return 0, []
-    err = _det_stage_err_sq(diag, x_true)
-    if alpha_del ** 2 < err:
-        return 0, []
-    return len(diag.det_extras), [i for i in diag.det_extras if i in diag.final_support]
-
-
-def detected_support_ls_error_bound(
-    ctx: BoundContext, size_T_det: int, det_misses_sqnorm: float, size_det_misses: int
-) -> BoundResult:
-    """Bound on the detected-support LS error:
-    ``4 n lam^2/||A||_1^2 + 8 theta^2 ||x_misses||^2`` with theta at
-    ``(|T_det|, |misses|)``."""
-    h = _hypotheses(ctx, size_T_det, theta_with=size_det_misses, names=("|T_det|", "|misses|"))
-    if h.reason:
-        return BoundResult(None, False, reasons=[h.reason])
-    return BoundResult(
-        4.0 * ctx.w_max_sq() + 8.0 * h.theta.value ** 2 * det_misses_sqnorm, True,
-        optimistic=not h.exact,
+        return StabilityErrorCaps(False, reasons=cor1.reasons)
+    return StabilityErrorCaps(
+        True, sa * peak, _ls_error(ctx, cor1.details["theta"], sa, peak),
+        max(b0.value, cor1.value), b0.optimistic or cor1.optimistic,
     )
 
 
 # ---------------------------------------------------------------------------
-# per-step predicate bundle used by the simulation harness
+# per-step predicates used by the simulation harness
 # ---------------------------------------------------------------------------
 
 
@@ -814,57 +679,52 @@ def runtime_step_checks(
     diag: StepDiagnostics,
     x_true: np.ndarray,
     cfg: FilterConfig,
-    ctx: BoundContext | None,
+    ctx: BoundContext,
 ) -> PredicateTally:
-    """Evaluate the guarantee predicates and condition thresholds on one step.
+    """Count, on one step, the coefficients each guarantee covers and those
+    that break it.
 
-    The guarantee predicates need no isometry constants.  The condition
-    predicates additionally read constants from the table in ``ctx``; at
-    scales where constants are sampled their hypotheses rarely verify, which
-    shows up as a zero hypothesis count rather than as a silent pass.
+    Three facts are checked: a missed coefficient above a threshold is
+    detected, a detected true one above a threshold survives deletion, and
+    the extras are deleted once ``alpha_del^2`` covers the detected-support
+    LS error.  Each is counted twice: at the step's realized errors (the
+    ``*_guarantee`` keys) and at the thresholds of the constants in ``ctx``
+    (the ``*_condition`` keys).  A failed step, or one without ground truth,
+    counts nothing; the detection condition is counted only on steps whose
+    previous support misses a coefficient.  A condition whose hypotheses do
+    not verify counts zero, which at scales where constants are sampled shows
+    as a zero hypothesis count rather than as a silent pass.
     """
     tally = PredicateTally()
     if diag.failed_stage is not None or diag.true_support is None:
         return tally
-    h, v = detection_guarantee_violations(diag, x_true, cfg.alpha)
-    tally.add("detection_guarantee", h, len(v))
-    h, v = no_false_deletion_guarantee_violations(diag, x_true, cfg.alpha_del)
-    tally.add("no_false_deletion_guarantee", h, len(v))
-    h, v = extras_deletion_guarantee_violations(diag, x_true, cfg.alpha_del)
-    tally.add("extras_deletion_guarantee", h, len(v))
 
-    if ctx is None:
-        return tally
+    def landed(name: str, candidates, thresh_sq: float | None, target) -> None:
+        hyp = [] if thresh_sq is None else [i for i in candidates if x_true[i] ** 2 > thresh_sq]
+        tally.add(name, len(hyp), sum(i not in target for i in hyp))
 
-    # detection condition at the realized sizes
-    size_T = len(diag.T_prev)
-    size_delta = len(diag.delta_pre)
-    if size_delta > 0:
-        det = detection_condition(ctx, size_T, size_delta, cfg.alpha)
-        if det.applicable and det.gate_holds:
-            hyp = [i for i in diag.delta_pre if x_true[i] ** 2 > det.threshold_sq]
-            bad = [i for i in hyp if i not in diag.T_det]
-            tally.add("detection_condition", len(hyp), len(bad))
-        else:
-            tally.add("detection_condition", 0, 0)
+    def deleted(name: str, err_sq: float | None) -> None:
+        extras = diag.det_extras if err_sq is not None and cfg.alpha_del ** 2 >= err_sq else ()
+        tally.add(name, len(extras), sum(i in diag.final_support for i in extras))
 
-    misses_count = len(diag.det_misses)
-    misses_linf = max((abs(x_true[i]) for i in diag.det_misses), default=0.0)
-    nfd = no_false_deletion_condition(
-        ctx, len(diag.T_det), misses_count, misses_count, misses_linf, cfg.alpha_del
-    )
-    if nfd.applicable:
-        truth = diag.true_support
-        hyp = [i for i in diag.T_det if i in truth and x_true[i] ** 2 > nfd.threshold_sq]
-        bad = [i for i in hyp if i not in diag.final_support]
-        tally.add("no_false_deletion_condition", len(hyp), len(bad))
-    else:
-        tally.add("no_false_deletion_condition", 0, 0)
+    idx = diag.T_det.to_array()
+    d = np.asarray(x_true, dtype=float)[idx] - np.asarray(diag.x_det, dtype=float)[idx]
+    det_err_sq = float(d @ d)
+    kept = [i for i in diag.T_det if i in diag.true_support]
+    landed("detection_guarantee", diag.delta_pre, 2.0 * cfg.alpha ** 2 + 2.0 * diag.err_csres, diag.T_det)
+    landed("no_false_deletion_guarantee", kept, 2.0 * cfg.alpha_del ** 2 + 2.0 * det_err_sq, diag.final_support)
+    deleted("extras_deletion_guarantee", det_err_sq)
 
-    dele = deletion_condition(ctx, len(diag.T_det), misses_count, misses_count, misses_linf)
-    if dele.applicable and cfg.alpha_del ** 2 >= dele.threshold_sq:
-        bad = [i for i in diag.det_extras if i in diag.final_support]
-        tally.add("deletion_condition", len(diag.det_extras), len(bad))
-    else:
-        tally.add("deletion_condition", 0, 0)
+    if len(diag.delta_pre) > 0:
+        det = detection_condition(ctx, len(diag.T_prev), len(diag.delta_pre), cfg.alpha)
+        landed("detection_condition", diag.delta_pre, det.value, diag.T_det)
+    count = len(diag.det_misses)
+    mag_sq = max((abs(x_true[i]) for i in diag.det_misses), default=0.0) ** 2
+    h = _hypotheses(ctx, len(diag.T_det), theta_with=count)
+    keep_sq = err_sq = None
+    if h.reason is None:
+        keep_sq = _keep_threshold(ctx, cfg.alpha_del, h.theta.value, count, mag_sq)
+        err_sq = _ls_error(ctx, h.theta.value, count, mag_sq)
+    landed("no_false_deletion_condition", kept, keep_sq, diag.final_support)
+    deleted("deletion_condition", err_sq)
     return tally

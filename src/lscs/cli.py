@@ -56,12 +56,15 @@ def _table_options(spec: dict, default_mode: str) -> dict:
     mode = spec.get("mode", default_mode)
     if mode not in ("exact", "sampled"):
         raise ConfigError(f"unknown mode {mode!r}")
-    return {
+    options = {
         "mode": mode,
         "budget": int(spec.get("budget", DEFAULT_SUBSET_BUDGET)),
         "trials": int(spec.get("trials", 2000)),
         "seed": int(spec.get("seed", 0)),
     }
+    if options["budget"] < 1 or options["trials"] < 1:
+        raise ConfigError("budget and trials must be >= 1")
+    return options
 
 
 def _cmd_run(args) -> int:

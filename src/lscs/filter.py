@@ -103,7 +103,7 @@ def cs_residual_estimate(
 ) -> np.ndarray:
     """Dantzig-selector solve on the residual, through the handle ``lp`` when
     given, added back to the LS estimate."""
-    return optimal_zeta(solve_dantzig(A, y_res, lam, warm=lp)) + x_init
+    return optimal_zeta(solve_dantzig(A, y_res, lam, lp=lp)) + x_init
 
 
 def detect(x_csres: np.ndarray, T: SupportSet, cfg: FilterConfig) -> SupportSet:

@@ -52,6 +52,7 @@ from .core import SupportSet, support_of
 from .filter import (
     FilterConfig,
     FilterState,
+    cs_residual_estimate,
     detect,
     genie_ls,
     initial_ls_residual,
@@ -208,10 +209,14 @@ def parse_model(cfg: dict, seed: int) -> SignalModelParams:
 
 def _noise_std(noise: dict) -> float:
     if noise["kind"] == "gaussian":
-        return float(noise["sigma"])
-    if noise["kind"] == "uniform":
-        return float(noise["c"]) / math.sqrt(3.0)
-    raise ConfigError(f"unknown noise kind {noise.get('kind')!r}")
+        std = float(noise["sigma"])
+    elif noise["kind"] == "uniform":
+        std = float(noise["c"]) / math.sqrt(3.0)
+    else:
+        raise ConfigError(f"unknown noise kind {noise.get('kind')!r}")
+    if std < 0:
+        raise ConfigError("the noise sigma or c must be nonnegative")
+    return std
 
 
 def _draw_noise(noise: dict, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -295,6 +300,10 @@ def run_static_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
         ds_factors = [float(v) for v in cfg.get("ds_lambda_factors", [12.0, 4.0, 0.4])]
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    if any(n < 1 or sigma < 0 for n, sigma in cells):
+        raise ConfigError("each cell needs n >= 1 and sigma >= 0")
+    if csres_factor < 0 or any(f < 0 for f in ds_factors):
+        raise ConfigError("lambda factors must be nonnegative")
     _check_sizes(m, support_size, delta_size, delta_e_size)
 
     methods = ["cs_residual"] + [_ds_method_name(f) for f in ds_factors]
@@ -316,7 +325,7 @@ def run_static_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
             sig_sum += sig_sq
 
             x_init, y_res = initial_ls_residual(A, known, y)
-            x_csres = optimal_zeta(solve_dantzig(A, y_res, csres_factor * sigma, warm=lp)) + x_init
+            x_csres = cs_residual_estimate(A, x_init, y_res, csres_factor * sigma, lp)
             err = float(np.sum((x - x_csres) ** 2))
             err_sum["cs_residual"] += err
             rows["cs_residual"].append(MetricsRow(
@@ -326,7 +335,7 @@ def run_static_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
 
             for factor in ds_factors:
                 name = _ds_method_name(factor)
-                zeta = optimal_zeta(solve_dantzig(A, y, factor * sigma, warm=lp))
+                zeta = optimal_zeta(solve_dantzig(A, y, factor * sigma, lp=lp))
                 err = float(np.sum((x - zeta) ** 2))
                 err_sum[name] += err
                 rows[name].append(MetricsRow(
@@ -462,8 +471,10 @@ def _parse_tracking(cfg: dict) -> TrackingSetup:
             check_guarantees=bool(cfg.get("check_guarantees", False)),
             rip_trials=int(cfg.get("rip_sampling_trials", 200)),
         )
-    if setup.trials < 1:
-        raise ConfigError("trials must be >= 1")
+    if min(setup.trials, setup.n, setup.init.get("n0", 1), setup.rip_trials) < 1:
+        raise ConfigError("trials, n, n0 and rip_sampling_trials must be >= 1")
+    if min(setup.cs_lambda, setup.init.get("lam", 0.0), setup.init.get("alpha", 0.0), setup.window) < 0:
+        raise ConfigError("cs_lambda, the init lam and alpha, and zero_hit_window must be nonnegative")
     return setup
 
 
@@ -477,7 +488,7 @@ def _estimate(
         return state.x_hat, state.support_estimate
     if name == METHOD_GENIE:
         return genie_ls(A, truth, y), truth
-    return optimal_zeta(solve_dantzig(A, y, setup.cs_lambda, warm=baseline)), None
+    return optimal_zeta(solve_dantzig(A, y, setup.cs_lambda, lp=baseline)), None
 
 
 def _tracking_trial(setup: TrackingSetup, k: int) -> TrialRecord:
@@ -689,10 +700,10 @@ def run_bound_validation(cfg: dict, out_dir: Path | None = None) -> dict:
         alpha = float(cfg.get("alpha", lam))
         num_matrices = int(cfg.get("num_matrices", 5))
         instances = int(cfg.get("instances_per_matrix", 25))
-        if num_matrices < 1 or instances < 1:
-            raise ConfigError("num_matrices and instances_per_matrix must be >= 1")
-        seed = int(_req(cfg, "seed"))
         budget = int(cfg.get("budget", DEFAULT_SUBSET_BUDGET))
+        if min(num_matrices, instances, budget) < 1:
+            raise ConfigError("num_matrices, instances_per_matrix and budget must be >= 1")
+        seed = int(_req(cfg, "seed"))
         kind = cfg.get("matrix_kind", "perturbed_orthonormal")
         noise_scale = float(cfg.get("matrix_noise_scale", 0.2))
         magnitudes = (float(cfg.get("magnitude_low", 0.5)), float(cfg.get("magnitude_high", 2.0)))
@@ -728,7 +739,7 @@ def run_bound_validation(cfg: dict, out_dir: Path | None = None) -> dict:
             y = A.entries @ x + w
 
             x_init, y_res = initial_ls_residual(A, known, y)
-            x_csres = optimal_zeta(solve_dantzig(A, y_res, lam, warm=lp)) + x_init
+            x_csres = cs_residual_estimate(A, x_init, y_res, lam, lp)
             err_csres = float(np.sum((x - x_csres) ** 2))
             x_delta = x[delta]
             w_sq = float(w @ w)

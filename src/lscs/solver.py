@@ -177,11 +177,11 @@ def solve_dantzig(
     y: np.ndarray,
     lam: float,
     *,
-    warm: SelectorLP | None = None,
+    lp: SelectorLP | None = None,
 ) -> DsSolution:
     """Solve ``min ||zeta||_1  s.t.  ||A'(y - A zeta)||_inf <= lam``.
 
-    ``warm`` is a :class:`SelectorLP` handle for ``A``; without one the LP
+    ``lp`` is a :class:`SelectorLP` handle for ``A``; without one the LP
     is solved through a cold handle made for this call.  The handle's first
     LP solve loads the program, later ones reuse it.  Through a warm handle
     a solve starts from the basis of the handle's previous LP solve; a warm
@@ -198,7 +198,8 @@ def solve_dantzig(
         raise ValueError(f"y must have shape ({A.n},)")
     if not np.all(np.isfinite(y)):
         raise ValueError("y must be finite")
-    lp = SelectorLP(A, warm=False) if warm is None else warm
+    if lp is None:
+        lp = SelectorLP(A, warm=False)
     if lp.A is not A:
         raise ValueError("the selector handle belongs to another matrix")
 

@@ -6,23 +6,22 @@ import pytest
 
 from lscs.bounds import (
     BoundContext,
+    PredicateTally,
     recovery_constants,
     no_miss_residual_bound,
     simplified_residual_bound,
     compressibility_residual_bound,
     one_shot_recovery_bound,
-    detection_guarantee_violations,
-    no_false_deletion_guarantee_violations,
-    extras_deletion_guarantee_violations,
     detected_support_ls_error_bound,
     find_min_d0,
-    deletion_condition,
     detection_condition,
-    no_false_deletion_condition,
     prescribed_alpha_del,
     stability_error_caps,
     residual_recovery_bound,
+    runtime_step_checks,
     check_stability_conditions,
+    _keep_threshold,
+    _ls_error,
 )
 from lscs.core import SupportSet
 from lscs.filter import FilterConfig, FilterState, lscs_step
@@ -260,34 +259,38 @@ class TestConditionLemmas:
         ctx = self.simple_ctx()
         det = detection_condition(ctx, 2, 1, alpha=0.1)
         c_prime_max = 48.0 + 4 * 8 * 2 * ctx.w_max_sq()
-        assert det.applicable and det.gate_holds
-        assert det.threshold_sq == pytest.approx(2 * 0.01 + 2 * c_prime_max)
+        assert det.applicable and not det.optimistic
+        assert det.value == pytest.approx(2 * 0.01 + 2 * c_prime_max)
 
     def test_detection_gate_failure(self):
+        # a failing gate has no threshold, but keeps its exactness flag
         ctx = self.simple_ctx(theta=0.5)
         det = detection_condition(ctx, 4, 2, alpha=0.1)
-        assert det.applicable
-        assert not det.gate_holds
-        assert det.threshold_sq == math.inf
+        assert not det.applicable and not det.optimistic
+        assert det.value is None and det.reasons == ["detection gate fails"]
 
     def test_deletion_threshold_theta_zero(self):
         ctx = self.simple_ctx()
-        res = deletion_condition(ctx, 2, 1, 0, 0.0)
-        assert res.threshold_sq == pytest.approx(4 * ctx.w_max_sq())
+        ls_error = _ls_error(ctx, ctx.rip.theta(2, 1).value, 1, 4.0)
+        assert ls_error == pytest.approx(4 * ctx.w_max_sq())
         # matches the squared prescribed deletion threshold
-        assert prescribed_alpha_del(ctx) ** 2 == pytest.approx(res.threshold_sq)
+        assert prescribed_alpha_del(ctx) ** 2 == pytest.approx(ls_error)
 
     def test_no_false_deletion_threshold(self):
         ctx = self.simple_ctx()
-        res = no_false_deletion_condition(ctx, 2, 1, 0, 0.0, alpha_del=0.0)
-        assert res.threshold_sq == pytest.approx(8 * ctx.w_max_sq())
+        threshold = _keep_threshold(ctx, 0.0, ctx.rip.theta(2, 1).value, 1, 4.0)
+        assert threshold == pytest.approx(8 * ctx.w_max_sq())
 
     def test_misses_term_dropped_when_empty(self):
         ctx = self.simple_ctx(theta=0.3)
-        with_misses = deletion_condition(ctx, 2, 1, 1, 2.0)
-        without = deletion_condition(ctx, 2, 1, 0, 2.0)
-        assert without.threshold_sq == pytest.approx(4 * ctx.w_max_sq())
-        assert with_misses.threshold_sq > without.threshold_sq
+        theta = ctx.rip.theta(2, 1).value
+        without = _ls_error(ctx, theta, 0, 4.0)
+        assert without == pytest.approx(4 * ctx.w_max_sq())
+        assert _ls_error(ctx, theta, 1, 4.0) > without
+        # survival threshold: 2 alpha_del^2 plus twice the LS error
+        assert _keep_threshold(ctx, 0.3, theta, 1, 4.0) == pytest.approx(
+            2 * 0.3 ** 2 + 2 * _ls_error(ctx, theta, 1, 4.0)
+        )
 
 
 def generous_model(m=100, s0=6, sa=2, d=20, r=2, big_m=10.0, rate=5.0, t_end=40):
@@ -393,9 +396,25 @@ class TestStabilityConditions:
             for sp in range(1, 31 - s):
                 table.set_theta(s, sp, 0.007 * (s + sp), True)
         ctx = BoundContext(rip=table, n=50, m=30, lam=0.1, norm_A_1=5.0, noise_linf_bound=0.02)
+
+        def survival(theta, count, mag_sq):
+            # 2 alpha_del^2 + 2 (4 n lam^2/||A||_1^2 + 8 theta^2 count mag^2)
+            return (2.0 * prescribed_alpha_del(ctx) ** 2 + 8.0 * ctx.w_max_sq()
+                    + 16.0 * theta ** 2 * count * mag_sq)
+
         for sa in (0, 1, 2, 4):
             model = generous_model(m=30, s0=8, sa=sa, d=10)
             report = check_stability_conditions(model, ctx, f=1, d0=2, alpha=0.05)
+            # every rate is 5 and big_m is 10, so each magnitude caps at 10
+            for i in range(1, sa + 1):
+                row = report.row(f"keep-addition-{i}")
+                assert row.inputs == {"S_T": 8 + (2 + i), "S_Delta": sa - i}
+                mag_sq = 100.0 if i < sa else 0.0
+                assert row.rhs == survival(table.theta(8 + (2 + i), sa - i).value, sa - i, mag_sq)
+            theta = table.theta(8 + (2 + sa), sa).value
+            assert report.row("keep-constant-coefficients").rhs == survival(theta, sa, 100.0)
+            caps = stability_error_caps(model, ctx, f=1, d0=2)
+            assert caps.support_err_sq == 4.0 * ctx.w_max_sq() + 8.0 * theta ** 2 * sa * 100.0
             row = report.row("addition-count-within-recovery-range")
             if sa == 0:
                 assert row.lhs is None and row.holds
@@ -497,6 +516,45 @@ class TestSmallScaleStabilityRun:
         # condition 2 assumed at most f = 0 false detections per step
         assert false_detects == 0
 
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_runtime_predicates_fire(self, mode):
+        # a less perturbed matrix and a smaller lam than above, so the noise
+        # budget holds and every predicate's hypothesis is met on some step
+        m = n = 16
+        A = gen_perturbed_orthonormal_matrix(n, m, seed=5, noise_scale=0.005)
+        lam = 0.02
+        w_linf = lam / A.induced_one_norm
+        table = build_rip_table(A, [], [], mode=mode, trials=200)
+        ctx = BoundContext(rip=table, n=n, m=m, lam=lam,
+                           norm_A_1=A.induced_one_norm, noise_linf_bound=w_linf)
+        cfg = FilterConfig(lam=lam, alpha=0.5, alpha_del=prescribed_alpha_del(ctx))
+        tally = PredicateTally()
+        steps_with_misses = 0
+        for trial in range(3):
+            rng = np.random.default_rng([1234, trial])
+            seq = generate(SignalModelParams(
+                m=m, s0=3, sa=1, d=8, r=2, big_m=3.0, rates=np.full(m, 1.0),
+                t_end=24, seed=int(rng.integers(2 ** 62)),
+            ))
+            y0 = A.entries @ seq.signal_at(0) + rng.uniform(-w_linf, w_linf, n)
+            state = FilterState(seq.support_at(0), ls_on_support(A, seq.support_at(0), y0), 0)
+            for t in range(1, 25):
+                x = seq.signal_at(t)
+                y = A.entries @ x + rng.uniform(-w_linf, w_linf, n)
+                state, diag = lscs_step(state, A, y, cfg, x_true=x)
+                step = runtime_step_checks(diag, x, cfg, ctx)
+                # the detection condition is counted only where T_prev misses
+                assert ("detection_condition" in step.hypotheses) is (len(diag.delta_pre) > 0)
+                steps_with_misses += len(diag.delta_pre) > 0
+                tally.merge(step)
+        assert steps_with_misses == 9
+        assert tally.hypotheses == {
+            "detection_guarantee": 9, "no_false_deletion_guarantee": 207,
+            "extras_deletion_guarantee": 9, "detection_condition": 9,
+            "no_false_deletion_condition": 207, "deletion_condition": 9,
+        }
+        assert tally.total_violations() == 0 and set(tally.violations) == set(tally.hypotheses)
+
 
 class TestAppendixFacts:
     def run_step(self, seed, alpha=0.1, alpha_del=0.05, noise=0.05):
@@ -510,23 +568,22 @@ class TestAppendixFacts:
         cfg = FilterConfig(lam=0.2, alpha=alpha, alpha_del=alpha_del)
         state = FilterState(known, np.zeros(40), 0)
         _, diag = lscs_step(state, A, y, cfg, x_true=x)
-        return diag, x, cfg
+        # Gaussian noise has no l-inf bound, so no condition reads a constant
+        ctx = BoundContext(rip=RipTable("empty"), n=20, m=40, lam=0.2,
+                           norm_A_1=A.induced_one_norm, noise_linf_bound=math.inf)
+        return runtime_step_checks(diag, x, cfg, ctx)
 
     def test_facts_never_violated(self):
         for seed in range(25):
-            diag, x, cfg = self.run_step(seed)
-            _, v1 = detection_guarantee_violations(diag, x, cfg.alpha)
-            _, v2 = no_false_deletion_guarantee_violations(diag, x, cfg.alpha_del)
-            _, v3 = extras_deletion_guarantee_violations(diag, x, cfg.alpha_del)
-            assert v1 == [] and v2 == [] and v3 == []
+            tally = self.run_step(seed)
+            assert tally.total_violations() == 0
+            assert [tally.hypotheses[k] for k in tally.hypotheses if k.endswith("_condition")] == [0, 0, 0]
 
     def test_fact_hypotheses_fire(self):
         fired = 0
         for seed in range(25):
-            diag, x, cfg = self.run_step(seed)
-            h1, _ = detection_guarantee_violations(diag, x, cfg.alpha)
-            h2, _ = no_false_deletion_guarantee_violations(diag, x, cfg.alpha_del)
-            fired += h1 + h2
+            tally = self.run_step(seed)
+            fired += tally.hypotheses["detection_guarantee"] + tally.hypotheses["no_false_deletion_guarantee"]
         assert fired > 0  # the predicates are not vacuous on these instances
 
     def test_ls_bound_noiseless_true_support(self):

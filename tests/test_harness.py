@@ -399,11 +399,13 @@ class TestCli:
     @pytest.mark.parametrize("model, f, rip, expected", [
         # every detection gate fails, so each threshold is infinite
         ({"s0": 8, "sa": 4, "d": 10}, 1, {},
-         {f"detect-addition-{i}": ("rhs", "detection gate fails") for i in range(1, 5)}),
-        # S_Delta > S**, so the gate term itself is infinite
+         {f"detect-addition-{i}": ("rhs", "detection gate fails", True) for i in range(1, 5)}),
+        # S_Delta > S**, so the gate term itself is infinite; a gate that
+        # fails on sampled constants is not exact, a hypothesis that fails is
         ({"s0": 12, "sa": 6, "d": 12}, 0, {"mode": "sampled", "trials": 50},
-         {"detection-gate": ("lhs", "S_Delta=6 exceeds S**"),
-          "detect-addition-2": ("rhs", "detection gate fails")}),
+         {"detection-gate": ("lhs", "S_Delta=6 exceeds S**", False),
+          "detect-addition-1": ("rhs", "S_Delta=6 exceeds S**", True),
+          "detect-addition-2": ("rhs", "detection gate fails", False)}),
     ], ids=["gate-fails", "past-s-starstar"])
     def test_check_stability_prints_strict_json(self, tmp_path, model, f, rip, expected):
         cfg = json.loads((CONFIGS / "check_stability.json").read_text())
@@ -419,8 +421,9 @@ class TestCli:
             raise ValueError(f"non-standard JSON constant {constant}")
 
         rows = {r["identifier"]: r for r in json.loads(out.stdout, parse_constant=reject)["report"]["rows"]}
-        for identifier, (side, note) in expected.items():
+        for identifier, (side, note, exact) in expected.items():
             assert rows[identifier][side] is None and rows[identifier]["note"] == note, identifier
+            assert rows[identifier]["exact"] is exact, identifier
 
     @pytest.mark.parametrize("d0", [5, "scan"])
     def test_check_stability_oversized_delta(self, tmp_path, d0):
@@ -494,6 +497,39 @@ class TestCli:
         out = self.run_cli("run", str(cfg_path))
         assert out.returncode == 1, out.stderr
         assert "config error" in out.stderr
+
+    @pytest.mark.parametrize("kind, change", [
+        ("static_table", {"cells": [{"n": 0, "sigma": 0.05}]}),
+        ("static_table", {"cells": [{"n": 20, "sigma": -0.05}]}),
+        ("static_table", {"csres_lambda_factor": -1.0}),
+        ("static_table", {"ds_lambda_factors": [4.0, -1.0]}),
+        ("stability", {"n": 0}),
+        ("stability", {"cs_lambda": -0.1}),
+        ("stability", {"noise": {"kind": "uniform", "c": -0.02}}),
+        ("stability", {"noise": {"kind": "gaussian", "sigma": -0.02}}),
+        ("stability", {"init": {"kind": "simple_cs", "n0": 0}}),
+        ("stability", {"init": {"kind": "simple_cs", "n0": 40, "lam": -0.1}}),
+        ("stability", {"init": {"kind": "simple_cs", "n0": 40, "alpha": -0.1}}),
+        ("stability", {"zero_hit_window": -1}),
+        ("bound_validation.json", {"budget": -1}),
+        ("stability.json", {"rip_sampling_trials": 0}),
+        ("check_stability.json", {"trials": 0}),
+        ("check_stability.json", {"budget": -1}),
+    ])
+    def test_invalid_value_exit_code(self, kind, change, tmp_path, capsys):
+        if kind.endswith(".json"):
+            cfg = json.loads((CONFIGS / kind).read_text())
+        else:
+            cfg = small_static_cfg(trials=1) if kind == "static_table" else small_stability_cfg(trials=1)
+        if kind == "check_stability.json":
+            cfg["rip_table"].update({"mode": "sampled", **change})
+        else:
+            cfg.update(change)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        command = "check-stability" if kind == "check_stability.json" else "run"
+        assert main([command, str(cfg_path)]) == 1
+        assert "config error" in capsys.readouterr().err
 
 
 def count_constants(monkeypatch) -> list:

@@ -297,7 +297,7 @@ class TestRangedForm:
             lp = SelectorLP(A, warm=False)
             for i in rng.permutation(np.repeat(np.arange(len(cases)), 2)):
                 rhs, lam = cases[i]
-                sol = solve_dantzig(A, rhs, lam, warm=lp)
+                sol = solve_dantzig(A, rhs, lam, lp=lp)
                 assert sol.path == "cold" and sol.status == "optimal"
                 assert np.array_equal(sol.zeta_hat, milp_ranged_dantzig(A, rhs, lam))
                 assert sol.iterations == solve_dantzig(A, rhs, lam).iterations
@@ -336,14 +336,14 @@ class TestWarmStart:
     def test_tracking_baseline_matches_cold(self, seed, monkeypatch):
         solves, residuals = [], []
 
-        def warm_and_cold(A, y, lam, *, warm=None):
-            sol = solve_dantzig(A, y, lam, warm=warm)
+        def warm_and_cold(A, y, lam, *, lp=None):
+            sol = solve_dantzig(A, y, lam, lp=lp)
             solves.append((sol, solve_dantzig(A, y, lam), A, y, lam))
             return sol
 
-        def reused_and_fresh(A, y, lam, *, warm=None):
-            sol = solve_dantzig(A, y, lam, warm=warm)
-            residuals.append((sol, solve_dantzig(A, y, lam), warm))
+        def reused_and_fresh(A, y, lam, *, lp=None):
+            sol = solve_dantzig(A, y, lam, lp=lp)
+            residuals.append((sol, solve_dantzig(A, y, lam), lp))
             return sol
 
         monkeypatch.setattr("lscs.harness.solve_dantzig", warm_and_cold)
@@ -351,7 +351,7 @@ class TestWarmStart:
         _tracking_trial(_parse_tracking(stability_cfg(seed, trials=1)), 0)
         assert len(solves) == 25
         # the residual LPs go through one cold handle, apart from the baseline's
-        assert len(residuals) == 24 and len({id(warm) for *_, warm in residuals}) == 1
+        assert len(residuals) == 24 and len({id(lp) for *_, lp in residuals}) == 1
         handle = residuals[0][2]
         assert not handle.warm and handle.A is solves[0][2]
         assert sum(sol.path == "cold" for sol, *_ in residuals) > 1
@@ -377,7 +377,7 @@ class TestWarmStart:
     def test_rejected_warm_run_falls_back_to_cold(self, failure, monkeypatch):
         A, y, x_init = stability_instance(1)
         handle = SelectorLP(A)
-        assert solve_dantzig(A, y, 0.35, warm=handle).path == "cold"
+        assert solve_dantzig(A, y, 0.35, lp=handle).path == "cold"
         stale, run = handle._highs, lscs.solver._run
 
         def sabotaged(highs):
@@ -392,7 +392,7 @@ class TestWarmStart:
 
         monkeypatch.setattr(lscs.solver, "_run", sabotaged)
         y_res = y - A.entries @ x_init
-        sol = solve_dantzig(A, y_res, 0.35, warm=handle)
+        sol = solve_dantzig(A, y_res, 0.35, lp=handle)
         assert sol.status == "optimal" and sol.path == "fallback"
         assert np.array_equal(sol.zeta_hat, solve_dantzig(A, y_res, 0.35).zeta_hat)
         assert handle._highs is not stale
@@ -400,9 +400,9 @@ class TestWarmStart:
     def test_zero_exit_keeps_basis(self):
         A, y, _ = stability_instance(3)
         handle = SelectorLP(A)
-        solve_dantzig(A, y, 0.35, warm=handle)
+        solve_dantzig(A, y, 0.35, lp=handle)
         highs = handle._highs
-        sol = solve_dantzig(A, y, float(np.max(np.abs(A.entries.T @ y))), warm=handle)
+        sol = solve_dantzig(A, y, float(np.max(np.abs(A.entries.T @ y))), lp=handle)
         assert (sol.path, sol.iterations) == ("zero_exit", 0)
         assert handle._highs is highs
 
@@ -410,9 +410,9 @@ class TestWarmStart:
         A, y, _ = stability_instance(1)
         other = gen_gaussian_matrix(59, 200, 1)
         with pytest.raises(ValueError):
-            solve_dantzig(A, y, 0.35, warm=SelectorLP(other))
+            solve_dantzig(A, y, 0.35, lp=SelectorLP(other))
         with pytest.raises(ValueError):
-            solve_dantzig(A, y, 0.35, warm=SelectorLP(other, warm=False))
+            solve_dantzig(A, y, 0.35, lp=SelectorLP(other, warm=False))
 
 
 class TestHandle:
@@ -429,7 +429,9 @@ class TestHandle:
             paths.append(sol.path)
             return sol
 
+        # the residual LP goes through the filter's selector call
         monkeypatch.setattr("lscs.harness.solve_dantzig", recorded)
+        monkeypatch.setattr("lscs.filter.solve_dantzig", recorded)
         cfg = json.loads((CONFIGS / "static_table.json").read_text())
         run_static_experiment({**cfg, "trials": 1, "cells": cfg["cells"][:1]})
         assert paths == ["cold"] * 4
@@ -444,11 +446,11 @@ class TestHandle:
         A, y, _ = stability_instance(2)
         handle = SelectorLP(A, warm=warm)
         monkeypatch.setattr(lscs.solver, "_Highs", Unloadable)
-        sol = solve_dantzig(A, y, 0.35, warm=handle)
+        sol = solve_dantzig(A, y, 0.35, lp=handle)
         assert (sol.status, sol.path) == ("infeasible", "cold")
         assert handle._highs is None
         monkeypatch.undo()
-        sol = solve_dantzig(A, y, 0.35, warm=handle)
+        sol = solve_dantzig(A, y, 0.35, lp=handle)
         assert (sol.status, sol.path) == ("optimal", "cold")
         assert type(handle._highs) is _Highs
 
