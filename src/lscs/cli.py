@@ -64,6 +64,8 @@ def _table_options(spec: dict, default_mode: str) -> dict:
     }
     if options["budget"] < 1 or options["trials"] < 1:
         raise ConfigError("budget and trials must be >= 1")
+    if options["seed"] < 0:
+        raise ConfigError("seed must be nonnegative")
     return options
 
 

@@ -30,7 +30,6 @@ from .solver import (
     DantzigNumericsError,
     DantzigStatusError,
     LsSolveError,
-    SelectorLP,
     ls_on_support,
     optimal_zeta,
     solve_dantzig,
@@ -98,12 +97,10 @@ def initial_ls_residual(
 
 
 def cs_residual_estimate(
-    A: MeasurementMatrix, x_init: np.ndarray, y_res: np.ndarray, lam: float,
-    lp: SelectorLP | None = None,
+    A: MeasurementMatrix, x_init: np.ndarray, y_res: np.ndarray, lam: float
 ) -> np.ndarray:
-    """Dantzig-selector solve on the residual, through the handle ``lp`` when
-    given, added back to the LS estimate."""
-    return optimal_zeta(solve_dantzig(A, y_res, lam, lp=lp)) + x_init
+    """Dantzig-selector solve on the residual, added back to the LS estimate."""
+    return optimal_zeta(solve_dantzig(A, y_res, lam)) + x_init
 
 
 def detect(x_csres: np.ndarray, T: SupportSet, cfg: FilterConfig) -> SupportSet:
@@ -166,10 +163,8 @@ def lscs_step(
     y: np.ndarray,
     cfg: FilterConfig,
     x_true: np.ndarray | None = None,
-    lp: SelectorLP | None = None,
 ) -> tuple[FilterState, StepDiagnostics]:
-    """Advance the estimator one time step; its selector solve goes through
-    the handle ``lp`` for ``A`` when given.
+    """Advance the estimator one time step.
 
     On a stage failure (ill-conditioned least squares, selector breakdown) the
     step keeps the previous support estimate, reports the stage in the
@@ -194,7 +189,7 @@ def lscs_step(
     except LsSolveError as exc:
         return fallback("initial_ls", exc)
     try:
-        diag.x_csres = cs_residual_estimate(A, diag.x_init, diag.y_res, cfg.lam, lp)
+        diag.x_csres = cs_residual_estimate(A, diag.x_init, diag.y_res, cfg.lam)
     except (DantzigNumericsError, DantzigStatusError) as exc:
         return fallback("cs_residual", exc)
     diag.T_det = detect(diag.x_csres, T, cfg)

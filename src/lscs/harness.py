@@ -148,6 +148,14 @@ def _req(cfg: dict, key: str, kind=None):
     return value
 
 
+def _seed(cfg: dict) -> int:
+    """The config's ``seed``; the generators take nonnegative seeds only."""
+    seed = int(_req(cfg, "seed"))
+    if seed < 0:
+        raise ConfigError("seed must be nonnegative")
+    return seed
+
+
 def _ratio(num: float, den: float) -> float:
     return num / den if den > 0 else 0.0
 
@@ -295,7 +303,7 @@ def run_static_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
         delta_e_size = int(_req(cfg, "delta_e_size"))
         cells = [(int(_req(c, "n")), float(_req(c, "sigma"))) for c in _req(cfg, "cells", list)]
         trials = int(_req(cfg, "trials"))
-        seed = int(_req(cfg, "seed"))
+        seed = _seed(cfg)
         csres_factor = float(cfg.get("csres_lambda_factor", 4.0))
         ds_factors = [float(v) for v in cfg.get("ds_lambda_factors", [12.0, 4.0, 0.4])]
     if trials < 1:
@@ -317,7 +325,6 @@ def run_static_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
         for k in range(trials):
             rng = np.random.default_rng([seed, ci, k])
             A = MeasurementMatrix.from_columns(rng.standard_normal((n, m)))
-            lp = SelectorLP(A, warm=False)
             x, known, _ = _draw_instance(rng, m, support_size, delta_size, delta_e_size)
             w = sigma * rng.standard_normal(n)
             y = A.entries @ x + w
@@ -325,7 +332,7 @@ def run_static_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
             sig_sum += sig_sq
 
             x_init, y_res = initial_ls_residual(A, known, y)
-            x_csres = cs_residual_estimate(A, x_init, y_res, csres_factor * sigma, lp)
+            x_csres = cs_residual_estimate(A, x_init, y_res, csres_factor * sigma)
             err = float(np.sum((x - x_csres) ** 2))
             err_sum["cs_residual"] += err
             rows["cs_residual"].append(MetricsRow(
@@ -333,6 +340,8 @@ def run_static_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
                 err_csres=err, err_final=err,
             ))
 
+            # one handle drives the draw's lambda scales one after another
+            lp = SelectorLP(A)
             for factor in ds_factors:
                 name = _ds_method_name(factor)
                 zeta = optimal_zeta(solve_dantzig(A, y, factor * sigma, lp=lp))
@@ -466,7 +475,7 @@ def _parse_tracking(cfg: dict) -> TrackingSetup:
             window=int(cfg.get("zero_hit_window", 4)),
             methods=methods,
             trials=int(_req(cfg, "trials")),
-            seed=int(_req(cfg, "seed")),
+            seed=_seed(cfg),
             cs_lambda=float(cfg.get("cs_lambda", fcfg.lam)),
             check_guarantees=bool(cfg.get("check_guarantees", False)),
             rip_trials=int(cfg.get("rip_sampling_trials", 200)),
@@ -483,7 +492,7 @@ def _estimate(
     state: FilterState, truth: SupportSet, baseline: SelectorLP,
 ) -> tuple[np.ndarray, SupportSet | None]:
     """A method's estimate at one instant and the support it claims (none for
-    the plain selector, which starts from ``baseline``'s previous basis)."""
+    the plain selector, which drives from ``baseline``'s previous answer)."""
     if name == METHOD_LSCS:
         return state.x_hat, state.support_estimate
     if name == METHOD_GENIE:
@@ -511,14 +520,12 @@ def _tracking_trial(setup: TrackingSetup, k: int) -> TrialRecord:
     rows = {name: [] for name in setup.methods}
     sig, misses, extras, diags = [], [], [], []
     state = FilterState(n0_hat, x0_hat, 0)
-    # the residual LPs clear their solver, which would discard the basis the
-    # baseline's solves start from, so each has its own handle
-    residual, baseline = SelectorLP(A, warm=False), SelectorLP(A)
+    baseline = SelectorLP(A)
     for t in range(t_end + 1):
         x_true = seq.signal_at(t)
         err_csres = None
         if t > 0:
-            state, diag = lscs_step(state, A, ys[t], setup.fcfg, x_true=x_true, lp=residual)
+            state, diag = lscs_step(state, A, ys[t], setup.fcfg, x_true=x_true)
             diags.append(diag)
             err_csres = diag.err_csres
         truth = seq.support_at(t)
@@ -703,7 +710,7 @@ def run_bound_validation(cfg: dict, out_dir: Path | None = None) -> dict:
         budget = int(cfg.get("budget", DEFAULT_SUBSET_BUDGET))
         if min(num_matrices, instances, budget) < 1:
             raise ConfigError("num_matrices, instances_per_matrix and budget must be >= 1")
-        seed = int(_req(cfg, "seed"))
+        seed = _seed(cfg)
         kind = cfg.get("matrix_kind", "perturbed_orthonormal")
         noise_scale = float(cfg.get("matrix_noise_scale", 0.2))
         magnitudes = (float(cfg.get("magnitude_low", 0.5)), float(cfg.get("magnitude_high", 2.0)))
@@ -723,7 +730,6 @@ def run_bound_validation(cfg: dict, out_dir: Path | None = None) -> dict:
 
     for mi, A in enumerate(matrices):
         table = build_rip_table(A, [], [], mode="exact", budget=budget)
-        lp = SelectorLP(A, warm=False)
         w_max = lam / A.induced_one_norm
         ctx = BoundContext(
             rip=table, n=n, m=m, lam=lam, norm_A_1=A.induced_one_norm,
@@ -739,7 +745,7 @@ def run_bound_validation(cfg: dict, out_dir: Path | None = None) -> dict:
             y = A.entries @ x + w
 
             x_init, y_res = initial_ls_residual(A, known, y)
-            x_csres = cs_residual_estimate(A, x_init, y_res, lam, lp)
+            x_csres = cs_residual_estimate(A, x_init, y_res, lam)
             err_csres = float(np.sum((x - x_csres) ** 2))
             x_delta = x[delta]
             w_sq = float(w @ w)

@@ -1,43 +1,60 @@
-"""Dantzig selector as a linear program, and least squares on a column subset.
+"""Dantzig selector by a certified primal-dual homotopy, and least squares on
+a column subset.
 
 The selector minimises ``||zeta||_1`` subject to ``||A'(y - A zeta)||_inf <=
-lambda``.  Splitting ``zeta = p - q`` with ``p, q >= 0`` turns this into an
-LP with 2m columns and m ranged rows:
+lambda``.  With ``G = A'A`` and ``g = A'y`` this is the linear program
 
-    min 1'(p + q)   s.t.   g - lambda <= G(p - q) <= g + lambda,   p, q >= 0
+    min ||zeta||_1   s.t.   |g - G zeta| <= lambda   (every row),
 
-where ``G = A'A`` and ``g = A'y``.  The two-sided row bound is exactly the
-constraint ``||g - G zeta||_inf <= lambda``, so HiGHS keeps it as one ranged
-row per coordinate instead of two inequality rows, with no slack columns.
-At any optimum ``min(p_i, q_i) = 0``: the rows depend on ``p - q`` only, so
-shrinking both coordinates by their minimum keeps every constraint and lowers
-the objective.  The objective therefore equals the l1 norm.
+whose dual is
 
-The program is loaded into a HiGHS instance of scipy's bundled bindings
-(``scipy.optimize._highspy``) as numpy arrays: the column-wise ``[G, -G]``
-with its zeros dropped, unit costs, and the row bounds ``g -+ lambda``.
-``scipy.optimize.milp`` solves the same program, but copies the matrix into
-HiGHS element by element, which took about half of each solve at m = 200.
+    max g'u - lambda ||u||_1   s.t.   |G u| <= 1     (every column).
 
-Presolve is off: the rows of a dense ``G`` leave it nothing to remove, and it
-only adds time.  Scaling is off too.  The columns of ``A`` have unit norm, so
-``G`` has a unit diagonal and entries in ``[-1, 1]`` and there is nothing to
-equilibrate.  Unscaled, the primal feasibility tolerance of 1e-10 applies to
-the rows exactly as stated, which is what the post-solve check
-``||g - G zeta||_inf <= lambda + 1e-9`` measures; with HiGHS's default
-scaling a row of one tracking LP ended 2.8e-9 past ``lambda``.  HiGHS is
-deterministic for fixed input.
+Homotopy.  An optimal basis is a set R of k active rows, where ``c = g -
+G zeta`` sits at ``lambda s`` (signs s), and a support S of k columns with
+signs z, such that ``M = G[R, S]`` is nonsingular.  The primal answer is
+``zeta_S = M^-1 (g_R - lambda s)`` and the dual one ``u_R = M^-T z``; the
+basis is optimal while ``sign(zeta_S) = z``, ``sign(u_R) = s``, ``|c| <=
+lambda`` and ``|Gu| <= 1``.  Along a segment ``g(theta) = g_A + theta dg``,
+``lambda(theta) = lambda_A + theta dlambda`` with a fixed basis, ``zeta_S``
+and ``c`` are affine in theta and u does not move.  The drive walks theta
+from 0 to 1 and stops at the first primal event: a support coefficient
+reaching zero (its column leaves S) or a row outside R reaching
+``+-lambda(theta)`` (it joins R).  Each event is a value over a rate, with
+the value clipped at zero, so that a variable sitting on its bound and
+moving outward fires at once instead of crossing it.  A dual step then
+moves u along the one direction that keeps ``(Gu)`` fixed on the rest of
+the basis, until a column outside S reaches ``|Gu| = 1`` (it joins S) or a
+dual coordinate reaches zero (its row leaves R).  The four outcomes (border,
+row swap, column swap, shrink) keep ``|R| = |S|`` and update ``M^-1`` in
+O(k^2); a breakpoint costs O(mk).  At the end of a drive ``M^-1`` is
+computed afresh, and the answer and the next drive start from it.  This is the lambda-homotopy of DASSO
+(James, Radchenko & Lv, JRSS-B 2009) joined with the homotopy in y of Asif &
+Romberg ("Dantzig selector homotopy with dynamic measurements", 2009).
 
-A :class:`SelectorLP` handle owns the program of one matrix.  The
-constraint matrix and costs depend on ``A`` only, so the handle's first LP
-solve loads the program into a fresh instance and every later one only
-resets the row bounds for its ``y`` and ``lambda``.  Whether a handle is
-cold or warm is fixed when it is made, and a call without a handle makes a
-cold one for itself.  A cold solve clears the handle's solver, so its answer
-depends on its arguments alone.  A warm solve starts the simplex from the
-basis of the handle's previous solve; a warm run that is not optimal, or
-whose answer fails the feasibility check, is solved again on a fresh
-instance, and that answer stands.
+A cold drive starts from the top of the lambda path, ``lambda = max|g|``,
+where ``zeta = 0`` and the basis is empty, so its answer depends on its
+arguments alone.  A :class:`SelectorLP` handle keeps the optimal basis of its
+last answer and the ``(g, lambda)`` it solved, and its next call drives from
+there: across a change of ``y``, of ``lambda``, or both at once.  A call that
+the zero exit answers neither reads nor changes the handle.
+
+Certificate.  Every answer that is not the zero exit is checked before it is
+returned: primal feasibility ``||g - G zeta||_inf <= lambda + 1e-9``, dual
+feasibility ``||G u||_inf <= 1 + 1e-9`` and the duality gap ``|||zeta||_1 -
+(g'u - lambda ||u||_1)| <= 1e-9 max(1, ||zeta||_1)``.  Weak duality makes
+the gap an optimality bound, so a certified answer is optimal to within it.
+
+Fallback.  A drive that meets a pivot below 1e-10 or a dual step with no
+bound, that takes more than ``10 m`` breakpoints, or whose answer fails the
+certificate hands the call to HiGHS, and the handle forgets its basis.
+HiGHS solves the LP in the ranged-row form ``g - lambda <= G(p - q) <= g +
+lambda``, ``p, q >= 0``, ``min 1'(p + q)``, the program ``scipy.optimize.milp``
+would solve, loaded as numpy arrays into a fresh instance of scipy's bundled
+bindings, with presolve and scaling off and 1e-10 tolerances.  Its row
+duals are the u of the certificate.  A HiGHS answer that fails the
+certificate raises :class:`DantzigNumericsError`.  HiGHS is imported on the
+first fallback only.
 
 The constraint is stated with ``<=`` although the original program uses a
 strict inequality: the closed program is well posed and has the same optimum.
@@ -48,13 +65,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize._highspy._core import (
-    HighsModelStatus,
-    HighsStatus,
-    MatrixFormat,
-    ObjSense,
-    _Highs,
-)
 
 from .core import SupportSet
 from .measurement import MeasurementMatrix
@@ -63,17 +73,19 @@ from .measurement import MeasurementMatrix
 #: for the estimate to mean anything and the caller must treat the step as failed
 DEFAULT_GRAM_CONDITION_CAP = 1e8
 
-_FEASIBILITY_TOL = 1e-9
+#: slack of every certificate check (primal, dual, relative gap)
+_CERTIFICATE_TOL = 1e-9
 
-_OPTIONS = (
+#: smallest pivot a basis update accepts
+_PIVOT_TOL = 1e-10
+
+_HIGHS_OPTIONS = (
     ("log_to_console", False),
     ("presolve", "off"),
     ("simplex_scale_strategy", 0),
     ("primal_feasibility_tolerance", 1e-10),
     ("dual_feasibility_tolerance", 1e-10),
 )
-
-_BUDGET_STATUSES = (HighsModelStatus.kIterationLimit, HighsModelStatus.kTimeLimit)
 
 
 class LsSolveError(RuntimeError):
@@ -85,7 +97,7 @@ class LsSolveError(RuntimeError):
 
 
 class DantzigNumericsError(RuntimeError):
-    """The LP backend returned a solution violating the feasibility contract."""
+    """The LP backend returned an answer that fails the certificate."""
 
 
 class DantzigStatusError(RuntimeError):
@@ -99,10 +111,10 @@ class DsSolution:
     ``objective`` is recomputed from ``zeta_hat`` and ``max_correlation`` is
     the achieved ``||A'(y - A zeta_hat)||_inf``.  ``status`` is one of
     ``"optimal"``, ``"infeasible"``, ``"budget_exceeded"``.  ``path`` names
-    what answered: ``"zero_exit"`` (no LP), ``"cold"`` (a fresh or cleared
-    instance), ``"warm"`` (the handle's previous basis) or ``"fallback"`` (a
-    fresh instance after a rejected warm run).  ``iterations`` counts the
-    simplex iterations of the call, a rejected warm run included.
+    what answered: ``"zero_exit"`` (no LP), ``"cold"`` (a drive from the top
+    of the lambda path), ``"warm"`` (a drive from the handle's last answer)
+    or ``"highs"`` (the fallback).  ``iterations`` counts the breakpoints of
+    a drive or the simplex iterations of HiGHS.
     """
 
     zeta_hat: np.ndarray
@@ -113,49 +125,246 @@ class DsSolution:
     iterations: int
 
 
-class SelectorLP:
-    """The selector program of one matrix, loaded into HiGHS once.
+class _Basis:
+    """An optimal basis of the selector at ``(g, lam)``, and the rows of G
+    that drive it.
 
-    The first LP solve through a handle loads the program; every later one
-    only resets the row bounds.  A warm handle starts each solve from the
-    basis of its previous one, a cold handle (``warm=False``) clears the
-    solver first; see :func:`solve_dantzig`.
+    Positions ``0..k-1`` of ``R``/``s``/``u``/``GR`` hold the active rows,
+    their signs, their duals and their rows of G; those of ``S``/``z``/``GS``
+    the support columns, their signs and their rows of G (equal to the
+    columns, because G is symmetric).  ``Minv[:k, :k]`` is the inverse of
+    ``G[R, S]``, indexed (support position, row position).  ``Gu`` is G times
+    the dual.
     """
 
-    def __init__(self, A: MeasurementMatrix, warm: bool = True):
+    def __init__(self, G: np.ndarray, cap: int, g: np.ndarray, lam: float):
+        m = G.shape[0]
+        self.G, self.g, self.lam, self.k = G, g, lam, 0
+        self.R = np.zeros(cap, dtype=np.intp)
+        self.S = np.zeros(cap, dtype=np.intp)
+        self.s, self.z, self.u = np.zeros(cap), np.zeros(cap), np.zeros(cap)
+        self.GR, self.GS = np.empty((cap, m)), np.empty((cap, m))
+        self.Minv = np.empty((cap, cap))
+        self.Gu = np.zeros(m)
+
+    def drive(self, g: np.ndarray, lam: float) -> int | None:
+        """Move the basis to the optimum at ``(g, lam)``; the number of
+        breakpoints, or ``None`` when the drive breaks down."""
+        g0, dg, lam0, dlam = self.g, g - self.g, self.lam, lam - self.lam
+        limit = 10 * self.G.shape[0]
+        theta, steps = 0.0, 0
+        while True:
+            k = self.k
+            g_t, lam_t = g0 + theta * dg, lam0 + theta * dlam
+            if k:
+                R, Mi, GS = self.R[:k], self.Minv[:k, :k], self.GS[:k]
+                zeta = Mi @ (g_t[R] - lam_t * self.s[:k])
+                dzeta = Mi @ (dg[R] - dlam * self.s[:k])
+                c, dc = g_t - zeta @ GS, dg - dzeta @ GS
+            else:
+                c, dc = g_t, dg
+            # rows outside R reaching +lambda or -lambda
+            t_up = _exit_times(lam_t - c, dc - dlam)
+            t_lo = _exit_times(lam_t + c, -dc - dlam)
+            t_row = np.minimum(t_up, t_lo)
+            t_row[self.R[:k]] = np.inf
+            i = int(np.argmin(t_row))
+            tau = t_row[i]
+            p = -1
+            if k:
+                # support coefficients reaching zero
+                z = self.z[:k]
+                t_col = _exit_times(z * zeta, -z * dzeta)
+                if t_col.min() < tau:
+                    p = int(np.argmin(t_col))
+                    tau = t_col[p]
+            if tau >= 1.0 - theta:
+                break
+            theta += tau
+            steps += 1
+            if steps > limit:
+                return None
+            ok = self._leave(p) if p >= 0 else self._join(i, 1.0 if t_up[i] <= t_lo[i] else -1.0)
+            if not ok:
+                return None
+        self.g, self.lam = g, lam
+        return steps
+
+    def _join(self, i: int, sign: float) -> bool:
+        """Dual step for row ``i`` joining R with sign ``sign``."""
+        k = self.k
+        Mi = self.Minv[:k, :k]
+        v = self.GS[:k, i]                        # G[i, S]
+        w = -sign * (v @ Mi)
+        Gw = w @ self.GR[:k] + sign * self.G[i]
+        step = self._dual_step(w, Gw)
+        if step is None:
+            return False
+        t, q, j = step
+        if j >= 0:
+            # border: i joins R and j joins S
+            if k == len(self.R):
+                return False
+            col = self.GR[:k, j]                  # G[R, j]
+            a, b = Mi @ col, v @ Mi
+            pivot = self.G[i, j] - v @ a
+            if abs(pivot) < _PIVOT_TOL:
+                return False
+            Mi += np.outer(a / pivot, b)
+            self.Minv[:k, k] = -a / pivot
+            self.Minv[k, :k] = -b / pivot
+            self.Minv[k, k] = 1.0 / pivot
+            self.S[k], self.z[k], self.GS[k] = j, np.sign(self.Gu[j]), self.G[j]
+            q = k
+            self.k = k + 1
+        else:
+            # row swap: i takes the place of the row at position q
+            h = v @ Mi
+            pivot = h[q]
+            if abs(pivot) < _PIVOT_TOL:
+                return False
+            h[q] -= 1.0
+            Mi -= np.outer(Mi[:, q] / pivot, h)
+        self.R[q], self.s[q], self.u[q], self.GR[q] = i, sign, t * sign, self.G[i]
+        return True
+
+    def _leave(self, p: int) -> bool:
+        """Dual step for the support column at position ``p`` leaving S."""
+        k = self.k
+        Mi = self.Minv[:k, :k]
+        j_out = self.S[p]
+        w = -self.z[p] * Mi[p]
+        Gw = w @ self.GR[:k]
+        step = self._dual_step(w, Gw, j_out)
+        if step is None:
+            return False
+        _, q, j = step
+        if j >= 0:
+            # column swap: j takes the place of the column at position p
+            a = Mi @ self.GR[:k, j]
+            pivot = a[p]
+            if abs(pivot) < _PIVOT_TOL:
+                return False
+            a[p] -= 1.0
+            Mi -= np.outer(a / pivot, Mi[p])
+            self.S[p], self.z[p], self.GS[p] = j, np.sign(self.Gu[j]), self.G[j]
+            return True
+        # shrink: the row at position q and the column at position p leave
+        pivot = Mi[p, q]
+        if abs(pivot) < _PIVOT_TOL:
+            return False
+        Mi -= np.outer(Mi[:, q] / pivot, Mi[p])
+        last = k - 1
+        Mi[p], self.S[p], self.z[p], self.GS[p] = Mi[last], self.S[last], self.z[last], self.GS[last]
+        Mi[:, q] = Mi[:, last]
+        self.R[q], self.s[q], self.u[q], self.GR[q] = self.R[last], self.s[last], self.u[last], self.GR[last]
+        self.k = last
+        return True
+
+    def _dual_step(self, w: np.ndarray, Gw: np.ndarray, j_out: int = -1) -> tuple[float, int, int] | None:
+        """Move the dual by ``t w`` up to the first column outside S reaching
+        ``|Gu| = 1`` or the first dual on R reaching zero.  Returns ``t``,
+        the position of the row that leaves (or -1) and the column that joins
+        (or -1); ``None`` when nothing bounds the step.  Column ``j_out`` is
+        leaving S and may join it again."""
+        k = self.k
+        direction = np.sign(Gw)
+        t_col = np.maximum(1.0 - direction * self.Gu, 0.0) / np.abs(Gw)
+        S = self.S[:k]
+        t_col[S[S != j_out]] = np.inf
+        j = int(np.argmin(t_col))
+        t = t_col[j]
+        q = -1
+        if k:
+            s = self.s[:k]
+            t_row = _exit_times(s * self.u[:k], -s * w)
+            if t_row.min() < t:
+                q = int(np.argmin(t_row))
+                t = t_row[q]
+        if not np.isfinite(t):
+            return None
+        self.u[:k] += t * w
+        self.Gu += t * Gw
+        if q >= 0:
+            self.u[q] = 0.0
+            return t, q, -1
+        return t, -1, j
+
+    def answer(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Refactor ``G[R, S]`` and return the primal and dual answers at the
+        basis's ``(g, lam)``; ``None`` when the factor is singular."""
+        k = self.k
+        R, S = self.R[:k], self.S[:k]
+        try:
+            Mi = np.linalg.inv(self.GR[:k][:, S]) if k else np.zeros((0, 0))
+        except np.linalg.LinAlgError:
+            return None
+        self.Minv[:k, :k] = Mi
+        self.u[:k] = self.z[:k] @ Mi
+        self.Gu = self.u[:k] @ self.GR[:k]
+        zeta, u = np.zeros_like(self.g), np.zeros_like(self.g)
+        zeta[S] = Mi @ (self.g[R] - self.lam * self.s[:k])
+        u[R] = self.u[:k]
+        return zeta, u
+
+
+def _exit_times(value: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """Time for each nonnegative ``value`` to fall to zero at ``rate`` of
+    decrease; infinite where it does not fall.  A value already below zero
+    counts as zero, so it fires at once when its rate is positive."""
+    t = np.maximum(value, 0.0) / rate
+    t[rate <= 0.0] = np.inf
+    return t
+
+
+class SelectorLP:
+    """A matrix's selector handle: the optimal basis of its last answer.
+
+    A call through a handle drives from that basis to the new ``(y,
+    lambda)`` instead of from the top of the lambda path; see
+    :func:`solve_dantzig`.
+    """
+
+    def __init__(self, A: MeasurementMatrix):
         self.A = A
-        self.warm = warm
-        self._highs: _Highs | None = None
+        self._basis: _Basis | None = None
 
 
-def _run(highs: _Highs) -> HighsModelStatus:
-    """Run the simplex on a loaded instance and return its model status."""
+def _certify(
+    G: np.ndarray, g: np.ndarray, lam: float, zeta: np.ndarray, u: np.ndarray
+) -> tuple[float, str | None]:
+    """``||g - G zeta||_inf`` and the first certificate check that fails
+    (``None`` when ``(zeta, u)`` is a certified optimal pair)."""
+    max_corr = float(np.max(np.abs(g - G @ zeta)))
+    if max_corr > lam + _CERTIFICATE_TOL:
+        return max_corr, f"constraint violation {max_corr - lam:.3e} exceeds tolerance"
+    dual = float(np.max(np.abs(G @ u)))
+    if dual > 1.0 + _CERTIFICATE_TOL:
+        return max_corr, f"dual infeasibility {dual - 1.0:.3e} exceeds tolerance"
+    l1 = float(np.sum(np.abs(zeta)))
+    gap = abs(l1 - (float(g @ u) - lam * float(np.sum(np.abs(u)))))
+    if gap > _CERTIFICATE_TOL * max(1.0, l1):
+        return max_corr, f"duality gap {gap:.3e} exceeds tolerance"
+    return max_corr, None
+
+
+def _run(highs) -> object:
+    """Run the simplex on a loaded HiGHS instance and return its model status."""
     highs.run()
     return highs.getModelStatus()
 
 
-def _solve_loaded(
-    highs: _Highs, G: np.ndarray, g: np.ndarray
-) -> tuple[HighsModelStatus, np.ndarray | None, float, int]:
-    """Run a loaded instance.  Returns the model status, zeta and
-    ``||g - G zeta||_inf`` (``None`` and nan unless optimal) and the
-    iteration count."""
-    status = _run(highs)
-    iterations = int(highs.getInfo().simplex_iteration_count)
-    if status != HighsModelStatus.kOptimal:
-        return status, None, float("nan"), iterations
-    m = G.shape[0]
-    x = np.asarray(highs.getSolution().col_value)
-    zeta = x[:m] - x[m:]
-    return status, zeta, float(np.max(np.abs(g - G @ zeta))), iterations
+def _solve_highs(
+    G: np.ndarray, g: np.ndarray, lam: float
+) -> tuple[str, np.ndarray | None, np.ndarray | None, int]:
+    """Solve the ranged-row LP on a fresh HiGHS instance.  Returns the status
+    (``"optimal"``, ``"infeasible"`` or ``"budget_exceeded"``), zeta and the
+    row duals (``None`` unless optimal) and the simplex iteration count."""
+    from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, MatrixFormat, ObjSense, _Highs
 
-
-def _load(G: np.ndarray, g: np.ndarray, lam: float) -> _Highs | None:
-    """A fresh HiGHS instance holding the ranged-row LP, or ``None`` when
-    HiGHS cannot load it."""
     m = G.shape[0]
     highs = _Highs()
-    for name, value in _OPTIONS:
+    for name, value in _HIGHS_OPTIONS:
         if highs.setOptionValue(name, value) != HighsStatus.kOk:
             raise RuntimeError(f"HiGHS rejected option {name}={value!r}")
     # column j of [G, -G] is row j of [G; -G], because G is symmetric
@@ -169,7 +378,27 @@ def _load(G: np.ndarray, g: np.ndarray, lam: float) -> _Highs | None:
         # an empty integrality array is an error, so every column is marked continuous
         start, (np.flatnonzero(nonzero) % m).astype(np.int32), cols[nonzero], np.zeros(2 * m, dtype=np.int32),
     )
-    return None if loaded == HighsStatus.kError else highs
+    if loaded == HighsStatus.kError:
+        # a model HiGHS cannot load is a model error, reported as "infeasible"
+        return "infeasible", None, None, 0
+    status = _run(highs)
+    iterations = int(highs.getInfo().simplex_iteration_count)
+    if status in (HighsModelStatus.kIterationLimit, HighsModelStatus.kTimeLimit):
+        return "budget_exceeded", None, None, iterations
+    if status != HighsModelStatus.kOptimal:
+        return "infeasible", None, None, iterations
+    solution = highs.getSolution()
+    x = np.asarray(solution.col_value)
+    return "optimal", x[:m] - x[m:], np.asarray(solution.row_dual), iterations
+
+
+def _homotopy(basis: _Basis, g: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """Drive ``basis`` to ``(g, lam)``: zeta, the dual and the breakpoint
+    count, or ``None`` when the drive breaks down."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps = basis.drive(g, lam)
+        pair = None if steps is None else basis.answer()
+    return None if pair is None else (*pair, steps)
 
 
 def solve_dantzig(
@@ -181,15 +410,15 @@ def solve_dantzig(
 ) -> DsSolution:
     """Solve ``min ||zeta||_1  s.t.  ||A'(y - A zeta)||_inf <= lam``.
 
-    ``lp`` is a :class:`SelectorLP` handle for ``A``; without one the LP
-    is solved through a cold handle made for this call.  The handle's first
-    LP solve loads the program, later ones reuse it.  Through a warm handle
-    a solve starts from the basis of the handle's previous LP solve; a warm
-    run that is not optimal or ends past ``lam + 1e-9`` is solved again on
-    a fresh instance, and that answer stands.  A program HiGHS cannot load
-    has the status ``"infeasible"`` and leaves the handle without an
-    instance.  A run that HiGHS stops at an iteration or time limit has the
-    status ``"budget_exceeded"``.
+    ``lp`` is a :class:`SelectorLP` handle for ``A``.  Without one, or on a
+    handle's first call, the homotopy starts cold from the top of the lambda
+    path; later calls through the handle drive from its last answer.  A
+    certified answer becomes the handle's new start.  A drive that breaks
+    down or fails the certificate is solved again by HiGHS, and the handle
+    forgets its basis.  A HiGHS run stopped at an iteration or time limit
+    has the status ``"budget_exceeded"``, one HiGHS cannot load or solve
+    ``"infeasible"``; a HiGHS answer that fails the certificate raises
+    :class:`DantzigNumericsError`.
     """
     y = np.asarray(y, dtype=float)
     if lam < 0:
@@ -198,9 +427,7 @@ def solve_dantzig(
         raise ValueError(f"y must have shape ({A.n},)")
     if not np.all(np.isfinite(y)):
         raise ValueError("y must be finite")
-    if lp is None:
-        lp = SelectorLP(A, warm=False)
-    if lp.A is not A:
+    if lp is not None and lp.A is not A:
         raise ValueError("the selector handle belongs to another matrix")
 
     g = A.entries.T @ y
@@ -211,39 +438,28 @@ def solve_dantzig(
         return DsSolution(np.zeros(m), 0.0, peak, "optimal", "zero_exit", 0)
 
     G = A.gram()
-    path, iterations = "cold", 0
-    if lp._highs is not None:
-        highs = lp._highs
-        for i, gi in enumerate(g.tolist()):
-            highs.changeRowBounds(i, gi - lam, gi + lam)
-        if lp.warm:
-            # passing the basis back makes HiGHS factorize it afresh; run on
-            # the previous run's updated factors, warm answers ended up to
-            # 6e-10 past lam and 1.7e-9 from the cold answer
-            highs.setBasis(highs.getBasis())
-        else:
-            highs.clearSolver()
-        status, zeta, max_corr, iterations = _solve_loaded(highs, G, g)
-        if lp.warm:
-            path = "warm" if zeta is not None and max_corr <= lam + _FEASIBILITY_TOL else "fallback"
-    if lp._highs is None or path == "fallback":
-        lp._highs = _load(G, g, lam)
-        if lp._highs is None:
-            # a model HiGHS cannot load is a model error, reported as "infeasible"
-            status, zeta = HighsModelStatus.kModelError, None
-        else:
-            status, zeta, max_corr, fresh_iterations = _solve_loaded(lp._highs, G, g)
-            iterations += fresh_iterations
+    basis = lp._basis if lp is not None else None
+    path = "cold" if basis is None else "warm"
+    if basis is None:
+        basis = _Basis(G, min(A.n, m), g, peak)
+    if lp is not None:
+        lp._basis = None
+    drive = _homotopy(basis, g, float(lam))
+    if drive is not None:
+        zeta, u, iterations = drive
+        max_corr, failed = _certify(G, g, lam, zeta, u)
+        if failed is None:
+            if lp is not None:
+                lp._basis = basis
+            return DsSolution(zeta, float(np.sum(np.abs(zeta))), max_corr, "optimal", path, iterations)
 
-    if status in _BUDGET_STATUSES:
-        return DsSolution(np.zeros(m), float("nan"), float("nan"), "budget_exceeded", path, iterations)
+    status, zeta, u, iterations = _solve_highs(G, g, lam)
     if zeta is None:
-        return DsSolution(np.zeros(m), float("nan"), float("nan"), "infeasible", path, iterations)
-    if max_corr > lam + _FEASIBILITY_TOL:
-        raise DantzigNumericsError(
-            f"constraint violation {max_corr - lam:.3e} exceeds tolerance"
-        )
-    return DsSolution(zeta, float(np.sum(np.abs(zeta))), max_corr, "optimal", path, iterations)
+        return DsSolution(np.zeros(m), float("nan"), float("nan"), status, "highs", iterations)
+    max_corr, failed = _certify(G, g, lam, zeta, u)
+    if failed is not None:
+        raise DantzigNumericsError(failed)
+    return DsSolution(zeta, float(np.sum(np.abs(zeta))), max_corr, "optimal", "highs", iterations)
 
 
 def optimal_zeta(sol: DsSolution) -> np.ndarray:

@@ -305,6 +305,36 @@ class TestCli:
         assert out.returncode == 1
         assert "config error" in out.stderr
 
+    @pytest.mark.parametrize("kind", ["stability", "static_table", "low_snr", "bound_validation"])
+    def test_negative_seed_exit_code(self, kind, tmp_path):
+        cfg = json.loads((CONFIGS / f"{kind}.json").read_text())
+        cfg["seed"] = -3
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = self.run_cli("run", str(cfg_path), "--out", str(tmp_path / "o"))
+        assert out.returncode == 1
+        assert "seed must be nonnegative" in out.stderr
+
+    def test_negative_seed_flag_exit_code(self, tmp_path):
+        out = self.run_cli(
+            "run", str(CONFIGS / "stability.json"), "--seed", "-1", "--trials", "1", "--out", str(tmp_path / "o"),
+        )
+        assert out.returncode == 1
+        assert "seed must be nonnegative" in out.stderr
+
+    @pytest.mark.parametrize("seeded", ["matrix", "sampled_table"])
+    def test_negative_check_stability_seed_exit_code(self, seeded, tmp_path):
+        cfg = json.loads((CONFIGS / "check_stability.json").read_text())
+        if seeded == "matrix":
+            cfg["rip_table"]["matrix"]["seed"] = -3
+        else:
+            cfg["rip_table"].update(mode="sampled", seed=-3)
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = self.run_cli("check-stability", str(cfg_path))
+        assert out.returncode == 1
+        assert "config error" in out.stderr
+
     def test_numerical_failure_exit_code(self, tmp_path):
         # the noise draw overflows; the selector rejects the non-finite data
         cfg = small_static_cfg(trials=1)

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+import textwrap
 import warnings
 from itertools import combinations, product
 from pathlib import Path
@@ -8,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
-from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
+from scipy.optimize._highspy import _core as highs_core
+from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus
 
 import lscs.solver
 from lscs.cli import main as cli_main
@@ -17,6 +21,7 @@ from lscs.filter import FilterConfig, FilterState, lscs_step
 from lscs.harness import _parse_tracking, _tracking_trial, run_static_experiment, run_stability_experiment
 from lscs.measurement import MeasurementMatrix, gen_gaussian_matrix
 from lscs.solver import (
+    DantzigNumericsError,
     DantzigStatusError,
     LsSolveError,
     SelectorLP,
@@ -40,23 +45,26 @@ def vertex_enumeration_optimum(A: np.ndarray, y: np.ndarray, lam: float) -> floa
     At a basic solution ``u = |zeta|``, and the k nonzeros of zeta on a
     support S are fixed by k active rows R with signs s:
     ``G[R, S] zeta_S = g_R - lam s``.  Such a system is nonsingular only
-    for k <= rank(G) <= n, so every (S, R, s) with k <= n is visited."""
+    for k <= rank(G) <= n, so every (S, R, s) with k <= n is visited; the
+    rows and signs of one support are solved as one batch."""
     n, m = A.shape
     G = A.T @ A
     g = A.T @ y
     best = 0.0 if np.max(np.abs(g)) <= lam + 1e-9 else np.inf
     for k in range(1, min(n, m) + 1):
         signs = np.array(list(product((-1.0, 1.0), repeat=k)))
+        rows = np.array(list(combinations(range(m), k)))
+        rhs = g[rows][:, :, None] - lam * signs.T[None]
         for S in combinations(range(m), k):
             cols = G[:, S]
-            for R in combinations(range(m), k):
-                sub = cols[list(R)]
-                if abs(np.linalg.det(sub)) < 1e-10:
-                    continue
-                Z = np.linalg.solve(sub, (g[list(R)] - lam * signs).T)
-                feasible = np.all(np.abs(g[:, None] - cols @ Z) <= lam + 1e-9, axis=0)
-                if feasible.any():
-                    best = min(best, float(np.abs(Z[:, feasible]).sum(axis=0).min()))
+            subs = cols[rows]
+            regular = np.abs(np.linalg.det(subs)) >= 1e-10
+            if not regular.any():
+                continue
+            Z = np.linalg.solve(subs[regular], rhs[regular])
+            feasible = np.all(np.abs(g[None, :, None] - cols[None] @ Z) <= lam + 1e-9, axis=1)
+            if feasible.any():
+                best = min(best, float(np.abs(Z).sum(axis=1)[feasible].min()))
     return best
 
 
@@ -217,8 +225,14 @@ class TestDantzig:
         peak = float(np.max(np.abs(A.entries.T @ y)))
         zero = solve_dantzig(A, y, peak)
         assert (zero.path, zero.iterations) == ("zero_exit", 0)
-        lp = solve_dantzig(A, y, 0.16)
-        assert lp.path == "cold" and lp.iterations > 0
+        cold = solve_dantzig(A, y, 0.16)
+        assert cold.path == "cold" and cold.iterations > 0
+        handle = SelectorLP(A)
+        first, second = (solve_dantzig(A, y, lam, lp=handle) for lam in (0.5, 0.16))
+        assert first.path == "cold" and second.path == "warm"
+        # the drive from lambda = 0.5 passes the breakpoints above it once
+        assert first.iterations + second.iterations == cold.iterations
+        assert np.array_equal(second.zeta_hat, cold.zeta_hat)
 
     def test_rejects_bad_inputs(self):
         A = gen_gaussian_matrix(4, 6, 0)
@@ -248,19 +262,90 @@ class TestDantzig:
             assert np.all(sol.zeta_hat == 0.0)
 
 
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_walk_through_one_handle(self, data):
+        # a handle's answers along a walk in (y, lambda): lambda goes down,
+        # up and repeats, zero exits fall in between, and a sign flip of y
+        # drives g through zero, where the path passes above max|g|
+        # n = 1 gives columns +-1, whose duplicates make the optimum non-unique
+        m = data.draw(st.integers(3, 8), label="m")
+        n = data.draw(st.integers(2, min(m - 1, 4)), label="n")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        moves = data.draw(st.lists(st.sampled_from(["nudge", "jump", "flip", "same"]), min_size=5, max_size=9), label="moves")
+        A = gen_gaussian_matrix(n, m, seed)
+        rng = np.random.default_rng(seed)
+        handle = SelectorLP(A)
+        y, started = rng.standard_normal(n), False
+        for move in ["jump"] + moves:
+            if move == "nudge":
+                y = y + 0.1 * rng.standard_normal(n)
+            elif move == "jump":
+                y = rng.standard_normal(n)
+            elif move == "flip":
+                y = -y
+            if move != "same":
+                scale = data.draw(st.sampled_from([0.05, 0.2, 0.5, 0.9, 1.0, 1.5]), label="scale")
+                lam = scale * float(np.max(np.abs(A.entries.T @ y)))
+            sol = solve_dantzig(A, y, lam, lp=handle)
+            assert sol.status == "optimal"
+            if lam >= np.max(np.abs(A.entries.T @ y)):
+                assert sol.path == "zero_exit" and np.all(sol.zeta_hat == 0.0)
+                continue
+            assert sol.path == ("warm" if started else "cold")
+            started = True
+            assert np.max(np.abs(A.entries.T @ (y - A.entries @ sol.zeta_hat))) <= lam + 1e-9
+            assert abs(sol.objective - vertex_enumeration_optimum(A.entries, y, lam)) <= 1e-8
+            assert np.max(np.abs(sol.zeta_hat - milp_ranged_dantzig(A, y, lam))) <= 1e-9
+
+
+    @pytest.mark.parametrize("raw, y, scale", [
+        ([[0, 1, 0, 0, 1, -1], [0, -1, 1, 0, 0, -1], [1, 1, -1, 1, 1, -1], [-1, 0, -1, -1, 0, 0]],
+         [-3.0, 2.0, 1.0, 2.0], 0.25),
+        ([[1, -1, 0, 0, 0, 0, 0, -1], [1, 1, -1, -1, 0, -1, 0, 0], [-1, -1, -1, -1, 0, -1, 1, 0],
+          [0, 0, 1, 0, 1, 1, -1, -1], [1, -1, -1, 0, 0, 0, -1, 1]],
+         [3.0, -3.0, -2.0, -2.0, 2.0], 0.5),
+    ])
+    def test_tied_events_on_a_sign_design(self, raw, y, scale):
+        # a design of -1, 0, +1 entries has exact ties between events, so a
+        # row can sit on its bound within rounding while the path moves it
+        # outward; the drive must fire it at once rather than let it cross
+        A = MeasurementMatrix.from_columns(np.array(raw, dtype=float))
+        y = np.array(y)
+        lam = scale * float(np.max(np.abs(A.entries.T @ y)))
+        sol = solve_dantzig(A, y, lam)
+        assert (sol.status, sol.path) == ("optimal", "cold")
+        assert abs(sol.objective - vertex_enumeration_optimum(A.entries, y, lam)) <= 1e-8
+
+    def test_event_times_clip_values_past_the_bound(self):
+        # the drive calls it under one errstate, which this call repeats
+        with np.errstate(divide="ignore", invalid="ignore"):
+            times = lscs.solver._exit_times(np.array([-1e-16, 0.5, 2.0, -1.0]), np.array([1.0, 2.0, -1.0, 0.0]))
+        assert times.tolist() == [0.0, 0.25, np.inf, np.inf]
+
+
 class TestRangedForm:
-    """The ranged-row LP against the 2m-row inequality form in HiGHS."""
+    """The HiGHS fallback solves the ranged-row LP that milp solves, and the
+    homotopy agrees with it and with the 2m-row inequality form."""
 
     @staticmethod
-    def assert_agrees(A, y, lam):
-        sol = solve_dantzig(A, y, lam)
+    def assert_agrees(A, y, lam, lp=None):
+        sol = solve_dantzig(A, y, lam, lp=lp)
         ref = inequality_form_dantzig(A, y, lam)
-        assert sol.status == "optimal"
-        # the cold path solves the program milp solves, bit for bit
-        assert np.array_equal(sol.zeta_hat, milp_ranged_dantzig(A, y, lam))
+        reference = milp_ranged_dantzig(A, y, lam)
+        assert sol.status == "optimal" and sol.path != "highs"
+        assert np.max(np.abs(sol.zeta_hat - reference)) <= 1e-9
         assert np.max(np.abs(sol.zeta_hat - ref)) <= 1e-9
         assert abs(sol.objective - np.abs(ref).sum()) <= 1e-9
         assert sol.max_correlation <= lam + 1e-9
+        G, g = A.gram(), A.entries.T @ y
+        if lam < np.max(np.abs(g)):
+            # the fallback solves the program milp solves, bit for bit, and
+            # its row duals as returned certify the answer
+            status, zeta, u, _ = lscs.solver._solve_highs(G, g, lam)
+            assert status == "optimal" and np.array_equal(zeta, reference)
+            assert lscs.solver._certify(G, g, lam, zeta, u)[1] is None
+            assert lscs.solver._certify(G, g, lam, zeta, -u)[1] is not None
         return sol
 
     @pytest.mark.parametrize("n", [45, 59, 100])
@@ -283,9 +368,9 @@ class TestRangedForm:
 
     @pytest.mark.parametrize("family", ["static_table", "stability"])
     def test_reused_handle_matches_reference(self, family):
-        # cold solves through one handle per matrix, in a shuffled order with
-        # repeats, answer as milp does, bit for bit, and take the iterations
-        # of a solve through a handle of its own
+        # one handle per matrix drives between its cases in a shuffled order
+        # with repeats, across changes of y, of lambda (up and down) and of
+        # both; a repeat of the previous call takes no breakpoint
         rng = np.random.default_rng(17)
         for draw in (1, 2, 3):
             if family == "static_table":
@@ -294,28 +379,31 @@ class TestRangedForm:
             else:
                 A, y, x_init = stability_instance(draw)
                 cases = [(rhs, lam) for rhs in (y, y - A.entries @ x_init) for lam in (0.35, 0.1)]
-            lp = SelectorLP(A, warm=False)
+            lp, previous = SelectorLP(A), None
             for i in rng.permutation(np.repeat(np.arange(len(cases)), 2)):
                 rhs, lam = cases[i]
-                sol = solve_dantzig(A, rhs, lam, lp=lp)
-                assert sol.path == "cold" and sol.status == "optimal"
-                assert np.array_equal(sol.zeta_hat, milp_ranged_dantzig(A, rhs, lam))
-                assert sol.iterations == solve_dantzig(A, rhs, lam).iterations
+                sol = self.assert_agrees(A, rhs, lam, lp)
+                assert sol.path == ("cold" if previous is None else "warm")
+                if i == previous:
+                    assert sol.iterations == 0
+                previous = i
 
     def test_stability_trial_within_contract(self):
         # trial 25 of the acceptance stability run holds a one-shot LP that
-        # HiGHS with its default scaling closes 2.8e-9 past lambda; the
-        # post-solve check would raise DantzigNumericsError
+        # HiGHS with its default scaling closes 2.8e-9 past lambda; every
+        # answer of the trial must pass the certificate
         record = _tracking_trial(_parse_tracking(stability_cfg(424242, trials=26)), 25)
         assert len(record.rows["simple_cs"]) == 25
 
-    def test_no_warning_escapes(self):
+    def test_no_warning_escapes(self, monkeypatch):
         A, y = static_table_instance(59, seed=5, sigma=0.04)
         filters = list(warnings.filters)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = solve_dantzig(A, y, 0.16)
-        assert sol.status == "optimal"
+            monkeypatch.setattr(lscs.solver, "_homotopy", lambda *args: None)
+            fallback = solve_dantzig(A, y, 0.16)
+        assert (sol.status, fallback.status, fallback.path) == ("optimal", "optimal", "highs")
         assert warnings.filters == filters
 
     def test_gram_is_cached_and_read_only(self):
@@ -330,7 +418,8 @@ class TestRangedForm:
 
 
 class TestWarmStart:
-    """The tracking baseline starts each solve from the previous basis."""
+    """The tracking baseline drives each solve from the previous instant's
+    answer; a drive that fails hands the call to HiGHS."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_tracking_baseline_matches_cold(self, seed, monkeypatch):
@@ -341,118 +430,122 @@ class TestWarmStart:
             solves.append((sol, solve_dantzig(A, y, lam), A, y, lam))
             return sol
 
-        def reused_and_fresh(A, y, lam, *, lp=None):
+        def residual(A, y, lam, *, lp=None):
             sol = solve_dantzig(A, y, lam, lp=lp)
-            residuals.append((sol, solve_dantzig(A, y, lam), lp))
+            residuals.append((sol, lp))
             return sol
 
         monkeypatch.setattr("lscs.harness.solve_dantzig", warm_and_cold)
-        monkeypatch.setattr("lscs.filter.solve_dantzig", reused_and_fresh)
+        monkeypatch.setattr("lscs.filter.solve_dantzig", residual)
         _tracking_trial(_parse_tracking(stability_cfg(seed, trials=1)), 0)
         assert len(solves) == 25
-        # the residual LPs go through one cold handle, apart from the baseline's
-        assert len(residuals) == 24 and len({id(lp) for *_, lp in residuals}) == 1
-        handle = residuals[0][2]
-        assert not handle.warm and handle.A is solves[0][2]
-        assert sum(sol.path == "cold" for sol, *_ in residuals) > 1
-        for sol, fresh, _ in residuals:
-            assert sol.path == fresh.path and sol.iterations == fresh.iterations
-            assert np.array_equal(sol.zeta_hat, fresh.zeta_hat)
-        warm_iterations = cold_iterations = 0
+        # the residual solves take no handle and start cold
+        assert len(residuals) == 24 and all(lp is None for _, lp in residuals)
+        assert {sol.path for sol, _ in residuals} == {"cold", "zero_exit"}
+        warm_breakpoints = cold_breakpoints = 0
         for t, (sol, cold, A, y, lam) in enumerate(solves):
             assert sol.status == cold.status == "optimal"
             g = A.entries.T @ y
             assert np.max(np.abs(g - A.gram() @ sol.zeta_hat)) <= lam + 1e-9
             assert np.max(np.abs(sol.zeta_hat - cold.zeta_hat)) <= 1e-9
+            assert cold.path == "cold"
             if t == 0:
-                # the handle's first solve loads a fresh instance
+                # the handle's first solve starts cold too
                 assert sol.path == "cold" and np.array_equal(sol.zeta_hat, cold.zeta_hat)
             else:
                 assert sol.path == "warm", t
-                warm_iterations += sol.iterations
-                cold_iterations += cold.iterations
-        assert warm_iterations < cold_iterations / 2
+                warm_breakpoints += sol.iterations
+                cold_breakpoints += cold.iterations
+        assert warm_breakpoints < cold_breakpoints / 2
 
     @pytest.mark.parametrize("failure", ["not_optimal", "past_lambda"])
     def test_rejected_warm_run_falls_back_to_cold(self, failure, monkeypatch):
+        # a drive that breaks down, or whose answer fails the certificate,
+        # is answered by HiGHS, and the handle's next call starts cold
         A, y, x_init = stability_instance(1)
         handle = SelectorLP(A)
         assert solve_dantzig(A, y, 0.35, lp=handle).path == "cold"
-        stale, run = handle._highs, lscs.solver._run
-
-        def sabotaged(highs):
-            if highs is not stale:
-                return run(highs)
-            if failure == "not_optimal":
-                return HighsModelStatus.kIterationLimit
-            # with every row free the optimum is zero, past lambda on the real rows
-            for i in range(A.m):
-                highs.changeRowBounds(i, -np.inf, np.inf)
-            return run(highs)
-
-        monkeypatch.setattr(lscs.solver, "_run", sabotaged)
+        zero = np.zeros(A.m)
+        monkeypatch.setattr(
+            lscs.solver, "_homotopy",
+            lambda *args: None if failure == "not_optimal" else (zero, zero, 7),
+        )
         y_res = y - A.entries @ x_init
         sol = solve_dantzig(A, y_res, 0.35, lp=handle)
-        assert sol.status == "optimal" and sol.path == "fallback"
-        assert np.array_equal(sol.zeta_hat, solve_dantzig(A, y_res, 0.35).zeta_hat)
-        assert handle._highs is not stale
+        status, zeta, _, iterations = lscs.solver._solve_highs(A.gram(), A.entries.T @ y_res, 0.35)
+        assert (sol.status, sol.path, sol.iterations) == (status, "highs", iterations)
+        assert np.array_equal(sol.zeta_hat, zeta)
+        assert handle._basis is None
+        monkeypatch.undo()
+        again = solve_dantzig(A, y_res, 0.35, lp=handle)
+        assert again.path == "cold" and np.max(np.abs(again.zeta_hat - zeta)) <= 1e-9
 
     def test_zero_exit_keeps_basis(self):
         A, y, _ = stability_instance(3)
         handle = SelectorLP(A)
         solve_dantzig(A, y, 0.35, lp=handle)
-        highs = handle._highs
-        sol = solve_dantzig(A, y, float(np.max(np.abs(A.entries.T @ y))), lp=handle)
+        basis = handle._basis
+        g, lam = basis.g, basis.lam
+        sol = solve_dantzig(A, 2.0 * y, float(np.max(np.abs(A.entries.T @ y))) * 2.0, lp=handle)
         assert (sol.path, sol.iterations) == ("zero_exit", 0)
-        assert handle._highs is highs
+        assert handle._basis is basis and basis.g is g and basis.lam == lam
+        # the next call drives from the answer before the zero exit
+        repeat = solve_dantzig(A, y, 0.35, lp=handle)
+        assert (repeat.path, repeat.iterations) == ("warm", 0)
 
     def test_handle_of_another_matrix_rejected(self):
         A, y, _ = stability_instance(1)
         other = gen_gaussian_matrix(59, 200, 1)
         with pytest.raises(ValueError):
             solve_dantzig(A, y, 0.35, lp=SelectorLP(other))
-        with pytest.raises(ValueError):
-            solve_dantzig(A, y, 0.35, lp=SelectorLP(other, warm=False))
 
 
 class TestHandle:
-    """A handle loads its matrix's program once and keeps only a loaded
-    instance."""
+    """A handle drives one matrix's solves from its last answer."""
 
-    def test_static_draw_loads_once(self, monkeypatch):
-        loads, paths = [], []
-        load = lscs.solver._load
-        monkeypatch.setattr(lscs.solver, "_load", lambda *args: loads.append(args) or load(*args))
+    def test_static_draw_drives_one_handle(self, monkeypatch):
+        solves = []
 
         def recorded(*args, **kwargs):
             sol = solve_dantzig(*args, **kwargs)
-            paths.append(sol.path)
+            solves.append((sol.path, kwargs.get("lp")))
             return sol
 
-        # the residual LP goes through the filter's selector call
+        # the residual solve goes through the filter's selector call
         monkeypatch.setattr("lscs.harness.solve_dantzig", recorded)
         monkeypatch.setattr("lscs.filter.solve_dantzig", recorded)
         cfg = json.loads((CONFIGS / "static_table.json").read_text())
         run_static_experiment({**cfg, "trials": 1, "cells": cfg["cells"][:1]})
-        assert paths == ["cold"] * 4
-        assert len(loads) == 1
+        (residual, none), *scales = solves
+        assert (residual, none) == ("cold", None)
+        # one cold start at the largest lambda, then two lambda drives
+        assert [path for path, _ in scales] == ["cold", "warm", "warm"]
+        assert len({id(lp) for _, lp in scales}) == 1 and scales[0][1] is not None
 
-    @pytest.mark.parametrize("warm", [True, False])
-    def test_failed_load_keeps_no_instance(self, warm, monkeypatch):
-        class Unloadable(_Highs):
+    @pytest.mark.parametrize("through_handle", [True, False])
+    def test_failed_load_keeps_no_instance(self, through_handle, monkeypatch):
+        # a fallback that HiGHS cannot load reports "infeasible" and leaves
+        # the handle without a basis
+        class Unloadable(highs_core._Highs):
             def passModel(self, *args):
                 return HighsStatus.kError
 
         A, y, _ = stability_instance(2)
-        handle = SelectorLP(A, warm=warm)
-        monkeypatch.setattr(lscs.solver, "_Highs", Unloadable)
+        handle = SelectorLP(A) if through_handle else None
+        if handle is not None:
+            solve_dantzig(A, y, 0.1, lp=handle)
+            assert handle._basis is not None
+        monkeypatch.setattr(highs_core, "_Highs", Unloadable)
+        monkeypatch.setattr(lscs.solver, "_homotopy", lambda *args: None)
         sol = solve_dantzig(A, y, 0.35, lp=handle)
-        assert (sol.status, sol.path) == ("infeasible", "cold")
-        assert handle._highs is None
+        assert (sol.status, sol.path, sol.iterations) == ("infeasible", "highs", 0)
+        with pytest.raises(DantzigStatusError):
+            optimal_zeta(sol)
+        if handle is not None:
+            assert handle._basis is None
         monkeypatch.undo()
         sol = solve_dantzig(A, y, 0.35, lp=handle)
         assert (sol.status, sol.path) == ("optimal", "cold")
-        assert type(handle._highs) is _Highs
 
 
 class TestSelectorFailure:
@@ -460,13 +553,15 @@ class TestSelectorFailure:
 
     @pytest.fixture(autouse=True)
     def failing_lp(self, monkeypatch):
+        # the homotopy breaks down and HiGHS reports the program infeasible
+        monkeypatch.setattr(lscs.solver, "_homotopy", lambda *args: None)
         monkeypatch.setattr(lscs.solver, "_run", lambda highs: HighsModelStatus.kInfeasible)
 
     def test_status_reported(self):
         A = gen_gaussian_matrix(10, 20, 1)
         y = A.entries @ np.ones(20)
         sol = solve_dantzig(A, y, 0.01)
-        assert sol.status == "infeasible"
+        assert (sol.status, sol.path) == ("infeasible", "highs")
         with pytest.raises(DantzigStatusError):
             optimal_zeta(sol)
 
@@ -474,7 +569,7 @@ class TestSelectorFailure:
         monkeypatch.setattr(lscs.solver, "_run", lambda highs: HighsModelStatus.kIterationLimit)
         A = gen_gaussian_matrix(10, 20, 1)
         sol = solve_dantzig(A, A.entries @ np.ones(20), 0.01)
-        assert sol.status == "budget_exceeded"
+        assert (sol.status, sol.path) == ("budget_exceeded", "highs")
         with pytest.raises(DantzigStatusError):
             optimal_zeta(sol)
 
@@ -513,6 +608,106 @@ class TestSelectorFailure:
         path = tmp_path / "static.json"
         path.write_text(json.dumps(static))
         assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+class TestCertificate:
+    """Every answer is checked by primal and dual feasibility and the gap."""
+
+    @staticmethod
+    def pair(seed: int, lam: float = 0.35):
+        A, y, _ = stability_instance(seed)
+        G, g = A.gram(), A.entries.T @ y
+        basis = lscs.solver._Basis(G, A.n, g, float(np.max(np.abs(g))))
+        zeta, u, _ = lscs.solver._homotopy(basis, g, lam)
+        assert lscs.solver._certify(G, g, lam, zeta, u)[1] is None
+        return A, y, G, g, zeta, u
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_feasible_but_not_optimal_fails(self, seed):
+        A, y, G, g, zeta, u = self.pair(seed)
+        # the least-norm interpolator meets every row with c = 0
+        z0, *_ = np.linalg.lstsq(A.entries, y, rcond=None)
+        assert np.max(np.abs(g - G @ z0)) <= 1e-9
+        assert "duality gap" in lscs.solver._certify(G, g, 0.35, z0, u)[1]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_corrupted_dual_fails(self, seed):
+        A, y, G, g, zeta, u = self.pair(seed)
+        assert lscs.solver._certify(G, g, 0.35, zeta, 1.01 * u)[1] is not None
+        for r in np.flatnonzero(u):
+            flipped = u.copy()
+            flipped[r] = -flipped[r]
+            assert lscs.solver._certify(G, g, 0.35, zeta, flipped)[1] is not None
+
+    def test_dual_infeasible_pair_with_no_gap_fails(self):
+        # move u within the active rows along a direction that keeps its
+        # signs and the dual objective: the gap stays closed, |Gu| breaks 1
+        A, y, G, g, zeta, u = self.pair(3)
+        R = np.flatnonzero(u)
+        d = g[R] - 0.35 * np.sign(u[R])
+        v = np.random.default_rng(0).standard_normal(len(R))
+        v -= (d @ v) / (d @ d) * d
+        bent = u.copy()
+        bent[R] += 1e-3 * np.min(np.abs(u[R])) / np.max(np.abs(v)) * v
+        if np.max(np.abs(G @ bent)) <= 1.0:
+            bent[R] = 2.0 * u[R] - bent[R]
+        assert "dual infeasibility" in lscs.solver._certify(G, g, 0.35, zeta, bent)[1]
+
+    def test_failed_highs_answer_raises(self, monkeypatch):
+        solve_highs = lscs.solver._solve_highs
+
+        def corrupted(G, g, lam):
+            status, zeta, u, iterations = solve_highs(G, g, lam)
+            return status, zeta, 1.01 * u, iterations
+
+        monkeypatch.setattr(lscs.solver, "_homotopy", lambda *args: None)
+        monkeypatch.setattr(lscs.solver, "_solve_highs", corrupted)
+        A, y, _ = stability_instance(1)
+        with pytest.raises(DantzigNumericsError):
+            solve_dantzig(A, y, 0.35)
+
+
+class TestImport:
+    """The CLI imports no scipy; the fallback imports HiGHS when it runs."""
+
+    @staticmethod
+    def run(code: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True, text=True)
+
+    def test_cli_imports_no_scipy(self):
+        out = self.run("""
+            import sys
+            import lscs.cli
+            assert not [name for name in sys.modules if name.split(".")[0] == "scipy"]
+        """)
+        assert out.returncode == 0, out.stderr
+
+    @pytest.mark.parametrize("milp_first", [True, False])
+    def test_fallback_in_either_import_order(self, milp_first):
+        out = self.run(f"""
+            import warnings
+            if {milp_first}:
+                from scipy.optimize import milp
+            import numpy as np
+            import lscs.solver
+            from lscs.measurement import gen_gaussian_matrix
+
+            A = gen_gaussian_matrix(8, 16, 3)
+            y = np.random.default_rng(3).standard_normal(8)
+            lscs.solver._homotopy = lambda *args: None
+            sol = lscs.solver.solve_dantzig(A, y, 0.2)
+            assert (sol.status, sol.path) == ("optimal", "highs"), sol
+            from scipy.optimize import Bounds, LinearConstraint, milp
+            G, g = A.gram(), A.entries.T @ y
+            options = {{"presolve": False, "simplex_scale_strategy": 0,
+                       "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}}
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                res = milp(np.ones(32), constraints=LinearConstraint(np.hstack([G, -G]), g - 0.2, g + 0.2),
+                           bounds=Bounds(0.0, np.inf), options=options)
+            assert np.array_equal(sol.zeta_hat, res.x[:16] - res.x[16:])
+        """)
+        assert out.returncode == 0, out.stderr
 
 
 class TestLsOnSupport:
