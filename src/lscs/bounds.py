@@ -40,6 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .core import support_of
 from .filter import FilterConfig, StepDiagnostics
 from .measurement import RipEntry, RipTable
 from .sigmodel import SignalModelParams
@@ -689,37 +690,43 @@ def runtime_step_checks(
     the extras are deleted once ``alpha_del^2`` covers the detected-support
     LS error.  Each is counted twice: at the step's realized errors (the
     ``*_guarantee`` keys) and at the thresholds of the constants in ``ctx``
-    (the ``*_condition`` keys).  A failed step, or one without ground truth,
-    counts nothing; the detection condition is counted only on steps whose
-    previous support misses a coefficient.  A condition whose hypotheses do
-    not verify counts zero, which at scales where constants are sampled shows
-    as a zero hypothesis count rather than as a silent pass.
+    (the ``*_condition`` keys), with misses, extras and errors taken against
+    ``x_true``.  A failed step counts nothing; the detection condition is
+    counted only on steps whose previous support misses a coefficient.  A
+    condition whose hypotheses do not verify counts zero, which at scales
+    where constants are sampled shows as a zero hypothesis count rather than
+    as a silent pass.
     """
     tally = PredicateTally()
-    if diag.failed_stage is not None or diag.true_support is None:
+    if diag.failed_stage is not None:
         return tally
+    truth = support_of(x_true)
+    delta_pre = truth - diag.T_prev
+    det_misses = truth - diag.T_det
+    det_extras = diag.T_det - truth
+    err_csres = float(np.sum((x_true - diag.x_csres) ** 2))
 
     def landed(name: str, candidates, thresh_sq: float | None, target) -> None:
         hyp = [] if thresh_sq is None else [i for i in candidates if x_true[i] ** 2 > thresh_sq]
         tally.add(name, len(hyp), sum(i not in target for i in hyp))
 
     def deleted(name: str, err_sq: float | None) -> None:
-        extras = diag.det_extras if err_sq is not None and cfg.alpha_del ** 2 >= err_sq else ()
+        extras = det_extras if err_sq is not None and cfg.alpha_del ** 2 >= err_sq else ()
         tally.add(name, len(extras), sum(i in diag.final_support for i in extras))
 
     idx = diag.T_det.to_array()
     d = np.asarray(x_true, dtype=float)[idx] - np.asarray(diag.x_det, dtype=float)[idx]
     det_err_sq = float(d @ d)
-    kept = [i for i in diag.T_det if i in diag.true_support]
-    landed("detection_guarantee", diag.delta_pre, 2.0 * cfg.alpha ** 2 + 2.0 * diag.err_csres, diag.T_det)
+    kept = [i for i in diag.T_det if i in truth]
+    landed("detection_guarantee", delta_pre, 2.0 * cfg.alpha ** 2 + 2.0 * err_csres, diag.T_det)
     landed("no_false_deletion_guarantee", kept, 2.0 * cfg.alpha_del ** 2 + 2.0 * det_err_sq, diag.final_support)
     deleted("extras_deletion_guarantee", det_err_sq)
 
-    if len(diag.delta_pre) > 0:
-        det = detection_condition(ctx, len(diag.T_prev), len(diag.delta_pre), cfg.alpha)
-        landed("detection_condition", diag.delta_pre, det.value, diag.T_det)
-    count = len(diag.det_misses)
-    mag_sq = max((abs(x_true[i]) for i in diag.det_misses), default=0.0) ** 2
+    if len(delta_pre) > 0:
+        det = detection_condition(ctx, len(diag.T_prev), len(delta_pre), cfg.alpha)
+        landed("detection_condition", delta_pre, det.value, diag.T_det)
+    count = len(det_misses)
+    mag_sq = max((abs(x_true[i]) for i in det_misses), default=0.0) ** 2
     h = _hypotheses(ctx, len(diag.T_det), theta_with=count)
     keep_sq = err_sq = None
     if h.reason is None:

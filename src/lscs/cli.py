@@ -6,11 +6,11 @@ Commands:
   lscs check-stability <config.json> [--out FILE]
   lscs version
 
-Flag overrides beat config-file values.  Each command loads and parses its
-whole config before it starts work.  Exit codes: 0 success, 1 the config
-could not be loaded or parsed, 2 any failure after parsing (a RIP table
-file lacking an entry that a check reads included), 3 soundness assertion
-failed.
+Flag overrides beat config-file values, in every ``low_snr`` variant too.
+Each command loads and parses its whole config before it starts work.  Exit
+codes: 0 success, 1 the config could not be loaded or parsed, 2 any failure
+after parsing (a RIP table file lacking an entry that a check reads
+included), 3 soundness assertion failed.
 """
 
 from __future__ import annotations
@@ -71,10 +71,13 @@ def _table_options(spec: dict, default_mode: str) -> dict:
 
 def _cmd_run(args) -> int:
     cfg = _load_json(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.trials is not None:
-        cfg["trials"] = args.trials
+    overrides = {"seed": args.seed, "trials": args.trials}
+    overrides = {key: value for key, value in overrides.items() if value is not None}
+    cfg.update(overrides)
+    if cfg.get("kind") == "low_snr" and isinstance(cfg.get("variants"), dict):
+        for variant in cfg["variants"].values():
+            if isinstance(variant, dict):
+                variant.update(overrides)
     out_dir = Path(args.out) if args.out else None
     result = run_experiment(cfg, out_dir)
     if cfg.get("kind") == "bound_validation":
@@ -102,6 +105,10 @@ def _cmd_rip_table(args) -> int:
         delta_sizes = [int(s) for s in cfg.get("delta", [])]
         theta_pairs = [(int(s), int(sp)) for s, sp in cfg.get("theta", [])]
         options = _table_options(cfg, "exact")
+        if any(not 0 <= s <= A.m for s in delta_sizes):
+            raise ConfigError(f"each delta size S needs 0 <= S <= m = {A.m}")
+        if any(min(pair) < 0 or sum(pair) > A.m for pair in theta_pairs):
+            raise ConfigError(f"each theta pair (S, S') needs S, S' >= 0 and S + S' <= m = {A.m}")
     table = build_rip_table(A, delta_sizes, theta_pairs, **options)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -132,14 +139,19 @@ def _cmd_check_stability(args) -> int:
             "norm_A_1": float(ctx_cfg["norm_A_1"]),
             "noise_linf_bound": float(ctx_cfg["noise_linf_bound"]),
         }
+        if ctx_args["n"] < 1 or not ctx_args["norm_A_1"] > 0:
+            raise ConfigError("context needs n >= 1 and norm_A_1 > 0")
+        if min(ctx_args["lam"], ctx_args["noise_linf_bound"], alpha, alpha_del or 0.0) < 0:
+            raise ConfigError("lam, noise_linf_bound, alpha and alpha_del must be nonnegative")
         rip_spec = cfg["rip_table"]
         if isinstance(rip_spec, str):
             table = RipTable.from_json(Path(rip_spec).read_text())
         else:
+            A = _matrix_from_spec(rip_spec["matrix"])
+            if A.m != model.m:
+                raise ConfigError(f"the rip_table matrix has m = {A.m}, the model m = {model.m}")
             # computes each constant when the checks first read it
-            table = build_rip_table(
-                _matrix_from_spec(rip_spec["matrix"]), [], [], **_table_options(rip_spec, "sampled")
-            )
+            table = build_rip_table(A, [], [], **_table_options(rip_spec, "sampled"))
     ctx = BoundContext(rip=table, m=model.m, **ctx_args)
     if d0 == "scan":
         d0, report = find_min_d0(model, ctx, f, alpha, alpha_del)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SupportSet, magnitude_order, support_of
+from .core import SupportSet, magnitude_order
 from .measurement import MeasurementMatrix
 from .solver import (
     DantzigNumericsError,
@@ -53,38 +53,23 @@ class FilterConfig:
 class FilterState:
     support_estimate: SupportSet
     x_hat: np.ndarray
-    t: int
 
 
 @dataclass
 class StepDiagnostics:
-    """Everything one step produced, for metrics and predicate checks.
+    """What one step computed, stage by stage; a stage that did not run
+    leaves its field ``None``.  It carries no ground truth:
+    :func:`lscs.bounds.runtime_step_checks` compares it with the signal."""
 
-    Ground-truth-derived fields stay ``None`` when no truth was supplied.
-    """
-
-    t: int
     T_prev: SupportSet
     x_init: np.ndarray | None = None
-    y_res: np.ndarray | None = None
     x_csres: np.ndarray | None = None
     T_det: SupportSet | None = None
     x_det: np.ndarray | None = None
-    deleted: SupportSet | None = None
     final_support: SupportSet | None = None
     x_final: np.ndarray | None = None
     failed_stage: str | None = None
     failure: str | None = None
-    # with ground truth:
-    true_support: SupportSet | None = None
-    delta_pre: SupportSet | None = None        # misses of T_prev vs truth
-    delta_e_pre: SupportSet | None = None      # extras of T_prev vs truth
-    det_misses: SupportSet | None = None       # truth minus detected support
-    det_extras: SupportSet | None = None       # detected support minus truth
-    misses: int | None = None
-    extras: int | None = None
-    err_csres: float | None = None
-    err_final: float | None = None
 
 
 def initial_ls_residual(
@@ -140,29 +125,11 @@ def simple_cs(
     return x_hat, support
 
 
-def _truth_fields(diag: StepDiagnostics, x_true: np.ndarray) -> None:
-    truth = support_of(x_true)
-    diag.true_support = truth
-    diag.delta_pre = truth - diag.T_prev
-    diag.delta_e_pre = diag.T_prev - truth
-    if diag.x_csres is not None:
-        diag.err_csres = float(np.sum((x_true - diag.x_csres) ** 2))
-    if diag.T_det is not None:
-        diag.det_misses = truth - diag.T_det
-        diag.det_extras = diag.T_det - truth
-    if diag.final_support is not None:
-        diag.misses = len(truth - diag.final_support)
-        diag.extras = len(diag.final_support - truth)
-    if diag.x_final is not None:
-        diag.err_final = float(np.sum((x_true - diag.x_final) ** 2))
-
-
 def lscs_step(
     state: FilterState,
     A: MeasurementMatrix,
     y: np.ndarray,
     cfg: FilterConfig,
-    x_true: np.ndarray | None = None,
 ) -> tuple[FilterState, StepDiagnostics]:
     """Advance the estimator one time step.
 
@@ -170,9 +137,8 @@ def lscs_step(
     step keeps the previous support estimate, reports the stage in the
     diagnostics, and carries the best estimate computed so far.
     """
-    t = state.t + 1
     T = state.support_estimate
-    diag = StepDiagnostics(t=t, T_prev=T)
+    diag = StepDiagnostics(T_prev=T)
 
     def fallback(stage: str, exc: Exception) -> tuple[FilterState, StepDiagnostics]:
         diag.failed_stage = stage
@@ -180,16 +146,14 @@ def lscs_step(
         x_hat = diag.x_init if diag.x_init is not None else state.x_hat
         diag.final_support = T
         diag.x_final = x_hat
-        if x_true is not None:
-            _truth_fields(diag, x_true)
-        return FilterState(T, x_hat, t), diag
+        return FilterState(T, x_hat), diag
 
     try:
-        diag.x_init, diag.y_res = initial_ls_residual(A, T, y)
+        diag.x_init, y_res = initial_ls_residual(A, T, y)
     except LsSolveError as exc:
         return fallback("initial_ls", exc)
     try:
-        diag.x_csres = cs_residual_estimate(A, diag.x_init, diag.y_res, cfg.lam)
+        diag.x_csres = cs_residual_estimate(A, diag.x_init, y_res, cfg.lam)
     except (DantzigNumericsError, DantzigStatusError) as exc:
         return fallback("cs_residual", exc)
     diag.T_det = detect(diag.x_csres, T, cfg)
@@ -198,12 +162,8 @@ def lscs_step(
     except LsSolveError as exc:
         return fallback("detect_ls", exc)
     diag.final_support = delete(diag.x_det, diag.T_det, cfg.alpha_del)
-    diag.deleted = diag.T_det - diag.final_support
     try:
         diag.x_final = ls_on_support(A, diag.final_support, y)
     except LsSolveError as exc:
         return fallback("final_ls", exc)
-
-    if x_true is not None:
-        _truth_fields(diag, x_true)
-    return FilterState(diag.final_support, diag.x_final, t), diag
+    return FilterState(diag.final_support, diag.x_final), diag

@@ -114,6 +114,20 @@ class MetricsRow:
         ])
 
 
+def _scored_row(
+    trial: int, t: int, method: str, x_true: np.ndarray, x_hat: np.ndarray, sig_sq: float,
+    truth: SupportSet | None = None, support: SupportSet | None = None,
+) -> MetricsRow:
+    """A method's row: its squared error against ``x_true`` and NMSE, plus the
+    misses, extras and size of ``support`` against ``truth`` when it claims one."""
+    err = float(np.sum((x_true - x_hat) ** 2))
+    row = MetricsRow(trial=trial, t=t, method=method, nmse=_ratio(err, sig_sq), err_final=err)
+    if support is not None:
+        row.misses, row.extras = len(truth - support), len(support - truth)
+        row.support_size = len(support)
+    return row
+
+
 def write_method_csv(path: Path, rows: list[MetricsRow]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
@@ -333,23 +347,19 @@ def run_static_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
 
             x_init, y_res = initial_ls_residual(A, known, y)
             x_csres = cs_residual_estimate(A, x_init, y_res, csres_factor * sigma)
-            err = float(np.sum((x - x_csres) ** 2))
-            err_sum["cs_residual"] += err
-            rows["cs_residual"].append(MetricsRow(
-                trial=k, t=0, method="cs_residual", nmse=_ratio(err, sig_sq),
-                err_csres=err, err_final=err,
-            ))
+            row = _scored_row(k, 0, "cs_residual", x, x_csres, sig_sq)
+            row.err_csres = row.err_final
+            err_sum["cs_residual"] += row.err_final
+            rows["cs_residual"].append(row)
 
             # one handle drives the draw's lambda scales one after another
             lp = SelectorLP(A)
             for factor in ds_factors:
                 name = _ds_method_name(factor)
                 zeta = optimal_zeta(solve_dantzig(A, y, factor * sigma, lp=lp))
-                err = float(np.sum((x - zeta) ** 2))
-                err_sum[name] += err
-                rows[name].append(MetricsRow(
-                    trial=k, t=0, method=name, nmse=_ratio(err, sig_sq), err_final=err,
-                ))
+                row = _scored_row(k, 0, name, x, zeta, sig_sq)
+                err_sum[name] += row.err_final
+                rows[name].append(row)
 
         nmse = {name: _ratio(err_sum[name], sig_sum) for name in methods}
         for name in methods:
@@ -519,26 +529,23 @@ def _tracking_trial(setup: TrackingSetup, k: int) -> TrialRecord:
 
     rows = {name: [] for name in setup.methods}
     sig, misses, extras, diags = [], [], [], []
-    state = FilterState(n0_hat, x0_hat, 0)
+    state = FilterState(n0_hat, x0_hat)
     baseline = SelectorLP(A)
     for t in range(t_end + 1):
         x_true = seq.signal_at(t)
         err_csres = None
         if t > 0:
-            state, diag = lscs_step(state, A, ys[t], setup.fcfg, x_true=x_true)
+            state, diag = lscs_step(state, A, ys[t], setup.fcfg)
             diags.append(diag)
-            err_csres = diag.err_csres
+            if diag.x_csres is not None:
+                err_csres = float(np.sum((x_true - diag.x_csres) ** 2))
         truth = seq.support_at(t)
         sig.append(float(x_true @ x_true))
         misses.append(len(truth - state.support_estimate))
         extras.append(len(state.support_estimate - truth))
         for name in setup.methods:
             x_hat, support = _estimate(name, setup, A, ys[t], state, truth, baseline)
-            err = float(np.sum((x_true - x_hat) ** 2))
-            row = MetricsRow(trial=k, t=t, method=name, nmse=_ratio(err, sig[t]), err_final=err)
-            if support is not None:
-                row.misses, row.extras = len(truth - support), len(support - truth)
-                row.support_size = len(support)
+            row = _scored_row(k, t, name, x_true, x_hat, sig[t], truth, support)
             if name == METHOD_LSCS:
                 row.err_csres = err_csres
             rows[name].append(row)

@@ -23,8 +23,8 @@ from lscs.bounds import (
     _keep_threshold,
     _ls_error,
 )
-from lscs.core import SupportSet
-from lscs.filter import FilterConfig, FilterState, lscs_step
+from lscs.core import SupportSet, support_of
+from lscs.filter import FilterConfig, FilterState, StepDiagnostics, lscs_step
 from lscs.measurement import (
     InsufficientRipTable,
     RipTable,
@@ -499,20 +499,21 @@ class TestSmallScaleStabilityRun:
                 t_end=24, seed=int(rng.integers(2 ** 62)),
             ))
             y0 = A.entries @ seq.signal_at(0) + rng.uniform(-w_linf, w_linf, n)
-            state = FilterState(seq.support_at(0), ls_on_support(A, seq.support_at(0), y0), 0)
+            state = FilterState(seq.support_at(0), ls_on_support(A, seq.support_at(0), y0))
             for t in range(1, 25):
                 x = seq.signal_at(t)
                 y = A.entries @ x + rng.uniform(-w_linf, w_linf, n)
-                state, diag = lscs_step(state, A, y, cfg, x_true=x)
+                state, diag = lscs_step(state, A, y, cfg)
                 assert diag.failed_stage is None
-                false_detects += len(diag.det_extras - diag.delta_e_pre)
-                miss_idx = (diag.true_support - diag.final_support).to_array()
+                truth = support_of(x)
+                false_detects += len((diag.T_det - truth) - (diag.T_prev - truth))
+                miss_idx = (truth - diag.final_support).to_array()
                 assert float(np.sum(x[miss_idx] ** 2)) <= caps.miss_err_sq + 1e-9
                 support_err = sum(
                     (x[i] - diag.x_final[i]) ** 2 for i in diag.final_support
                 )
                 assert support_err <= caps.support_err_sq + 1e-9
-                assert diag.err_csres <= caps.csres_err_cap + 1e-9
+                assert float(np.sum((x - diag.x_csres) ** 2)) <= caps.csres_err_cap + 1e-9
         # condition 2 assumed at most f = 0 false detections per step
         assert false_detects == 0
 
@@ -537,15 +538,16 @@ class TestSmallScaleStabilityRun:
                 t_end=24, seed=int(rng.integers(2 ** 62)),
             ))
             y0 = A.entries @ seq.signal_at(0) + rng.uniform(-w_linf, w_linf, n)
-            state = FilterState(seq.support_at(0), ls_on_support(A, seq.support_at(0), y0), 0)
+            state = FilterState(seq.support_at(0), ls_on_support(A, seq.support_at(0), y0))
             for t in range(1, 25):
                 x = seq.signal_at(t)
                 y = A.entries @ x + rng.uniform(-w_linf, w_linf, n)
-                state, diag = lscs_step(state, A, y, cfg, x_true=x)
+                state, diag = lscs_step(state, A, y, cfg)
                 step = runtime_step_checks(diag, x, cfg, ctx)
                 # the detection condition is counted only where T_prev misses
-                assert ("detection_condition" in step.hypotheses) is (len(diag.delta_pre) > 0)
-                steps_with_misses += len(diag.delta_pre) > 0
+                misses = len(support_of(x) - diag.T_prev) > 0
+                assert ("detection_condition" in step.hypotheses) is misses
+                steps_with_misses += misses
                 tally.merge(step)
         assert steps_with_misses == 9
         assert tally.hypotheses == {
@@ -566,8 +568,8 @@ class TestAppendixFacts:
         known = SupportSet(rng.choice(support.to_array(), 4, replace=False), 40)
         y = A.entries @ x + noise * rng.standard_normal(20)
         cfg = FilterConfig(lam=0.2, alpha=alpha, alpha_del=alpha_del)
-        state = FilterState(known, np.zeros(40), 0)
-        _, diag = lscs_step(state, A, y, cfg, x_true=x)
+        state = FilterState(known, np.zeros(40))
+        _, diag = lscs_step(state, A, y, cfg)
         # Gaussian noise has no l-inf bound, so no condition reads a constant
         ctx = BoundContext(rip=RipTable("empty"), n=20, m=40, lam=0.2,
                            norm_A_1=A.induced_one_norm, noise_linf_bound=math.inf)
@@ -585,6 +587,30 @@ class TestAppendixFacts:
             tally = self.run_step(seed)
             fired += tally.hypotheses["detection_guarantee"] + tally.hypotheses["no_false_deletion_guarantee"]
         assert fired > 0  # the predicates are not vacuous on these instances
+
+    def test_step_compared_with_truth_by_hand(self):
+        # truth {0, 1, 4}; the step starts from {0}, detects {0, 3, 4} and
+        # keeps {0}: one extra (3) that T_prev lacked, one miss (1) left
+        x_true = np.array([3.0, 1.0, 0.0, 0.0, 1.4, 0.0])
+        diag = StepDiagnostics(
+            T_prev=SupportSet([0], 6),
+            x_csres=np.array([3.0, 0.5, 0.0, 0.8, 1.4, 0.0]),   # squared error 0.89
+            T_det=SupportSet([0, 3, 4], 6),
+            x_det=np.array([3.0, 0.0, 0.0, 0.01, 1.4, 0.0]),    # 1e-4 on T_det
+            final_support=SupportSet([0], 6),
+        )
+        cfg = FilterConfig(lam=0.2, alpha=0.1, alpha_del=0.05)
+        ctx = BoundContext(rip=RipTable("empty"), n=6, m=6, lam=0.2, norm_A_1=1.0, noise_linf_bound=math.inf)
+        tally = runtime_step_checks(diag, x_true, cfg, ctx)
+        # detection: x^2 > 2 alpha^2 + 2 * 0.89 = 1.8 holds for index 4 only;
+        # survival: both kept true indices pass 0.0052, and 4 was deleted;
+        # extras: alpha_del^2 = 0.0025 covers 1e-4, so extra 3 counts
+        assert (tally.hypotheses, tally.violations) == (
+            {"detection_guarantee": 1, "no_false_deletion_guarantee": 2, "extras_deletion_guarantee": 1,
+             "detection_condition": 0, "no_false_deletion_condition": 0, "deletion_condition": 0},
+            {"detection_guarantee": 0, "no_false_deletion_guarantee": 1, "extras_deletion_guarantee": 0,
+             "detection_condition": 0, "no_false_deletion_condition": 0, "deletion_condition": 0},
+        )
 
     def test_ls_bound_noiseless_true_support(self):
         table = flat_table()

@@ -3,15 +3,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lscs import measurement
 from lscs.cli import main
+from lscs.core import SupportSet
 from lscs.harness import (
     CSV_HEADER,
     ConfigError,
     MetricsRow,
     _parse_tracking,
+    _scored_row,
     _tracking_trial,
     run_bound_validation,
     run_experiment,
@@ -160,6 +163,25 @@ class TestStabilityRunner:
         cfg["filter"] = {"lam": 0.05, "alpha": 0.02, "alpha_del": 0.02}
         res = run_stability_experiment(cfg)
         assert res.nmse["lscs"] == pytest.approx(res.nmse["genie_ls"], abs=1e-6)
+
+
+class TestScoredRow:
+    def test_errors_and_support_counts(self):
+        x_true = np.array([1.0, 0.0, -2.0, 0.0])
+        x_hat = np.array([0.5, 0.0, -2.0, 0.5])
+        row = _scored_row(3, 5, "lscs", x_true, x_hat, 5.0, SupportSet([0, 2], 4), SupportSet([2, 3], 4))
+        assert (row.trial, row.t, row.method, row.err_final, row.nmse) == (3, 5, "lscs", 0.5, 0.1)
+        assert (row.misses, row.extras, row.support_size, row.err_csres) == (1, 1, 2, None)
+        plain = _scored_row(0, 0, "ds", x_true, x_hat, 0.0)
+        assert (plain.nmse, plain.misses, plain.extras, plain.support_size) == (0.0, None, None, None)
+
+    def test_tracking_rows(self):
+        record = _tracking_trial(_parse_tracking(small_stability_cfg(trials=1)), 0)
+        lscs, genie, cs = (record.rows[name] for name in ("lscs", "genie_ls", "simple_cs"))
+        # the residual estimate is scored from the first step on
+        assert lscs[0].err_csres is None and all(row.err_csres > 0 for row in lscs[1:])
+        assert all(row.misses == row.extras == 0 for row in genie)
+        assert all(row.misses is None and row.err_csres is None for row in cs)
 
 
 class TestLowSnrRunner:
@@ -560,6 +582,64 @@ class TestCli:
         command = "check-stability" if kind == "check_stability.json" else "run"
         assert main([command, str(cfg_path)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block, change", [
+        ("context", {"norm_A_1": 0}),
+        ("context", {"norm_A_1": -3.63}),
+        ("context", {"n": -3}),
+        ("context", {"n": 0}),
+        ("context", {"lam": -0.05}),
+        ("context", {"noise_linf_bound": -0.0137}),
+        (None, {"alpha": -0.5}),
+        (None, {"alpha_del": -0.1}),
+    ], ids=["norm_A_1-zero", "norm_A_1-negative", "n-negative", "n-zero", "lam", "noise_linf_bound",
+            "alpha", "alpha_del"])
+    def test_check_stability_invalid_context_exit_code(self, block, change, tmp_path, capsys):
+        cfg = json.loads((CONFIGS / "check_stability.json").read_text())
+        (cfg if block is None else cfg[block]).update(change)
+        cfg_path = tmp_path / "chk.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["check-stability", str(cfg_path)]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_check_stability_matrix_of_another_size_exit_code(self, tmp_path, capsys):
+        cfg = json.loads((CONFIGS / "check_stability.json").read_text())
+        cfg["rip_table"]["matrix"].update({"n": 8, "m": 8})  # the model has m = 16
+        cfg["d0"] = 2
+        cfg_path = tmp_path / "chk.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["check-stability", str(cfg_path)]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sizes", [
+        {"delta": [1, 12]},              # past m = 10
+        {"delta": [1, -2]},
+        {"theta": [[1, 1], [6, 5]]},     # S + S' past m
+        {"theta": [[1, 1], [-1, 2]]},
+    ], ids=["delta-past-m", "delta-negative", "theta-past-m", "theta-negative"])
+    def test_rip_table_invalid_sizes_exit_code(self, sizes, tmp_path, monkeypatch, capsys):
+        computed = count_constants(monkeypatch)
+        cfg_path = tmp_path / "rip.json"
+        cfg_path.write_text(json.dumps({
+            "matrix": {"kind": "gaussian", "n": 6, "m": 10, "seed": 4}, "mode": "exact", **sizes,
+        }))
+        assert main(["rip-table", str(cfg_path), "--out", str(tmp_path / "table.json")]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert computed == [] and not (tmp_path / "table.json").exists()
+
+    def test_low_snr_flags_override_variants(self, tmp_path, capsys):
+        variant = {**small_stability_cfg(trials=1), "init": {"kind": "simple_cs", "n0": 50}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "kind": "low_snr", "seed": 3, "trials": 1, "variants": {"a": variant, "b": variant},
+        }))
+        out = tmp_path / "o"
+        assert main(["run", str(cfg_path), "--out", str(out), "--trials", "2", "--seed", "5"]) == 0
+        for name in ("a", "b"):
+            manifest = json.loads((out / name / "manifest.json").read_text())
+            assert (manifest["config"]["trials"], manifest["config"]["seed"]) == (2, 5)
+            trials = {line.split(",")[0] for line in (out / name / "lscs.csv").read_text().splitlines()[1:]}
+            assert trials == {"0", "1", "-1"}
 
 
 def count_constants(monkeypatch) -> list:

@@ -579,7 +579,7 @@ class TestSelectorFailure:
         x[[2, 11, 30]] = [1.0, -1.5, 2.0]
         y = A.entries @ x
         known = SupportSet([2, 11], 40)
-        state = FilterState(known, np.zeros(40), 0)
+        state = FilterState(known, np.zeros(40))
         new_state, diag = lscs_step(state, A, y, FilterConfig(lam=0.01, alpha=0.1, alpha_del=0.05))
         assert diag.failed_stage == "cs_residual"
         assert "infeasible" in diag.failure
