@@ -46,7 +46,6 @@ from .measurement import RipEntry, RipTable
 from .sigmodel import SignalModelParams
 
 _NOISE_TOL = 1e-12
-_MULTISET_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -433,33 +432,6 @@ def prescribed_alpha_del(ctx: BoundContext) -> float:
     return 2.0 * math.sqrt(ctx.n) * ctx.lam / ctx.norm_A_1
 
 
-def _rate_multisets(rates: np.ndarray, k: int) -> list[tuple[float, ...]]:
-    """Distinct descending k-multisets drawable from the rate vector.
-
-    The stability conditions quantify over every possible addition set, and
-    only the multiset of rates matters.
-    """
-    if k == 0:
-        return [()]
-    values, counts = np.unique(np.asarray(rates, dtype=float), return_counts=True)
-    out: list[tuple[float, ...]] = []
-
-    def rec(idx: int, remaining: int, chosen: list[float]):
-        if len(out) > _MULTISET_CAP:
-            raise ValueError("too many distinct rate multisets to enumerate")
-        if remaining == 0:
-            out.append(tuple(sorted(chosen, reverse=True)))
-            return
-        if idx == len(values):
-            return
-        take_max = min(int(counts[idx]), remaining)
-        for take in range(take_max, -1, -1):
-            rec(idx + 1, remaining - take, chosen + [values[idx]] * take)
-
-    rec(0, k, [])
-    return out
-
-
 def _oversized_row(identifier: str, note: str, **inputs: int) -> ConditionRow:
     """A row whose constant is undefined because its sizes do not fit in m
     columns; the condition is not established."""
@@ -481,6 +453,13 @@ def check_stability_conditions(
     ``alpha_del`` is omitted the prescribed ``2 sqrt(n) lam/||A||_1`` is used,
     which makes the threshold condition hold by construction.  A constant the
     table neither holds nor can compute raises :class:`InsufficientRipTable`.
+
+    The detect and keep rows must hold for every possible addition set.  Each
+    is monotone in the magnitudes, so its worst case is read off the rates
+    sorted in descending order, ``v``: ``detect-addition-i`` at the i-th
+    largest of the ``S_a`` smallest rates, ``keep-addition-i`` at the adjacent
+    pair ``(v[p], v[p+1])`` of smallest margin (the next magnitude is 0 at
+    ``i = S_a``), and ``keep-constant-coefficients`` at ``v[-1]`` and ``v[0]``.
     """
     if d0 < 1 or d0 >= model.d:
         raise ValueError("need 1 <= d0 < d")
@@ -538,16 +517,12 @@ def check_stability_conditions(
         note="" if defined else f"S_Delta={sa} exceeds S**",
     ))
 
-    multisets = _rate_multisets(model.rates, sa)
-    big_m = model.big_m
-
+    v = np.sort(model.rates)[::-1]
     for i in range(1, sa + 1):
         st_i = s0 + f * (d0 + i - 1)
         sd_i = sa - i + 1
         det = detection_condition(ctx, st_i, sd_i, alpha)
-        lhs_i = min(
-            min(big_m, (d0 + i) * ms[i - 1]) ** 2 for ms in multisets
-        )
+        lhs_i = model.magnitude(d0 + i, v[model.m - sa + i - 1]) ** 2
         rows.append(ConditionRow(
             f"detect-addition-{i}", bool(det.applicable and lhs_i > det.value), lhs_i, det.value,
             inputs={"S_T": st_i, "S_Delta": sd_i},
@@ -560,12 +535,13 @@ def check_stability_conditions(
             rows.append(_oversized_row(f"keep-addition-{i}", "S_T + S_Delta > m", S_T=st_b, S_Delta=sd_b))
             continue
         theta_b = ctx.rip.theta(st_b, sd_b)
-        worst_margin = math.inf
-        worst_lhs = worst_rhs = None
-        for ms in multisets:
-            lhs = min(big_m, (d0 + i) * ms[i - 1]) ** 2
-            nxt = ms[i] if i < sa else 0.0
-            rhs = _keep_threshold(ctx, alpha_del, theta_b.value, sa - i, min(big_m, (d0 + i) * nxt) ** 2)
+        # pairs from the smallest up; ties keep the first, as an enumeration
+        # of the addition sets in ascending order would
+        worst_margin, worst_lhs, worst_rhs = math.inf, None, None
+        for p in range(model.m - sa + i - 1, i - 2, -1):
+            lhs = model.magnitude(d0 + i, v[p]) ** 2
+            nxt = v[p + 1] if i < sa else 0.0
+            rhs = _keep_threshold(ctx, alpha_del, theta_b.value, sa - i, model.magnitude(d0 + i, nxt) ** 2)
             if lhs - rhs < worst_margin:
                 worst_margin, worst_lhs, worst_rhs = lhs - rhs, lhs, rhs
         rows.append(ConditionRow(
@@ -574,10 +550,8 @@ def check_stability_conditions(
             exact=theta_b.exact,
         ))
 
-    min_rate = float(np.min(model.rates))
-    max_rate = float(np.max(model.rates))
-    const_lhs = min(big_m, model.d * min_rate) ** 2
-    peak = min(big_m, (d0 + sa) * max_rate) ** 2
+    const_lhs = model.magnitude(model.d, v[-1]) ** 2
+    peak = model.magnitude(d0 + sa, v[0]) ** 2
     if st_max + sa > model.m:
         rows.append(_oversized_row("keep-constant-coefficients", "S_T + S_Delta > m", S_T=st_max, S_Delta=sa))
     else:
@@ -635,7 +609,7 @@ def stability_error_caps(
     """
     sa, s0 = model.sa, model.s0
     st = s0 + f * (d0 + sa)
-    peak = min(model.big_m, (d0 + sa) * float(np.max(model.rates))) ** 2
+    peak = model.magnitude(d0 + sa, np.max(model.rates)) ** 2
     b0 = no_miss_residual_bound(ctx, st)
     if not b0.applicable:
         return StabilityErrorCaps(False, reasons=b0.reasons)

@@ -52,7 +52,7 @@ def _matrix_from_spec(spec: dict) -> MeasurementMatrix:
 
 
 def _table_options(spec: dict, default_mode: str) -> dict:
-    """Keyword arguments of ``build_rip_table`` besides the sizes."""
+    """Keyword arguments of ``build_rip_table`` besides the matrix."""
     mode = spec.get("mode", default_mode)
     if mode not in ("exact", "sampled"):
         raise ConfigError(f"unknown mode {mode!r}")
@@ -109,7 +109,11 @@ def _cmd_rip_table(args) -> int:
             raise ConfigError(f"each delta size S needs 0 <= S <= m = {A.m}")
         if any(min(pair) < 0 or sum(pair) > A.m for pair in theta_pairs):
             raise ConfigError(f"each theta pair (S, S') needs S, S' >= 0 and S + S' <= m = {A.m}")
-    table = build_rip_table(A, delta_sizes, theta_pairs, **options)
+    table = build_rip_table(A, **options)
+    for s in delta_sizes:
+        table.delta(s)
+    for pair in theta_pairs:
+        table.theta(*pair)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(table.to_json() + "\n")
@@ -150,8 +154,15 @@ def _cmd_check_stability(args) -> int:
             A = _matrix_from_spec(rip_spec["matrix"])
             if A.m != model.m:
                 raise ConfigError(f"the rip_table matrix has m = {A.m}, the model m = {model.m}")
+            if ctx_args["n"] != A.n:
+                raise ConfigError(f"the rip_table matrix has n = {A.n}, the context n = {ctx_args['n']}")
+            if abs(ctx_args["norm_A_1"] - A.induced_one_norm) > 1e-3 * A.induced_one_norm:
+                raise ConfigError(
+                    f"the rip_table matrix has ||A||_1 = {A.induced_one_norm:.6g}, "
+                    f"the context norm_A_1 = {ctx_args['norm_A_1']}"
+                )
             # computes each constant when the checks first read it
-            table = build_rip_table(A, [], [], **_table_options(rip_spec, "sampled"))
+            table = build_rip_table(A, **_table_options(rip_spec, "sampled"))
     ctx = BoundContext(rip=table, m=model.m, **ctx_args)
     if d0 == "scan":
         d0, report = find_min_d0(model, ctx, f, alpha, alpha_del)

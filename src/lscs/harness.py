@@ -53,7 +53,6 @@ from .filter import (
     FilterConfig,
     FilterState,
     cs_residual_estimate,
-    detect,
     genie_ls,
     initial_ls_residual,
     lscs_step,
@@ -61,7 +60,7 @@ from .filter import (
 )
 from .measurement import DEFAULT_SUBSET_BUDGET, MeasurementMatrix, build_rip_table, gen_matrix
 from .sigmodel import SignalModelParams, SignalSequence, generate
-from .solver import LsSolveError, SelectorLP, ls_on_support, optimal_zeta, solve_dantzig
+from .solver import SelectorLP, ls_on_support, optimal_zeta, solve_dantzig
 
 CSV_HEADER = "trial,t,method,nmse,misses,extras,support_size,err_csres,err_final"
 
@@ -564,9 +563,7 @@ def _guarantee_tally(
 ) -> PredicateTally:
     """Runtime predicates on every step of one trial, with a sampled table
     that computes each constant when a predicate first reads it."""
-    table = build_rip_table(
-        A, [], [], mode="sampled", trials=setup.rip_trials, seed=setup.seed + 7919 * (k + 1)
-    )
+    table = build_rip_table(A, mode="sampled", trials=setup.rip_trials, seed=setup.seed + 7919 * (k + 1))
     ctx = BoundContext(
         rip=table, n=setup.n, m=A.m, lam=setup.fcfg.lam,
         norm_A_1=A.induced_one_norm,
@@ -650,21 +647,17 @@ def run_stability_experiment(cfg: dict, out_dir: Path | None = None) -> Tracking
     return _run_tracking(_parse_tracking(cfg), cfg, out_dir)
 
 
-def snr_summary(model_cfg: dict, noise: dict) -> dict:
-    """Deterministic SNR figures of a model config.
+def snr_summary(model: SignalModelParams, noise: dict) -> dict:
+    """Deterministic SNR figures of a model.
 
     min: mean initial magnitude over all indices divided by the noise standard
-    deviation; max: mean plateau magnitude ``min(big_m, d * a_i)`` divided by
-    the same.
+    deviation; max: mean plateau magnitude (the magnitude after ``d`` steps of
+    growth) divided by the same.
     """
-    m = int(_req(model_cfg, "m"))
-    rates = _rates_vector(_req(model_cfg, "rates"), m)
-    d = int(_req(model_cfg, "d"))
-    big_m = float(_req(model_cfg, "big_m"))
     std = _noise_std(noise)
     return {
-        "min_snr": float(np.mean(rates) / std),
-        "max_snr": float(np.mean(np.minimum(big_m, d * rates)) / std),
+        "min_snr": float(np.mean(model.rates) / std),
+        "max_snr": float(np.mean([model.magnitude(model.d, a) for a in model.rates]) / std),
     }
 
 
@@ -685,7 +678,7 @@ def run_low_snr_experiments(cfg: dict, out_dir: Path | None = None) -> dict:
     for name, (vcfg, setup) in parsed.items():
         sub = None if out_dir is None else Path(out_dir) / name
         res = _run_tracking(setup, vcfg, sub)
-        res.snr = snr_summary(vcfg["model"], vcfg["noise"])
+        res.snr = snr_summary(setup.model, vcfg["noise"])
         results[name] = res
         if sub is not None:
             write_manifest(sub / "snr.json", res.snr)
@@ -736,7 +729,7 @@ def run_bound_validation(cfg: dict, out_dir: Path | None = None) -> dict:
     violations: list[dict] = []
 
     for mi, A in enumerate(matrices):
-        table = build_rip_table(A, [], [], mode="exact", budget=budget)
+        table = build_rip_table(A, mode="exact", budget=budget)
         w_max = lam / A.induced_one_norm
         ctx = BoundContext(
             rip=table, n=n, m=m, lam=lam, norm_A_1=A.induced_one_norm,
@@ -751,17 +744,15 @@ def run_bound_validation(cfg: dict, out_dir: Path | None = None) -> dict:
             w = rng.uniform(-w_max, w_max, n)
             y = A.entries @ x + w
 
-            x_init, y_res = initial_ls_residual(A, known, y)
-            x_csres = cs_residual_estimate(A, x_init, y_res, lam)
-            err_csres = float(np.sum((x - x_csres) ** 2))
+            _, diag = lscs_step(FilterState(known, np.zeros(m)), A, y, fcfg)
+            if diag.x_csres is None:
+                raise RuntimeError(f"{diag.failed_stage} failed: {diag.failure}")
+            err_csres = float(np.sum((x - diag.x_csres) ** 2))
             x_delta = x[delta]
             w_sq = float(w @ w)
 
             def record(name: str, res, actual: float, extra: dict | None = None):
-                if not res.applicable:
-                    skipped[name] += 1
-                    return
-                if res.optimistic:
+                if not res.applicable or res.optimistic:
                     skipped[name] += 1
                     return
                 verified[name] += 1
@@ -790,20 +781,17 @@ def run_bound_validation(cfg: dict, out_dir: Path | None = None) -> dict:
                 {"b": b},
             )
 
-            t_det = detect(x_csres, known, fcfg)
-            try:
-                x_det = ls_on_support(A, t_det, y)
-            except LsSolveError:
+            if diag.x_det is None:
                 skipped["detected_ls_bound"] += 1
                 continue
-            det_misses = support_of(x) - t_det
+            det_misses = support_of(x) - diag.T_det
             miss_idx = det_misses.to_array()
             miss_sq = float(np.sum(x[miss_idx] ** 2))
-            idx = t_det.to_array()
-            actual_det = float(np.sum((x[idx] - x_det[idx]) ** 2))
+            idx = diag.T_det.to_array()
+            actual_det = float(np.sum((x[idx] - diag.x_det[idx]) ** 2))
             record(
                 "detected_ls_bound",
-                detected_support_ls_error_bound(ctx, len(t_det), miss_sq, len(det_misses)),
+                detected_support_ls_error_bound(ctx, len(diag.T_det), miss_sq, len(det_misses)),
                 actual_det,
             )
 

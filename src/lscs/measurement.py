@@ -46,7 +46,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -448,27 +448,21 @@ class RipTable:
 
 def build_rip_table(
     A: MeasurementMatrix,
-    delta_sizes: Sequence[int],
-    theta_pairs: Iterable[tuple[int, int]],
     mode: str = "exact",
     budget: int = DEFAULT_SUBSET_BUDGET,
     trials: int = 2000,
     seed: int = 0,
 ) -> RipTable:
-    """A table bound to ``A`` holding the listed constants.
+    """A table bound to ``A`` that computes each defined entry the first time
+    it is read.
 
-    The listed entries are computed now; any other defined entry is computed
-    the first time it is read.  ``mode="exact"`` enumerates (raises if over
-    budget).  ``mode="sampled"`` maximises over ``trials`` random subsets
-    drawn from ``seed``, the same for every entry; the subsets are nested
-    across sizes, so the sampled lower bounds are monotone as they stand.
+    ``mode="exact"`` enumerates (raises if over budget).  ``mode="sampled"``
+    maximises over ``trials`` random subsets drawn from ``seed``, the same for
+    every entry; the subsets are nested across sizes, so the sampled lower
+    bounds are monotone as they stand.
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     table = RipTable(A.digest())
     table._source = (A, mode == "exact", budget, trials, seed)
-    for s in sorted({int(s) for s in delta_sizes if s > 0}):
-        table._compute_delta(s)
-    for s, sp in sorted({(int(s), int(sp)) for s, sp in theta_pairs if s > 0 and sp > 0}):
-        table._compute_theta(s, sp)
     return table

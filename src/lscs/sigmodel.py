@@ -5,14 +5,13 @@ The model: at t=0 the signal has ``s0 - sa`` nonzero entries of magnitude
 ``big_m``.  At each addition time ``t_j = 1 + (j-1) d`` a fresh set of ``sa``
 indices enters at per-index initial magnitude ``a_i`` and grows by ``a_i`` per
 step, capping at ``big_m``; growth lasts at most ``d`` steps so the plateau
-value is ``min(big_m, d * a_i)``.  At ``t_{j+1} - 1`` a set of ``sa``
-currently-active indices (disjoint from the newest additions) leaves the
-support after ramping down linearly over the final ``r`` steps: during
-``[t_{j+1} - r, t_{j+1} - 1]`` the magnitude is
-``min(big_m, d * a_i) * (t_{j+1} - 1 - t) / r``, reaching exactly zero at
-removal.  That ramp is the unique linear schedule with that per-step decrease
-rate and a zero endpoint, regardless of the value the coefficient held before
-the ramp started.
+value is the smaller of ``big_m`` and ``d a_i``.  At ``t_{j+1} - 1`` a set of
+``sa`` currently-active indices (disjoint from the newest additions) leaves
+the support after ramping down linearly over the final ``r`` steps: during
+``[t_{j+1} - r, t_{j+1} - 1]`` the magnitude is ``plateau * (t_{j+1} - 1 -
+t) / r``, reaching exactly zero at removal.  That ramp is the unique linear
+schedule with that per-step decrease rate and a zero endpoint, regardless of
+the value the coefficient held before the ramp started.
 
 Removal candidates are drawn from the support at ``t_j`` minus the newest
 additions only; coefficients added in earlier periods are eligible (they have
@@ -72,8 +71,15 @@ class SignalModelParams:
         """t_j = 1 + (j-1) d for j >= 1."""
         return 1 + (j - 1) * self.d
 
+    def magnitude(self, steps: int, rate: float) -> float:
+        """Magnitude of a coefficient after ``steps`` steps of growth at
+        ``rate``: the smaller of ``big_m`` and ``steps * rate``.  Every ramp
+        magnitude, in the generator and in the stability conditions, is read
+        here."""
+        return min(self.big_m, steps * float(rate))
+
     def plateau(self, i: int) -> float:
-        return min(self.big_m, self.d * float(self.rates[i]))
+        return self.magnitude(self.d, self.rates[i])
 
 
 @dataclass
@@ -155,7 +161,7 @@ def generate(params: SignalModelParams) -> SignalSequence:
                 role_t[i] = ROLE_DECREASING
             elif epoch == j:
                 k = min(t - t_j, p.d - 1)
-                mag = min(p.big_m, (k + 1) * float(p.rates[i]))
+                mag = p.magnitude(k + 1, p.rates[i])
                 # the period's additions count as increasing until its last step
                 role_t[i] = ROLE_CONSTANT if last_step_of_period else ROLE_INCREASING
             else:

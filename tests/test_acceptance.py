@@ -300,16 +300,21 @@ def test_criterion_6_rip_machinery():
         theta_exhaustive(I, 2, 3),
     )
 
-    table = build_rip_table(A, [1, 2, 3], [(1, 1), (1, 2), (2, 2), (2, 4)], mode="exact")
+    table = build_rip_table(A, mode="exact")
+    for s in [1, 2, 3]:
+        table.delta(s)
+    for pair in [(1, 1), (1, 2), (2, 2), (2, 4)]:
+        table.theta(*pair)
     try:
         table.validate_monotone()
         monotone = True
     except ValueError:
         monotone = False
-    sampled = build_rip_table(
-        gen_gaussian_matrix(10, 30, 8), [1, 2, 3, 4], [(1, 2), (2, 2), (2, 4)],
-        mode="sampled", trials=200, seed=3,
-    )
+    sampled = build_rip_table(gen_gaussian_matrix(10, 30, 8), mode="sampled", trials=200, seed=3)
+    for s in [1, 2, 3, 4]:
+        sampled.delta(s)
+    for pair in [(1, 2), (2, 2), (2, 4)]:
+        sampled.theta(*pair)
     try:
         sampled.validate_monotone()
     except ValueError:

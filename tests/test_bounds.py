@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -114,7 +115,7 @@ class TestScanBound:
         # |T| = 12 exceeds S* on this matrix, so the table computes delta_12
         # and neither the S** constants nor theta_{12,2}
         A = gen_gaussian_matrix(16, 16, 5)
-        table = build_rip_table(A, [], [], mode="sampled", trials=50)
+        table = build_rip_table(A, mode="sampled", trials=50)
         ctx = BoundContext(rip=table, n=16, m=16, lam=0.1,
                            norm_A_1=A.induced_one_norm, noise_linf_bound=0.0)
         res = simplified_residual_bound(ctx, 12, 2, 1.0)
@@ -430,6 +431,64 @@ class TestStabilityConditions:
             assert row.holds is noisy.noise_budget_ok()
             assert row.holds is (excess < 1e-12)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_addition_rows_match_every_addition_set(self, seed):
+        # the detect and keep rows must hold for every size-S_a index subset;
+        # enumerate them all and compare with the rows read off sorted rates
+        rng = np.random.default_rng(seed)
+        checked = 0
+        for _ in range(40):
+            m = int(rng.integers(2, 10))
+            sa = int(rng.integers(1, m // 2 + 1))
+            s0 = int(rng.integers(2 * sa, m + 1))
+            if rng.random() < 0.5:
+                rates = rng.choice([0.3, 0.7, 1.1], size=m)
+            else:
+                rates = np.round(rng.permutation(rng.uniform(0.1, 2.0, m)), 3)
+            d0 = int(rng.integers(1, 4))
+            # big_m caps some magnitudes or none
+            big_m = 100.0 if rng.random() < 0.5 else float(rng.uniform(0.5, 3.0))
+            model = SignalModelParams(m=m, s0=s0, sa=sa, d=d0 + sa + 2, r=1, big_m=big_m,
+                                      rates=rates, t_end=d0 + sa + 2, seed=0)
+            table = RipTable("random")
+            for k in range(1, m + 1):
+                table.set_delta(k, rng.uniform(0.0, 0.3), True)
+                for kp in range(1, m - k + 1):
+                    table.set_theta(k, kp, rng.uniform(0.0, 0.3), True)
+            ctx = BoundContext(rip=table, n=m, m=m, lam=0.05, norm_A_1=2.0, noise_linf_bound=0.0)
+            alpha_del = float(rng.uniform(0.0, 0.5))
+            report = check_stability_conditions(model, ctx, f=0, d0=d0, alpha=0.1, alpha_del=alpha_del)
+            subsets = [sorted(rates[list(c)], reverse=True)
+                       for c in itertools.combinations(range(m), sa)]
+            for i in range(1, sa + 1):
+                mags = [[min(big_m, (d0 + i) * a) for a in ms] + [0.0] for ms in subsets]
+                row = report.row(f"detect-addition-{i}")
+                assert row.lhs == min(mag[i - 1] ** 2 for mag in mags)
+                row = report.row(f"keep-addition-{i}")
+                if s0 + sa - i > m:
+                    assert row.lhs is None and row.note == "S_T + S_Delta > m"
+                    continue
+                theta = table.theta(s0, sa - i).value
+                pairs = [(mag[i - 1] ** 2, _keep_threshold(ctx, alpha_del, theta, sa - i, mag[i] ** 2))
+                         for mag in mags]
+                worst = min(lhs - rhs for lhs, rhs in pairs)
+                assert row.holds is bool(worst > 0)
+                assert row.lhs - row.rhs == worst
+                assert (row.lhs, row.rhs) in [pair for pair in pairs if pair[0] - pair[1] == worst]
+                checked += 1
+        assert checked >= 40
+
+    def test_addition_rows_with_many_distinct_rates(self):
+        # 30 distinct rates and S_a = 5 give 142,506 rate multisets
+        rates = 0.05 * np.arange(1, 31)
+        model = SignalModelParams(m=30, s0=10, sa=5, d=12, r=2, big_m=10.0,
+                                  rates=np.random.default_rng(3).permutation(rates), t_end=24, seed=0)
+        report = check_stability_conditions(model, zero_rip_ctx(model), f=0, d0=2, alpha=0.05)
+        # detect-addition-i reads the i-th largest of the five smallest rates
+        for i in range(1, 6):
+            assert report.row(f"detect-addition-{i}").lhs == ((2 + i) * rates[5 - i]) ** 2
+        assert report.row("keep-addition-5").lhs == (7 * rates[0]) ** 2
+
     def test_scan_reaches_d0_that_fits(self):
         # S_T = 19 > m at d0 = d - 1, but d0 = 1 fits and passes
         model = generous_model(m=16, s0=3, sa=1, d=16)
@@ -481,7 +540,7 @@ class TestSmallScaleStabilityRun:
         model = SignalModelParams(m=m, s0=3, sa=1, d=8, r=2, big_m=3.0,
                                   rates=np.full(m, 1.0), t_end=24, seed=99)
         f = 0
-        table = build_rip_table(A, [], [], mode="exact")
+        table = build_rip_table(A, mode="exact")
         ctx = BoundContext(rip=table, n=n, m=m, lam=lam,
                            norm_A_1=A.induced_one_norm, noise_linf_bound=w_linf)
         alpha = 0.5
@@ -525,7 +584,7 @@ class TestSmallScaleStabilityRun:
         A = gen_perturbed_orthonormal_matrix(n, m, seed=5, noise_scale=0.005)
         lam = 0.02
         w_linf = lam / A.induced_one_norm
-        table = build_rip_table(A, [], [], mode=mode, trials=200)
+        table = build_rip_table(A, mode=mode, trials=200)
         ctx = BoundContext(rip=table, n=n, m=m, lam=lam,
                            norm_A_1=A.induced_one_norm, noise_linf_bound=w_linf)
         cfg = FilterConfig(lam=lam, alpha=0.5, alpha_del=prescribed_alpha_del(ctx))
@@ -624,7 +683,7 @@ class TestAppendixFacts:
         A = gen_perturbed_orthonormal_matrix(n, m, 77, noise_scale=0.2)
         lam = 0.3
         w_linf = lam / A.induced_one_norm
-        table = build_rip_table(A, [4, 5], [(4, 2), (5, 2), (4, 1), (5, 1)], mode="exact")
+        table = build_rip_table(A, mode="exact")
         ctx = BoundContext(rip=table, n=n, m=m, lam=lam,
                            norm_A_1=A.induced_one_norm, noise_linf_bound=w_linf)
         rng = np.random.default_rng(78)

@@ -16,6 +16,7 @@ from lscs.harness import (
     _parse_tracking,
     _scored_row,
     _tracking_trial,
+    parse_model,
     run_bound_validation,
     run_experiment,
     run_low_snr_experiments,
@@ -186,15 +187,15 @@ class TestScoredRow:
 
 class TestLowSnrRunner:
     def test_snr_summary_values(self):
-        model = {"m": 200, "s0": 20, "sa": 2, "d": 8, "r": 3, "big_m": 1.0,
-                 "rates": 0.2, "t_end": 24}
+        model = parse_model({"m": 200, "s0": 20, "sa": 2, "d": 8, "r": 3, "big_m": 1.0,
+                             "rates": 0.2, "t_end": 24}, seed=0)
         snr = snr_summary(model, {"kind": "uniform", "c": 0.1266})
         assert snr["min_snr"] == pytest.approx(2.73, rel=0.01)
         assert snr["max_snr"] == pytest.approx(13.7, rel=0.01)
 
     def test_snr_summary_fast(self):
-        model = {"m": 200, "s0": 20, "sa": 2, "d": 3, "r": 2, "big_m": 1.0,
-                 "rates": 0.2, "t_end": 24}
+        model = parse_model({"m": 200, "s0": 20, "sa": 2, "d": 3, "r": 2, "big_m": 1.0,
+                             "rates": 0.2, "t_end": 24}, seed=0)
         snr = snr_summary(model, {"kind": "uniform", "c": 0.0528})
         assert snr["min_snr"] == pytest.approx(6.6, rel=0.01)
         assert snr["max_snr"] == pytest.approx(19.7, rel=0.01)
@@ -432,6 +433,41 @@ class TestCli:
         assert out.returncode == 0, out.stderr
         doc = json.loads(out.stdout)
         assert "min_d0" in doc
+
+    @pytest.mark.parametrize("key, value", [("n", 4), ("norm_A_1", 50.0)])
+    def test_check_stability_context_mismatch_exit_code(self, key, value, tmp_path):
+        # the shipped norm_A_1 3.63 is within 1e-3 of the matrix's 3.6297;
+        # a context that contradicts its matrix is rejected before any work
+        cfg = json.loads((CONFIGS / "check_stability.json").read_text())
+        cfg["context"][key] = value
+        cfg_path = tmp_path / "chk.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_path = tmp_path / "report.json"
+        out = self.run_cli("check-stability", str(cfg_path), "--out", str(out_path))
+        assert out.returncode == 1
+        assert "config error: the rip_table matrix has" in out.stderr
+        assert f"the context {key} = {value}" in out.stderr
+        assert not out_path.exists()
+
+    def test_check_stability_many_distinct_rates(self, tmp_path):
+        # 200 distinct rates with S_a = 3: the worst case over addition sets
+        # comes from the sorted rates, so no enumeration of rate multisets
+        # runs out of room
+        A = measurement.gen_matrix("gaussian", 60, 200, 1, 0.2)
+        cfg_path = tmp_path / "chk.json"
+        cfg_path.write_text(json.dumps({
+            "model": {"m": 200, "s0": 6, "sa": 3, "d": 8, "r": 2, "big_m": 1.0,
+                      "rates": [0.05 + 0.001 * i for i in range(200)], "t_end": 24},
+            "context": {"n": 60, "lam": 0.05, "norm_A_1": A.induced_one_norm,
+                        "noise_linf_bound": 0.001},
+            "rip_table": {"matrix": {"kind": "gaussian", "n": 60, "m": 200, "seed": 1},
+                          "mode": "sampled", "trials": 50},
+            "f": 0, "d0": "scan", "alpha": 0.5,
+        }))
+        out = self.run_cli("check-stability", str(cfg_path))
+        assert out.returncode == 0, out.stderr
+        rows = {r["identifier"]: r for r in json.loads(out.stdout)["report"]["rows"]}
+        assert {f"keep-addition-{i}" for i in range(1, 4)} <= rows.keys()
 
     def test_check_stability_oversized_theta_pair(self, tmp_path):
         # S_T + S_Delta = 14 + 4 > m = 16 in the keep-constant row, where

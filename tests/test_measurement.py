@@ -316,7 +316,12 @@ class TestSampledConstants:
 class TestRipTable:
     def make_table(self):
         A = gen_gaussian_matrix(6, 10, 3)
-        return A, build_rip_table(A, [1, 2, 3, 4], [(1, 2), (2, 4)], mode="exact")
+        table = build_rip_table(A, mode="exact")
+        for s in [1, 2, 3, 4]:
+            table.delta(s)
+        table.theta(1, 2)
+        table.theta(2, 4)
+        return A, table
 
     def test_roundtrip_json(self):
         _, table = self.make_table()
@@ -329,11 +334,13 @@ class TestRipTable:
     def test_sampled_entry_ignores_other_sizes(self):
         # an entry depends only on the matrix, its sizes, trials and seed
         A = gen_gaussian_matrix(16, 16, 5)
-        one = build_rip_table(A, [2, 4], [], mode="sampled", trials=50)
-        two = build_rip_table(A, [2, 3, 4], [], mode="sampled", trials=50)
+        one = build_rip_table(A, mode="sampled", trials=50)
+        two = build_rip_table(A, mode="sampled", trials=50)
+        one.delta(2)
+        two.delta(3)
+        two.delta(2)
         assert one.delta(4) == two.delta(4)
-        one = build_rip_table(A, [], [(2, 3)], mode="sampled", trials=50)
-        two = build_rip_table(A, [], [(1, 1), (2, 3)], mode="sampled", trials=50)
+        two.theta(1, 1)
         assert one.theta(2, 3) == two.theta(2, 3)
 
     def test_sampled_table_draws_one_block(self, monkeypatch):
@@ -348,7 +355,7 @@ class TestRipTable:
             return default_rng(seed)
 
         monkeypatch.setattr(measurement.np.random, "default_rng", counting_rng)
-        table = build_rip_table(A, [], [], mode="sampled", trials=40, seed=9)
+        table = build_rip_table(A, mode="sampled", trials=40, seed=9)
         values = (table.delta(3).value, table.theta(2, 3).value)
         assert draws == [9]
         assert not measurement._permutations(20, 40, 9).flags.writeable
@@ -358,7 +365,8 @@ class TestRipTable:
 
     def test_bound_table_computes_on_first_read(self, monkeypatch):
         A = gen_gaussian_matrix(6, 10, 3)
-        table = build_rip_table(A, [2], [], mode="exact")
+        table = build_rip_table(A, mode="exact")
+        table.delta(2)
         calls = []
 
         def counted(A, S, Sp, budget):
@@ -403,9 +411,10 @@ class TestRipTable:
 
     def test_sampled_tables_are_monotone(self):
         A = gen_gaussian_matrix(10, 30, 8)
-        table = build_rip_table(
-            A, [1, 2, 3, 4, 5], [(1, 1), (1, 2), (2, 2), (2, 4)],
-            mode="sampled", trials=100, seed=5,
-        )
+        table = build_rip_table(A, mode="sampled", trials=100, seed=5)
+        for s in [1, 2, 3, 4, 5]:
+            table.delta(s)
+        for pair in [(1, 1), (1, 2), (2, 2), (2, 4)]:
+            table.theta(*pair)
         table.validate_monotone()
         assert not table.delta(3).exact
