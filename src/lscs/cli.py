@@ -8,9 +8,12 @@ Commands:
 
 Flag overrides beat config-file values, in every ``low_snr`` variant too.
 Each command loads and parses its whole config before it starts work.  Exit
-codes: 0 success, 1 the config could not be loaded or parsed, 2 any failure
-after parsing (a RIP table file lacking an entry that a check reads
-included), 3 soundness assertion failed.
+codes: 0 success; 1 the config could not be loaded, or a key is missing,
+unknown, of the wrong type, non-finite or out of range, or keys disagree
+(sizes past m, a model the signal model rejects, d0 >= d, a rip_table matrix
+or file that contradicts the model or context, magnitude_low >
+magnitude_high); 2 any failure after parsing (a RIP table file lacking an
+entry that a check reads included); 3 soundness assertion failed.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from pathlib import Path
 
 from . import __version__
 from .bounds import BoundContext, find_min_d0, check_stability_conditions
-from .harness import ConfigError, config_errors, parse_model, run_experiment
+from .harness import ConfigError, ConfigReader, parse_model, run_experiment
 from .measurement import DEFAULT_SUBSET_BUDGET, MeasurementMatrix, RipTable, build_rip_table, gen_matrix
 
 EXIT_OK = 0
@@ -35,38 +38,29 @@ def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}")
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot load {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config file does not hold a JSON object: {path}")
     return doc
 
 
-def _matrix_from_spec(spec: dict) -> MeasurementMatrix:
+def _matrix_from_spec(spec: ConfigReader) -> MeasurementMatrix:
     return gen_matrix(
-        spec.get("kind", "gaussian"), int(spec["n"]), int(spec["m"]),
-        int(spec.get("seed", 0)), float(spec.get("noise_scale", 0.2)),
+        spec.choice("kind", ("gaussian", "perturbed_orthonormal"), default="gaussian"),
+        spec.int("n", low=1), spec.int("m", low=1), spec.int("seed", default=0),
+        spec.float("noise_scale", default=0.2),
     )
 
 
-def _table_options(spec: dict, default_mode: str) -> dict:
+def _table_options(spec: ConfigReader, default_mode: str) -> dict:
     """Keyword arguments of ``build_rip_table`` besides the matrix."""
-    mode = spec.get("mode", default_mode)
-    if mode not in ("exact", "sampled"):
-        raise ConfigError(f"unknown mode {mode!r}")
-    options = {
-        "mode": mode,
-        "budget": int(spec.get("budget", DEFAULT_SUBSET_BUDGET)),
-        "trials": int(spec.get("trials", 2000)),
-        "seed": int(spec.get("seed", 0)),
+    return {
+        "mode": spec.choice("mode", ("exact", "sampled"), default=default_mode),
+        "budget": spec.int("budget", low=1, default=DEFAULT_SUBSET_BUDGET),
+        "trials": spec.int("trials", low=1, default=2000),
+        "seed": spec.int("seed", default=0),
     }
-    if options["budget"] < 1 or options["trials"] < 1:
-        raise ConfigError("budget and trials must be >= 1")
-    if options["seed"] < 0:
-        raise ConfigError("seed must be nonnegative")
-    return options
 
 
 def _cmd_run(args) -> int:
@@ -74,41 +68,25 @@ def _cmd_run(args) -> int:
     overrides = {"seed": args.seed, "trials": args.trials}
     overrides = {key: value for key, value in overrides.items() if value is not None}
     cfg.update(overrides)
-    if cfg.get("kind") == "low_snr" and isinstance(cfg.get("variants"), dict):
+    if isinstance(cfg.get("variants"), dict):
         for variant in cfg["variants"].values():
             if isinstance(variant, dict):
                 variant.update(overrides)
-    out_dir = Path(args.out) if args.out else None
-    result = run_experiment(cfg, out_dir)
-    if cfg.get("kind") == "bound_validation":
-        n_viol = len(result["violations"])
-        print(json.dumps({"verified": result["verified"], "violations": n_viol}, sort_keys=True))
-        return EXIT_ASSERTION if n_viol else EXIT_OK
-    if cfg.get("kind") == "static_table":
-        print(json.dumps(result["cells"], sort_keys=True))
-    elif cfg.get("kind") == "stability":
-        print(json.dumps({
-            "nmse": result.nmse,
-            "zero_hit_fraction": result.zero_hit_fraction,
-        }, sort_keys=True))
-    elif cfg.get("kind") == "low_snr":
-        print(json.dumps({
-            name: {"nmse": res.nmse, "snr": res.snr} for name, res in result.items()
-        }, sort_keys=True))
-    return EXIT_OK
+    summary, violated = run_experiment(cfg, Path(args.out) if args.out else None)
+    print(json.dumps(summary, sort_keys=True))
+    return EXIT_ASSERTION if violated else EXIT_OK
 
 
 def _cmd_rip_table(args) -> int:
-    cfg = _load_json(args.config)
-    with config_errors():
-        A = _matrix_from_spec(cfg["matrix"])
-        delta_sizes = [int(s) for s in cfg.get("delta", [])]
-        theta_pairs = [(int(s), int(sp)) for s, sp in cfg.get("theta", [])]
-        options = _table_options(cfg, "exact")
-        if any(not 0 <= s <= A.m for s in delta_sizes):
-            raise ConfigError(f"each delta size S needs 0 <= S <= m = {A.m}")
-        if any(min(pair) < 0 or sum(pair) > A.m for pair in theta_pairs):
-            raise ConfigError(f"each theta pair (S, S') needs S, S' >= 0 and S + S' <= m = {A.m}")
+    with ConfigReader(_load_json(args.config)) as r:
+        A = _matrix_from_spec(r.obj("matrix"))
+        delta = r.obj("delta", [], list)
+        delta_sizes = [delta.int(i, high=A.m) for i in delta.doc]
+        theta = r.obj("theta", [], list)
+        theta_pairs = [(pair.int(0), pair.int(1)) for pair in (theta.obj(i, kind=list) for i in theta.doc)]
+        options = _table_options(r, "exact")
+    if any(sum(pair) > A.m for pair in theta_pairs):
+        raise ConfigError(f"each theta pair (S, S') needs S + S' <= m = {A.m}")
     table = build_rip_table(A, **options)
     for s in delta_sizes:
         table.delta(s)
@@ -122,36 +100,28 @@ def _cmd_rip_table(args) -> int:
 
 
 def _cmd_check_stability(args) -> int:
-    cfg = _load_json(args.config)
-    with config_errors():
-        model = parse_model(cfg["model"], seed=0)
-        f = int(cfg.get("f", 0))
-        if f < 0:
-            raise ConfigError("f must be nonnegative")
-        d0 = cfg.get("d0", "scan")
+    with ConfigReader(_load_json(args.config)) as r:
+        model = parse_model(r.obj("model"), seed=0)
+        f = r.int("f", default=0)
+        d0 = r.value("d0", default="scan")
         if d0 != "scan":
-            d0 = int(d0)
-            if not 1 <= d0 < model.d:
-                raise ConfigError("need 1 <= d0 < d")
-        alpha = float(cfg["alpha"])
-        alpha_del = cfg.get("alpha_del")
-        alpha_del = None if alpha_del is None else float(alpha_del)
-        ctx_cfg = cfg["context"]
+            d0 = r.int("d0", low=1, high=model.d - 1)
+        alpha = r.float("alpha")
+        alpha_del = r.float("alpha_del", default=None)
+        context = r.obj("context")
         ctx_args = {
-            "n": int(ctx_cfg["n"]),
-            "lam": float(ctx_cfg["lam"]),
-            "norm_A_1": float(ctx_cfg["norm_A_1"]),
-            "noise_linf_bound": float(ctx_cfg["noise_linf_bound"]),
+            "n": context.int("n", low=1),
+            "lam": context.float("lam"),
+            "norm_A_1": context.float("norm_A_1", low=1.0),  # a unit-norm column has l1 norm >= 1
+            "noise_linf_bound": context.float("noise_linf_bound"),
         }
-        if ctx_args["n"] < 1 or not ctx_args["norm_A_1"] > 0:
-            raise ConfigError("context needs n >= 1 and norm_A_1 > 0")
-        if min(ctx_args["lam"], ctx_args["noise_linf_bound"], alpha, alpha_del or 0.0) < 0:
-            raise ConfigError("lam, noise_linf_bound, alpha and alpha_del must be nonnegative")
-        rip_spec = cfg["rip_table"]
-        if isinstance(rip_spec, str):
-            table = RipTable.from_json(Path(rip_spec).read_text())
+        rip_table = r.value("rip_table")
+        if isinstance(rip_table, str):
+            table = RipTable.from_json(Path(rip_table).read_text())
+            table.validate_monotone()
         else:
-            A = _matrix_from_spec(rip_spec["matrix"])
+            spec = r.obj("rip_table")
+            A = _matrix_from_spec(spec.obj("matrix"))
             if A.m != model.m:
                 raise ConfigError(f"the rip_table matrix has m = {A.m}, the model m = {model.m}")
             if ctx_args["n"] != A.n:
@@ -162,7 +132,7 @@ def _cmd_check_stability(args) -> int:
                     f"the context norm_A_1 = {ctx_args['norm_A_1']}"
                 )
             # computes each constant when the checks first read it
-            table = build_rip_table(A, **_table_options(rip_spec, "sampled"))
+            table = build_rip_table(A, **_table_options(spec, "sampled"))
     ctx = BoundContext(rip=table, m=model.m, **ctx_args)
     if d0 == "scan":
         d0, report = find_min_d0(model, ctx, f, alpha, alpha_del)

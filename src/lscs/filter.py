@@ -43,8 +43,8 @@ class FilterConfig:
     max_additions_per_step: int | None = None
 
     def __post_init__(self):
-        if self.lam < 0 or self.alpha < 0 or self.alpha_del < 0:
-            raise ValueError("lam, alpha, alpha_del must be nonnegative")
+        if not all(0 <= x < np.inf for x in (self.lam, self.alpha, self.alpha_del)):
+            raise ValueError("lam, alpha, alpha_del must be finite and nonnegative")
         if self.max_additions_per_step is not None and self.max_additions_per_step < 0:
             raise ValueError("max_additions_per_step must be nonnegative")
 

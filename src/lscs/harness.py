@@ -10,9 +10,9 @@ Experiment kinds:
 * ``bound_validation``  seeded soundness sweep of the error bounds against
   actual errors at exhaustively-computed isometry constants.
 
-Each runner parses its whole config before the first random draw, so a bad
-config raises :class:`ConfigError` before any work; anything raised later is
-a runtime failure.
+Each runner reads its whole config through one :class:`ConfigReader` before
+the first random draw, so a bad config raises :class:`ConfigError` before any
+work; anything raised later is a runtime failure.
 
 A tracking trial is a pure function of the parsed setup and the trial index:
 it draws from its own generator ``default_rng([seed, k])`` and returns a
@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -67,22 +67,105 @@ CSV_HEADER = "trial,t,method,nmse,misses,extras,support_size,err_csres,err_final
 METHOD_LSCS = "lscs"
 METHOD_GENIE = "genie_ls"
 METHOD_CS = "simple_cs"
+METHODS = (METHOD_LSCS, METHOD_GENIE, METHOD_CS)
 
 
 class ConfigError(ValueError):
     """Invalid or missing experiment configuration."""
 
 
-@contextmanager
-def config_errors():
-    """Report any ``KeyError``, ``TypeError``, ``ValueError`` or ``OSError``
-    raised while a config is parsed as a :class:`ConfigError`."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError, OSError) as exc:
-        raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
+_REQUIRED = object()
+
+
+class ConfigReader:
+    """Reads one config object key by key, each read stating the key's type,
+    range and default where the value is used.
+
+    :meth:`int` rejects bools and non-integral numbers, :meth:`float` bools,
+    NaN and +-inf.  A missing key takes its default, checked like a given
+    value and never written into the object, which manifests echo as given;
+    a default of ``None`` means "not set" and admits an explicit null.  A
+    list is read as an object keyed by index.  A ``with`` block ends with
+    :meth:`done`, which rejects by name every key no read consumed, here and
+    in each object or list read from here; it reports a ``KeyError``,
+    ``TypeError``, ``ValueError`` or ``OSError`` raised inside it (by a
+    constructor rejecting the values read, say) as a :class:`ConfigError`.
+    """
+
+    def __init__(self, doc: dict, where: str = ""):
+        self.doc, self.where = doc, where
+        self._unread = set(doc)
+        self._children: list[ConfigReader] = []
+
+    def __enter__(self) -> ConfigReader:
+        return self
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if exc is None:
+            self.done()
+        elif isinstance(exc, (KeyError, TypeError, ValueError, OSError)) and not isinstance(exc, ConfigError):
+            raise ConfigError(f"{kind.__name__}: {exc}") from exc
+
+    def _name(self, key) -> str:
+        if isinstance(key, int):
+            return f"{self.where}[{key}]"
+        return f"{self.where}.{key}" if self.where else key
+
+    def _read(self, key, default, what: str, ok):
+        self._unread.discard(key)
+        if key not in self.doc and default is _REQUIRED:
+            raise ConfigError(f"missing config key {self._name(key)!r}")
+        value = self.doc.get(key, default)
+        if not (value is None is default or ok(value)):
+            raise ConfigError(f"{self._name(key)} must be {what}, not {value!r}")
+        return value
+
+    def value(self, key, default=_REQUIRED, kind=object):
+        """The raw value of a key whose forms the caller tells apart."""
+        return self._read(key, default, "an object" if kind is dict else "a list", lambda v: isinstance(v, kind))
+
+    def int(self, key, low: int = 0, high: float = math.inf, default=_REQUIRED) -> int:
+        value = self._read(key, default, f"{_span(low, high)} and integral",
+                           lambda v: _finite(v) and v == int(v) and low <= v <= high)
+        return value if value is None else int(value)
+
+    def float(self, key, low: float = 0.0, default=_REQUIRED) -> float:
+        value = self._read(key, default, f"{_span(low)} and finite", lambda v: _finite(v) and v >= low)
+        return value if value is None else float(value)
+
+    def bool(self, key, default=_REQUIRED) -> bool:
+        return self._read(key, default, "true or false", lambda v: isinstance(v, bool))
+
+    def choice(self, key, choices: tuple[str, ...], default=_REQUIRED) -> str:
+        return self._read(key, default, f"one of {', '.join(choices)}", lambda v: v in choices)
+
+    def obj(self, key, default=_REQUIRED, kind=dict) -> ConfigReader:
+        """A reader of the object at ``key``, or of the list if ``kind`` is
+        ``list``."""
+        value = self.value(key, default, kind)
+        child = ConfigReader(value if kind is dict else dict(enumerate(value)), self._name(key))
+        self._children.append(child)
+        return child
+
+    def floats(self, key, default=_REQUIRED) -> list[float]:
+        items = self.obj(key, default, list)
+        return [items.float(i) for i in items.doc]
+
+    def done(self) -> None:
+        if self._unread:
+            raise ConfigError(f"unknown config keys {sorted(map(self._name, self._unread))}")
+        for child in self._children:
+            child.done()
+
+
+def _finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _span(low, high=math.inf) -> str:
+    if high < math.inf:
+        return f"in [{low}, {high}]"
+    return "nonnegative" if low == 0 else f">= {low}"
 
 
 def _fmt(v) -> str:
@@ -152,23 +235,6 @@ def write_manifest(path: Path, doc: dict) -> None:
         fh.write("\n")
 
 
-def _req(cfg: dict, key: str, kind=None):
-    if key not in cfg:
-        raise ConfigError(f"missing config key {key!r}")
-    value = cfg[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError(f"config key {key!r} has wrong type {type(value).__name__}")
-    return value
-
-
-def _seed(cfg: dict) -> int:
-    """The config's ``seed``; the generators take nonnegative seeds only."""
-    seed = int(_req(cfg, "seed"))
-    if seed < 0:
-        raise ConfigError("seed must be nonnegative")
-    return seed
-
-
 def _ratio(num: float, den: float) -> float:
     return num / den if den > 0 else 0.0
 
@@ -178,91 +244,50 @@ def _ratio(num: float, den: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _parse_filter(cfg: dict) -> FilterConfig:
-    return FilterConfig(
-        lam=float(_req(cfg, "lam")),
-        alpha=float(_req(cfg, "alpha")),
-        alpha_del=float(_req(cfg, "alpha_del")),
-        max_additions_per_step=(
-            None if cfg.get("max_additions_per_step") is None
-            else int(cfg["max_additions_per_step"])
-        ),
+def _rates_vector(r: ConfigReader, m: int) -> np.ndarray:
+    """Rates given either as an explicit list, a constant, or value classes
+    split evenly across indices."""
+    spec = r.value("rates")
+    if isinstance(spec, dict):
+        classes = r.obj("rates").floats("classes")
+        return np.repeat(classes, np.diff(np.linspace(0, m, len(classes) + 1).astype(int)))
+    return np.asarray(r.floats("rates")) if isinstance(spec, list) else np.full(m, r.float("rates"))
+
+
+def parse_model(r: ConfigReader, seed: int) -> SignalModelParams:
+    """A ``model`` object; :class:`SignalModelParams` checks how its keys relate."""
+    m = r.int("m", low=1)
+    return SignalModelParams(
+        m=m, s0=r.int("s0"), sa=r.int("sa"), d=r.int("d"), r=r.int("r"), big_m=r.float("big_m"),
+        rates=_rates_vector(r, m), t_end=r.int("t_end"), seed=seed,
     )
 
 
-def _rates_vector(spec, m: int) -> np.ndarray:
-    """Rates given either as an explicit list, a constant, or value classes
-    split evenly across indices."""
-    if isinstance(spec, (int, float)):
-        return np.full(m, float(spec))
-    if isinstance(spec, list):
-        rates = np.asarray(spec, dtype=float)
-        if rates.shape != (m,):
-            raise ConfigError("explicit rates list must have length m")
-        return rates
-    if isinstance(spec, dict) and "classes" in spec:
-        classes = [float(v) for v in spec["classes"]]
-        if not classes:
-            raise ConfigError("rates classes must be nonempty")
-        rates = np.empty(m)
-        bounds = np.linspace(0, m, len(classes) + 1).astype(int)
-        for k, v in enumerate(classes):
-            rates[bounds[k]:bounds[k + 1]] = v
-        return rates
-    raise ConfigError("rates must be a number, a length-m list, or {'classes': [...]}")
+@dataclass(frozen=True)
+class Noise:
+    """i.i.d. zero-mean noise: its standard deviation, its l-inf bound
+    (infinite for Gaussian noise) and ``draw(size, rng)``."""
+
+    std: float
+    linf_bound: float
+    draw: Callable[[int, np.random.Generator], np.ndarray]
 
 
-def parse_model(cfg: dict, seed: int) -> SignalModelParams:
-    with config_errors():
-        m = int(_req(cfg, "m"))
-        return SignalModelParams(
-            m=m,
-            s0=int(_req(cfg, "s0")),
-            sa=int(_req(cfg, "sa")),
-            d=int(_req(cfg, "d")),
-            r=int(_req(cfg, "r")),
-            big_m=float(_req(cfg, "big_m")),
-            rates=_rates_vector(_req(cfg, "rates"), m),
-            t_end=int(_req(cfg, "t_end")),
-            seed=seed,
-        )
+def parse_noise(r: ConfigReader) -> Noise:
+    """Gaussian noise of standard deviation ``sigma``, or uniform on [-c, c]."""
+    if r.choice("kind", ("gaussian", "uniform")) == "gaussian":
+        sigma = r.float("sigma")
+        return Noise(sigma, math.inf, lambda size, rng: sigma * rng.standard_normal(size))
+    c = r.float("c")
+    return Noise(c / math.sqrt(3.0), c, lambda size, rng: rng.uniform(-c, c, size))
 
 
-def _noise_std(noise: dict) -> float:
-    if noise["kind"] == "gaussian":
-        std = float(noise["sigma"])
-    elif noise["kind"] == "uniform":
-        std = float(noise["c"]) / math.sqrt(3.0)
-    else:
-        raise ConfigError(f"unknown noise kind {noise.get('kind')!r}")
-    if std < 0:
-        raise ConfigError("the noise sigma or c must be nonnegative")
-    return std
-
-
-def _draw_noise(noise: dict, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Noise of a config that :func:`_noise_std` accepted."""
-    if noise["kind"] == "gaussian":
-        return float(noise["sigma"]) * rng.standard_normal(size)
-    c = float(noise["c"])
-    return rng.uniform(-c, c, size)
-
-
-def _noise_linf_bound(noise: dict) -> float:
-    """Hard l-inf bound when one exists; infinity for unbounded noise."""
-    if noise["kind"] == "uniform":
-        return float(noise["c"])
-    return float("inf")
-
-
-def _check_sizes(m: int, support_size: int, delta_size: int, delta_e_size: int) -> None:
-    """Raise :class:`ConfigError` unless :func:`_draw_instance` can draw these
-    sizes: ``0 <= delta_size <= support_size <= m`` and ``0 <= delta_e_size
-    <= m - support_size``."""
-    if not 0 <= delta_size <= support_size <= m:
-        raise ConfigError("need 0 <= delta_size <= support_size <= m")
-    if not 0 <= delta_e_size <= m - support_size:
-        raise ConfigError("need 0 <= delta_e_size <= m - support_size")
+def _sizes(r: ConfigReader, m: int) -> tuple[int, int, int]:
+    """``support_size``, ``delta_size`` and ``delta_e_size``, in the ranges
+    :func:`_draw_instance` can draw: ``delta_size <= support_size <= m`` and
+    ``delta_e_size <= m - support_size``."""
+    support_size = r.int("support_size", high=m)
+    return support_size, r.int("delta_size", high=support_size), r.int("delta_e_size", high=m - support_size)
 
 
 def _draw_instance(
@@ -309,23 +334,16 @@ def run_static_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
     The residual-based estimate runs at ``csres_lambda_factor * sigma``; plain
     selector solves run at each of ``ds_lambda_factors * sigma``.
     """
-    with config_errors():
-        m = int(_req(cfg, "m"))
-        support_size = int(_req(cfg, "support_size"))
-        delta_size = int(_req(cfg, "delta_size"))
-        delta_e_size = int(_req(cfg, "delta_e_size"))
-        cells = [(int(_req(c, "n")), float(_req(c, "sigma"))) for c in _req(cfg, "cells", list)]
-        trials = int(_req(cfg, "trials"))
-        seed = _seed(cfg)
-        csres_factor = float(cfg.get("csres_lambda_factor", 4.0))
-        ds_factors = [float(v) for v in cfg.get("ds_lambda_factors", [12.0, 4.0, 0.4])]
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if any(n < 1 or sigma < 0 for n, sigma in cells):
-        raise ConfigError("each cell needs n >= 1 and sigma >= 0")
-    if csres_factor < 0 or any(f < 0 for f in ds_factors):
-        raise ConfigError("lambda factors must be nonnegative")
-    _check_sizes(m, support_size, delta_size, delta_e_size)
+    with ConfigReader(cfg) as r:
+        r.choice("kind", ("static_table",), default="static_table")
+        m = r.int("m", low=1)
+        support_size, delta_size, delta_e_size = _sizes(r, m)
+        items = r.obj("cells", kind=list)
+        cells = [(cell.int("n", low=1), cell.float("sigma")) for cell in map(items.obj, items.doc)]
+        trials = r.int("trials", low=1)
+        seed = r.int("seed")
+        csres_factor = r.float("csres_lambda_factor", default=4.0)
+        ds_factors = r.floats("ds_lambda_factors", default=[12.0, 4.0, 0.4])
 
     methods = ["cs_residual"] + [_ds_method_name(f) for f in ds_factors]
     summary = []
@@ -421,19 +439,28 @@ def _epoch_delays(
 
 
 @dataclass(frozen=True)
+class OneShotInit:
+    """Start from a :func:`simple_cs` solve on a taller n0 x m matrix."""
+
+    n0: int
+    lam: float
+    alpha: float
+
+
+@dataclass(frozen=True)
 class TrackingSetup:
     """A tracking config, parsed once before trial 0.
 
     ``model`` carries seed 0; each trial replaces it with a seed drawn from
-    the trial's generator.  ``init`` is ``{"kind": "true_support"}`` or
-    ``{"kind": "simple_cs", "n0", "lam", "alpha"}`` with every value set.
+    the trial's generator.  ``init`` is ``None`` to start from the true
+    support.
     """
 
     n: int
     model: SignalModelParams
-    noise: dict
+    noise: Noise
     fcfg: FilterConfig
-    init: dict
+    init: OneShotInit | None
     window: int
     methods: tuple[str, ...]
     trials: int
@@ -457,42 +484,31 @@ class TrialRecord:
 
 
 def _parse_tracking(cfg: dict) -> TrackingSetup:
-    with config_errors():
-        fcfg = _parse_filter(_req(cfg, "filter", dict))
-        noise = _req(cfg, "noise", dict)
-        _noise_std(noise)  # rejects an unknown kind or a missing parameter
-        init = dict(cfg.get("init", {"kind": "true_support"}))
-        if init.get("kind") == "simple_cs":
-            init = {
-                "kind": "simple_cs",
-                "n0": int(_req(init, "n0")),
-                "lam": float(init.get("lam", fcfg.lam)),
-                "alpha": float(init.get("alpha", fcfg.alpha)),
-            }
-        elif init.get("kind") != "true_support":
-            raise ConfigError(f"unknown init kind {init.get('kind')!r}")
-        methods = tuple(dict.fromkeys(cfg.get("methods", [METHOD_LSCS, METHOD_GENIE, METHOD_CS])))
-        unknown = [name for name in methods if name not in (METHOD_LSCS, METHOD_GENIE, METHOD_CS)]
-        if unknown:
-            raise ConfigError(f"unknown methods {unknown}")
+    """A ``stability`` config or a ``low_snr`` variant; either may carry
+    ``"kind": "stability"``."""
+    with ConfigReader(cfg) as r:
+        r.choice("kind", ("stability",), default="stability")
+        f = r.obj("filter")
+        fcfg = FilterConfig(f.float("lam"), f.float("alpha"), f.float("alpha_del"),
+                            f.int("max_additions_per_step", default=None))
+        init = r.obj("init", default={"kind": "true_support"})
+        one_shot = init.choice("kind", ("true_support", "simple_cs")) == "simple_cs"
+        methods = r.obj("methods", list(METHODS), list)
         setup = TrackingSetup(
-            n=int(_req(cfg, "n")),
-            model=parse_model(_req(cfg, "model", dict), seed=0),
-            noise=noise,
+            n=r.int("n", low=1),
+            model=parse_model(r.obj("model"), seed=0),
+            noise=parse_noise(r.obj("noise")),
             fcfg=fcfg,
-            init=init,
-            window=int(cfg.get("zero_hit_window", 4)),
-            methods=methods,
-            trials=int(_req(cfg, "trials")),
-            seed=_seed(cfg),
-            cs_lambda=float(cfg.get("cs_lambda", fcfg.lam)),
-            check_guarantees=bool(cfg.get("check_guarantees", False)),
-            rip_trials=int(cfg.get("rip_sampling_trials", 200)),
+            init=OneShotInit(init.int("n0", low=1), init.float("lam", default=fcfg.lam),
+                             init.float("alpha", default=fcfg.alpha)) if one_shot else None,
+            window=r.int("zero_hit_window", default=4),
+            methods=tuple(dict.fromkeys(methods.choice(i, METHODS) for i in methods.doc)),
+            trials=r.int("trials", low=1),
+            seed=r.int("seed"),
+            cs_lambda=r.float("cs_lambda", default=fcfg.lam),
+            check_guarantees=r.bool("check_guarantees", default=False),
+            rip_trials=r.int("rip_sampling_trials", low=1, default=200),
         )
-    if min(setup.trials, setup.n, setup.init.get("n0", 1), setup.rip_trials) < 1:
-        raise ConfigError("trials, n, n0 and rip_sampling_trials must be >= 1")
-    if min(setup.cs_lambda, setup.init.get("lam", 0.0), setup.init.get("alpha", 0.0), setup.window) < 0:
-        raise ConfigError("cs_lambda, the init lam and alpha, and zero_hit_window must be nonnegative")
     return setup
 
 
@@ -516,12 +532,12 @@ def _tracking_trial(setup: TrackingSetup, k: int) -> TrialRecord:
     n, m, t_end = setup.n, setup.model.m, setup.model.t_end
     A = MeasurementMatrix.from_columns(rng.standard_normal((n, m)))
     seq = generate(replace(setup.model, seed=int(rng.integers(2 ** 62))))
-    ys = [seq.signal_at(t) @ A.entries.T + _draw_noise(setup.noise, n, rng) for t in range(t_end + 1)]
-    if setup.init["kind"] == "simple_cs":
-        n0 = setup.init["n0"]
+    ys = [seq.signal_at(t) @ A.entries.T + setup.noise.draw(n, rng) for t in range(t_end + 1)]
+    if setup.init is not None:
+        n0 = setup.init.n0
         A0 = MeasurementMatrix.from_columns(rng.standard_normal((n0, m)))
-        y0 = A0.entries @ seq.signal_at(0) + _draw_noise(setup.noise, n0, rng)
-        x0_hat, n0_hat = simple_cs(A0, y0, setup.init["lam"], setup.init["alpha"])
+        y0 = A0.entries @ seq.signal_at(0) + setup.noise.draw(n0, rng)
+        x0_hat, n0_hat = simple_cs(A0, y0, setup.init.lam, setup.init.alpha)
     else:
         n0_hat = seq.support_at(0)
         x0_hat = ls_on_support(A, n0_hat, ys[0])
@@ -567,7 +583,7 @@ def _guarantee_tally(
     ctx = BoundContext(
         rip=table, n=setup.n, m=A.m, lam=setup.fcfg.lam,
         norm_A_1=A.induced_one_norm,
-        noise_linf_bound=_noise_linf_bound(setup.noise),
+        noise_linf_bound=setup.noise.linf_bound,
     )
     tally = PredicateTally()
     for t, diag in enumerate(diags, start=1):
@@ -647,38 +663,41 @@ def run_stability_experiment(cfg: dict, out_dir: Path | None = None) -> Tracking
     return _run_tracking(_parse_tracking(cfg), cfg, out_dir)
 
 
-def snr_summary(model: SignalModelParams, noise: dict) -> dict:
+def snr_summary(model: SignalModelParams, noise: Noise) -> dict:
     """Deterministic SNR figures of a model.
 
     min: mean initial magnitude over all indices divided by the noise standard
     deviation; max: mean plateau magnitude (the magnitude after ``d`` steps of
     growth) divided by the same.
     """
-    std = _noise_std(noise)
     return {
-        "min_snr": float(np.mean(model.rates) / std),
-        "max_snr": float(np.mean([model.magnitude(model.d, a) for a in model.rates]) / std),
+        "min_snr": float(np.mean(model.rates) / noise.std),
+        "max_snr": float(np.mean([model.magnitude(model.d, a) for a in model.rates]) / noise.std),
     }
 
 
 def run_low_snr_experiments(cfg: dict, out_dir: Path | None = None) -> dict:
     """Slow-adds and fast-adds tracking runs with one-shot initialization.
 
-    Every variant is parsed before the first one runs."""
-    variants = _req(cfg, "variants", dict)
-    parsed = {}
-    for name in sorted(variants):
-        with config_errors():
-            vcfg = dict(variants[name])
-        vcfg.setdefault("seed", cfg.get("seed", 0))
-        vcfg.setdefault("trials", cfg.get("trials", 100))
-        vcfg.setdefault("init", {"kind": "simple_cs", "n0": 150})
-        parsed[name] = vcfg, _parse_tracking(vcfg)
+    A variant inherits the ``seed``, the ``trials`` and a one-shot ``init``
+    that it does not set; its manifest echoes it with them.  Every variant is
+    parsed before the first one runs."""
+    with ConfigReader(cfg) as r:
+        r.choice("kind", ("low_snr",), default="low_snr")
+        inherited = {
+            "seed": r.int("seed", default=0), "trials": r.int("trials", low=1, default=100),
+            "init": {"kind": "simple_cs", "n0": 150},
+        }
+        variants = r.obj("variants")
+        parsed = {}
+        for name in sorted(variants.doc):
+            vcfg = {**inherited, **variants.value(name, kind=dict)}
+            parsed[name] = vcfg, _parse_tracking(vcfg)
     results = {}
     for name, (vcfg, setup) in parsed.items():
         sub = None if out_dir is None else Path(out_dir) / name
         res = _run_tracking(setup, vcfg, sub)
-        res.snr = snr_summary(setup.model, vcfg["noise"])
+        res.snr = snr_summary(setup.model, setup.noise)
         results[name] = res
         if sub is not None:
             write_manifest(sub / "snr.json", res.snr)
@@ -697,29 +716,24 @@ def run_bound_validation(cfg: dict, out_dir: Path | None = None) -> dict:
     soundness assertion (slack 1e-9).  Instances whose preconditions do not
     verify are counted and skipped, never asserted.
     """
-    with config_errors():
-        m = int(_req(cfg, "m"))
-        n = int(_req(cfg, "n"))
-        support_size = int(_req(cfg, "support_size"))
-        delta_size = int(_req(cfg, "delta_size"))
-        delta_e_size = int(_req(cfg, "delta_e_size"))
-        lam = float(_req(cfg, "lam"))
-        alpha = float(cfg.get("alpha", lam))
-        num_matrices = int(cfg.get("num_matrices", 5))
-        instances = int(cfg.get("instances_per_matrix", 25))
-        budget = int(cfg.get("budget", DEFAULT_SUBSET_BUDGET))
-        if min(num_matrices, instances, budget) < 1:
-            raise ConfigError("num_matrices, instances_per_matrix and budget must be >= 1")
-        seed = _seed(cfg)
-        kind = cfg.get("matrix_kind", "perturbed_orthonormal")
-        noise_scale = float(cfg.get("matrix_noise_scale", 0.2))
-        magnitudes = (float(cfg.get("magnitude_low", 0.5)), float(cfg.get("magnitude_high", 2.0)))
-        max_additions = cfg.get("max_additions_per_step", delta_size + 1)
+    with ConfigReader(cfg) as r:
+        r.choice("kind", ("bound_validation",), default="bound_validation")
+        m, n = r.int("m", low=1), r.int("n", low=1)
+        support_size, delta_size, delta_e_size = _sizes(r, m)
+        lam = r.float("lam")
+        alpha = r.float("alpha", default=lam)
+        num_matrices = r.int("num_matrices", low=1, default=5)
+        instances = r.int("instances_per_matrix", low=1, default=25)
+        budget = r.int("budget", low=1, default=DEFAULT_SUBSET_BUDGET)
+        seed = r.int("seed")
+        kind = r.choice("matrix_kind", ("gaussian", "perturbed_orthonormal"), default="perturbed_orthonormal")
+        noise_scale = r.float("matrix_noise_scale", default=0.2)
+        low = r.float("magnitude_low", default=0.5)
+        magnitudes = (low, r.float("magnitude_high", low=low, default=2.0))
         fcfg = FilterConfig(
             lam=lam, alpha=alpha, alpha_del=alpha,
-            max_additions_per_step=None if max_additions is None else int(max_additions),
+            max_additions_per_step=r.int("max_additions_per_step", default=delta_size + 1),
         )
-        _check_sizes(m, support_size, delta_size, delta_e_size)
         matrices = [gen_matrix(kind, n, m, seed + 1000 * mi, noise_scale) for mi in range(num_matrices)]
 
     size_T = support_size - delta_size + delta_e_size
@@ -814,14 +828,26 @@ def run_bound_validation(cfg: dict, out_dir: Path | None = None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def run_experiment(cfg: dict, out_dir: Path | None = None):
-    kind = _req(cfg, "kind")
-    if kind == "static_table":
-        return run_static_experiment(cfg, out_dir)
-    if kind == "stability":
-        return run_stability_experiment(cfg, out_dir)
-    if kind == "low_snr":
-        return run_low_snr_experiments(cfg, out_dir)
-    if kind == "bound_validation":
-        return run_bound_validation(cfg, out_dir)
-    raise ConfigError(f"unknown experiment kind {kind!r}")
+#: kind -> (runner, result -> (summary, whether a soundness assertion failed))
+_EXPERIMENTS = {
+    "static_table": (run_static_experiment, lambda res: (res["cells"], False)),
+    "stability": (
+        run_stability_experiment,
+        lambda res: ({"nmse": res.nmse, "zero_hit_fraction": res.zero_hit_fraction}, False),
+    ),
+    "low_snr": (
+        run_low_snr_experiments,
+        lambda results: ({name: {"nmse": res.nmse, "snr": res.snr} for name, res in results.items()}, False),
+    ),
+    "bound_validation": (
+        run_bound_validation,
+        lambda rep: ({"verified": rep["verified"], "violations": len(rep["violations"])}, bool(rep["violations"])),
+    ),
+}
+
+
+def run_experiment(cfg: dict, out_dir: Path | None = None) -> tuple[object, bool]:
+    """Run the experiment that ``cfg["kind"]`` names; return its summary and
+    whether a soundness assertion failed."""
+    run, summary = _EXPERIMENTS[ConfigReader(cfg).choice("kind", tuple(_EXPERIMENTS))]
+    return summary(run(cfg, out_dir))

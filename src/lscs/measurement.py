@@ -404,7 +404,10 @@ class RipTable:
         return dict(self._delta)
 
     def validate_monotone(self) -> None:
-        """Check the defining-maxima monotonicity across stored entries."""
+        """Check that stored values are finite and nonnegative, and the
+        defining-maxima monotonicity across stored entries."""
+        if not all(0 <= e.value < np.inf for e in [*self._delta.values(), *self._theta.values()]):
+            raise ValueError("table values must be finite and nonnegative")
         sizes = sorted(self._delta)
         for a, b in zip(sizes, sizes[1:]):
             if self._delta[a].value > self._delta[b].value + 1e-12:

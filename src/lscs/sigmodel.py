@@ -50,8 +50,8 @@ class SignalModelParams:
             raise ValueError("m must be positive")
         if rates.shape != (self.m,):
             raise ValueError("rates must have length m")
-        if np.any(rates <= 0):
-            raise ValueError("all rates must be positive")
+        if not np.all((0 < rates) & (rates < np.inf)):
+            raise ValueError("all rates must be finite and positive")
         if self.d < 1:
             raise ValueError("d must be >= 1")
         if not 1 <= self.r < self.d:
@@ -62,8 +62,8 @@ class SignalModelParams:
             raise ValueError("need s0 >= 2 sa so removals avoid the newest additions")
         if self.s0 > self.m:
             raise ValueError("s0 cannot exceed m")
-        if self.big_m <= 0:
-            raise ValueError("plateau magnitude must be positive")
+        if not 0 < self.big_m < np.inf:
+            raise ValueError("plateau magnitude must be finite and positive")
         if self.t_end < self.d:
             raise ValueError("horizon must cover at least one full period")
 

@@ -215,3 +215,7 @@ class TestBaselines:
 def test_config_validation():
     with pytest.raises(ValueError):
         FilterConfig(lam=-1.0, alpha=0.1, alpha_del=0.1)
+    with pytest.raises(ValueError):
+        FilterConfig(lam=float("nan"), alpha=0.1, alpha_del=0.1)
+    with pytest.raises(ValueError):
+        FilterConfig(lam=0.1, alpha=float("inf"), alpha_del=0.1)

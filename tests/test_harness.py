@@ -12,11 +12,13 @@ from lscs.core import SupportSet
 from lscs.harness import (
     CSV_HEADER,
     ConfigError,
+    ConfigReader,
     MetricsRow,
     _parse_tracking,
     _scored_row,
     _tracking_trial,
     parse_model,
+    parse_noise,
     run_bound_validation,
     run_experiment,
     run_low_snr_experiments,
@@ -187,16 +189,16 @@ class TestScoredRow:
 
 class TestLowSnrRunner:
     def test_snr_summary_values(self):
-        model = parse_model({"m": 200, "s0": 20, "sa": 2, "d": 8, "r": 3, "big_m": 1.0,
-                             "rates": 0.2, "t_end": 24}, seed=0)
-        snr = snr_summary(model, {"kind": "uniform", "c": 0.1266})
+        model = parse_model(ConfigReader({"m": 200, "s0": 20, "sa": 2, "d": 8, "r": 3, "big_m": 1.0,
+                                          "rates": 0.2, "t_end": 24}), seed=0)
+        snr = snr_summary(model, parse_noise(ConfigReader({"kind": "uniform", "c": 0.1266})))
         assert snr["min_snr"] == pytest.approx(2.73, rel=0.01)
         assert snr["max_snr"] == pytest.approx(13.7, rel=0.01)
 
     def test_snr_summary_fast(self):
-        model = parse_model({"m": 200, "s0": 20, "sa": 2, "d": 3, "r": 2, "big_m": 1.0,
-                             "rates": 0.2, "t_end": 24}, seed=0)
-        snr = snr_summary(model, {"kind": "uniform", "c": 0.0528})
+        model = parse_model(ConfigReader({"m": 200, "s0": 20, "sa": 2, "d": 3, "r": 2, "big_m": 1.0,
+                                          "rates": 0.2, "t_end": 24}), seed=0)
+        snr = snr_summary(model, parse_noise(ConfigReader({"kind": "uniform", "c": 0.0528})))
         assert snr["min_snr"] == pytest.approx(6.6, rel=0.01)
         assert snr["max_snr"] == pytest.approx(19.7, rel=0.01)
 
@@ -406,10 +408,7 @@ class TestCli:
 
     def test_rip_table_roundtrip(self, tmp_path):
         cfg_path = tmp_path / "rip.json"
-        cfg_path.write_text(json.dumps({
-            "matrix": {"kind": "gaussian", "n": 6, "m": 10, "seed": 4},
-            "delta": [1, 2], "theta": [[1, 2]], "mode": "exact",
-        }))
+        cfg_path.write_text(json.dumps(RIP_TABLE_CFG))
         out_path = tmp_path / "table.json"
         out = self.run_cli("rip-table", str(cfg_path), "--out", str(out_path))
         assert out.returncode == 0, out.stderr
@@ -603,6 +602,13 @@ class TestCli:
         ("stability.json", {"rip_sampling_trials": 0}),
         ("check_stability.json", {"trials": 0}),
         ("check_stability.json", {"budget": -1}),
+        ("static_table", {"trials": 1.7}),
+        ("static_table", {"seed": 1.5}),
+        ("stability", {"zero_hit_window": 2.5}),
+        ("stability", {"n": True}),
+        ("stability", {"check_guarantees": "no"}),
+        ("stability", {"check_guarentees": True}),
+        ("bound_validation.json", {"magnitude_low": 3.0, "magnitude_high": 2.0}),
     ])
     def test_invalid_value_exit_code(self, kind, change, tmp_path, capsys):
         if kind.endswith(".json"):
@@ -628,8 +634,9 @@ class TestCli:
         ("context", {"noise_linf_bound": -0.0137}),
         (None, {"alpha": -0.5}),
         (None, {"alpha_del": -0.1}),
+        (None, {"f": 0.9}),
     ], ids=["norm_A_1-zero", "norm_A_1-negative", "n-negative", "n-zero", "lam", "noise_linf_bound",
-            "alpha", "alpha_del"])
+            "alpha", "alpha_del", "f-non-integral"])
     def test_check_stability_invalid_context_exit_code(self, block, change, tmp_path, capsys):
         cfg = json.loads((CONFIGS / "check_stability.json").read_text())
         (cfg if block is None else cfg[block]).update(change)
@@ -637,6 +644,44 @@ class TestCli:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["check-stability", str(cfg_path)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entries", [
+        {"delta": {"1": [0.5, True], "2": [0.1, True]}},   # delta_1 > delta_2
+        {"theta": {"1,1": [0.2, True], "1,2": [0.1, True]}},
+        {"delta": {"1": [float("nan"), True]}},
+        {"theta": {"1,1": [-0.1, True]}},
+    ], ids=["delta-non-monotone", "theta-non-monotone", "nan", "negative"])
+    def test_check_stability_bad_table_file_exit_code(self, entries, tmp_path, capsys):
+        table_path = tmp_path / "table.json"
+        table_path.write_text(json.dumps({"matrix_digest": "", **entries}))
+        cfg = json.loads((CONFIGS / "check_stability.json").read_text())
+        cfg["rip_table"] = str(table_path)
+        cfg_path = tmp_path / "chk.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_path = tmp_path / "report.json"
+        assert main(["check-stability", str(cfg_path), "--out", str(out_path)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("name", ["static_table", "stability", "low_snr", "bound_validation",
+                                      "check_stability", "rip_table"])
+    def test_every_config_value_is_checked(self, name, tmp_path, capsys):
+        # each mutant of a valid config exits 1 before it writes anything
+        if name == "rip_table":
+            command, cfg, out = "rip-table", RIP_TABLE_CFG, "table.json"
+        elif name == "check_stability":
+            command, out = "check-stability", "report.json"
+            cfg = json.loads((CONFIGS / "check_stability.json").read_text())
+        else:
+            command, cfg, out = "run", json.loads((CONFIGS / f"{name}.json").read_text()), "."
+        cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+        accepted = []
+        for label, mutant in config_mutants(cfg):
+            cfg_path.write_text(json.dumps(mutant))
+            code = main([command, str(cfg_path), "--out", str(out_dir / out)])
+            if code != 1 or "config error" not in capsys.readouterr().err or out_dir.exists():
+                accepted.append(label)
+        assert accepted == []
 
     def test_check_stability_matrix_of_another_size_exit_code(self, tmp_path, capsys):
         cfg = json.loads((CONFIGS / "check_stability.json").read_text())
@@ -676,6 +721,45 @@ class TestCli:
             assert (manifest["config"]["trials"], manifest["config"]["seed"]) == (2, 5)
             trials = {line.split(",")[0] for line in (out / name / "lscs.csv").read_text().splitlines()[1:]}
             assert trials == {"0", "1", "-1"}
+
+
+RIP_TABLE_CFG = {
+    "matrix": {"kind": "gaussian", "n": 6, "m": 10, "seed": 4},
+    "delta": [1, 2], "theta": [[1, 2]], "mode": "exact",
+}
+
+
+def config_mutants(doc, path=()):
+    """Yield (label, copy of ``doc``) for each mutant of each value below
+    ``path``: a value of the wrong type, and for a number also NaN, +inf and
+    -1; and for each object, the object with an unknown key added."""
+    node = doc
+    for key in path:
+        node = node[key]
+
+    def mutant(at, value):
+        copy = json.loads(json.dumps(doc))
+        target = copy
+        for key in at[:-1]:
+            target = target[key]
+        target[at[-1]] = value
+        return f"{'.'.join(map(str, at))} = {value!r}", copy
+
+    if isinstance(node, dict):
+        yield mutant(path + ("unknown_key",), 1)
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        at = path + (key,)
+        if isinstance(value, str):
+            # d0 takes "scan" or an integer in [1, d), so 3 would be valid
+            wrong = [1.5 if at == ("d0",) else 3]
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            wrong = ["x", float("nan"), float("inf"), -1]
+        else:
+            wrong = ["x"]
+        for bad in wrong:
+            yield mutant(at, bad)
+        if isinstance(value, (dict, list)):
+            yield from config_mutants(doc, at)
 
 
 def count_constants(monkeypatch) -> list:

@@ -129,6 +129,15 @@ class TestGenerate:
             SignalModelParams(m=10, s0=3, sa=4, d=3, r=1, big_m=1.0,
                               rates=np.ones(10), t_end=9, seed=0)
 
+    @pytest.mark.parametrize("big_m, rate", [
+        (float("nan"), 1.0), (float("inf"), 1.0), (1.0, float("nan")), (1.0, float("inf")),
+    ])
+    def test_non_finite_parameters(self, big_m, rate):
+        rates = np.ones(10)
+        rates[3] = rate
+        with pytest.raises(ValueError):
+            SignalModelParams(m=10, s0=3, sa=1, d=3, r=1, big_m=big_m, rates=rates, t_end=9, seed=0)
+
 
 class TestChangeStats:
     def test_changes_only_at_schedule(self):
