@@ -25,9 +25,10 @@ detected-support bound, the keep rows of the stability check, the stability
 error caps and the runtime deletion predicates all read these two.
 
 Max-over-sizes expressions (the detection threshold and the stability gate)
-are evaluated by explicit enumeration of integer ``(|T|, |Delta|)`` pairs up
-to the stated caps.  The detection ratio is not monotone in ``|Delta|``, so no
-shortcut is taken; enumerating the full rectangle also covers both the
+cover every integer ``(|T|, |Delta|)`` pair up to the stated caps.  The
+detection ratio is not monotone in ``|Delta|``, so every ``|Delta|`` is
+enumerated; it is nondecreasing in ``|T|``, so each ``|Delta|`` reads the
+largest ``|T|`` only.  Covering the full rectangle also covers both the
 fixed-``S_T`` and the max-over-``|T|`` readings of the stability conditions,
 whichever is worse.
 """
@@ -339,13 +340,22 @@ def detected_support_ls_error_bound(
 def _gate_terms(
     ctx: BoundContext, S_T: int, S_Delta: int
 ) -> tuple[list[tuple[tuple[int, int], float, float]], bool]:
-    """Detection-gate terms over every ``(|T|, |Delta|)`` with ``|T| <= S_T``,
-    ``1 <= |Delta| <= S_Delta`` and ``|T| + |Delta| <= m``.
+    """Detection-gate terms over ``1 <= |Delta| <= S_Delta``, each at
+    ``|T| = min(S_T, m - |Delta|)``.
 
-    Returns ``[(pair, 2 theta^2 |Delta| C'', C')]`` in enumeration order and
-    whether every constant used was exact.  At the first ``|Delta|`` beyond
-    S** the recovery constants are undefined: one term with an infinite gate
-    stands for it and the enumeration stops.
+    The gate ``2 theta^2 |Delta| C''`` and the threshold ``(2 alpha^2 + 2 C')
+    / (1 - gate)`` are nondecreasing in ``|T|``, because ``C'`` and ``C''``
+    are and so is ``theta_{|T|,|Delta|}``: by definition for exact entries,
+    and through the nested subsets for sampled ones.  So the largest ``|T|``
+    that fits in m carries the maximum over every ``|T| <= S_T``.  A table
+    loaded from a file is checked monotone only up to 1e-12
+    (:meth:`RipTable.validate_monotone`), and for one the terms read here may
+    fall short of that maximum by as much.
+
+    Returns ``[(pair, 2 theta^2 |Delta| C'', C')]`` in order of ``|Delta|``
+    and whether every constant used was exact.  At the first ``|Delta|``
+    beyond S** the recovery constants are undefined: one term with an
+    infinite gate stands for it and the enumeration stops.
     """
     terms = []
     exact = True
@@ -356,13 +366,11 @@ def _gate_terms(
             break
         cc = recovery_constants(d_sz, ctx.rip)
         exact = exact and cc.exact
-        for t_sz in range(0, S_T + 1):
-            if t_sz + d_sz > ctx.m:
-                continue
-            theta = ctx.rip.theta(t_sz, d_sz)
-            exact = exact and theta.exact
-            c_prime, c_dprime = _c_prime_dprime(ctx, t_sz, d_sz, cc)
-            terms.append(((t_sz, d_sz), 2.0 * theta.value ** 2 * d_sz * c_dprime, c_prime))
+        t_sz = min(S_T, ctx.m - d_sz)  # >= 2 d_sz, since 3 d_sz <= m here
+        theta = ctx.rip.theta(t_sz, d_sz)
+        exact = exact and theta.exact
+        c_prime, c_dprime = _c_prime_dprime(ctx, t_sz, d_sz, cc)
+        terms.append(((t_sz, d_sz), 2.0 * theta.value ** 2 * d_sz * c_dprime, c_prime))
     return terms, exact
 
 
@@ -371,9 +379,10 @@ def detection_condition(
 ) -> BoundResult:
     """Detection guarantee threshold, squared.
 
-    Enumerates every ``(|T|, |Delta|)`` with ``|T| <= S_T`` and
-    ``1 <= |Delta| <= S_Delta``.  When the gate ``2 theta^2 |Delta| C'' < 1``
-    holds at all of them, the value is the max of ``(2 alpha^2 + 2 C') / (1 -
+    Covers every ``(|T|, |Delta|)`` with ``|T| <= S_T`` and ``1 <= |Delta| <=
+    S_Delta``, through the largest ``|T|`` per ``|Delta|`` (see
+    :func:`_gate_terms`).  When the gate ``2 theta^2 |Delta| C'' < 1`` holds
+    at all of them, the value is the max of ``(2 alpha^2 + 2 C') / (1 -
     2 theta^2 |Delta| C'')``: any undetected true coefficient whose square
     exceeds it is detected this step.  A failing gate is not applicable, with
     the reason ``"detection gate fails"``, and keeps the ``optimistic`` flag
@@ -507,7 +516,7 @@ def check_stability_conditions(
             exact=st_entry.exact, inputs={"S_T": st_max}, note="S_0 + f (d_0 + S_a) <= S*",
         ))
 
-    # detection gate over the enumerated rectangle at (S_T, S_Delta) = (st_max, sa)
+    # detection gate over the rectangle at (S_T, S_Delta) = (st_max, sa)
     terms, gate_exact = _gate_terms(ctx, st_max, sa)
     gate_lhs = max((gate for _, gate, _ in terms), default=0.0)
     defined = math.isfinite(gate_lhs)  # infinite past S**, see _gate_terms

@@ -142,7 +142,9 @@ def _cmd_check_stability(args) -> int:
         doc = {"report": report.to_json_dict()}
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(text + "\n")
     print(text)
     return EXIT_OK
 

@@ -5,19 +5,41 @@ maximum over every column subset, or every disjoint pair of subsets, of the
 requested sizes.  They are gated by a subset-count budget (default 2e6) that
 counts every subset or pair, rather than by hard size caps.
 
-``delta_exhaustive`` takes the eigenvalues of every Gram block.
-``theta_exhaustive`` is a branch and bound over left subsets.  For a left
-subset T1 with complement C, every block ``G[T1, T2]`` with T2 in C has a
-squared spectral norm of at most ``beta(T1)^2``, the smaller of
-``lambda_max(G[T1, C] G[C, T1])`` (dropping columns cannot raise a spectral
+Each constant is the largest spectral radius over a stack of symmetric
+blocks: ``G_T - I`` for delta, and ``B B'`` with ``B = G[T1, T2]`` for theta
+(``||B||_2^2`` is its spectral radius).  Computing the eigenvalues of every
+block would be the whole cost, so each block first gets a cheap upper bound:
+with ``f = ||X||_F`` and ``q = 2^k``, ``rho(X) <= f ||(X / f)^q||_F^(1/q)``,
+which takes k batched squarings and overshoots ``rho(X)`` by a factor of at
+most ``s^(1/(2q))`` on an s x s block.  Dividing by f keeps every power
+between ``s^(-q/2)`` and 1 in Frobenius norm, so nothing underflows.  Blocks
+are then visited in descending bound, and only those whose bound beats the
+running maximum get their eigenvalues computed, by the same gather and
+``eigvalsh`` as a full enumeration would use; the first block whose bound
+does not beat it ends the visit.
+
+``theta_exhaustive`` does the same one level up, over left subsets.  For a
+left subset T1 with complement C, every block ``G[T1, T2]`` with T2 in C has
+a squared spectral norm of at most ``beta(T1)^2``, the smaller of the power
+bound on ``G[T1, C] G[C, T1]`` (dropping columns cannot raise a spectral
 norm) and the sum of the Sp largest squared column norms of ``G[T1, C]``
 (the squared Frobenius norm bounds the squared spectral norm).  Left subsets
-are visited in descending bound within each batch, and a left subset whose
-bound cannot beat the running maximum is skipped with all its right subsets.
-The result stays exact, bit for bit: the bound carries a slack far above the
-rounding of either computed quantity, so a skipped pair can never carry the
-computed maximum, and every visited pair goes through the same gather,
-product and ``eigvalsh`` as in a full enumeration.
+are visited in descending bound, and a left subset whose bound cannot beat
+the running maximum is skipped with all its right subsets.
+
+The results stay exact, bit for bit.  A block is skipped only when its bound,
+widened by a relative slack of 1e-9, does not exceed the computed maximum.
+Rounding moves the bound by a small multiple of ``s^1.5 eps`` relative (a
+symmetric Y has ``||Y^2||_F >= ||Y||_F^2 / sqrt(s)``, so nothing cancels),
+and an ``eigvalsh`` value by a small multiple of ``s eps`` times the block's
+norm; both are far inside that slack, so a skipped block can never carry the
+computed maximum; for delta the slack is taken relative to ``||G_T|| <= 1 +
+bound``, because that is the scale at which ``eigvalsh`` of ``G_T`` rounds.
+Every block that can carry it goes through the same arithmetic as in a full
+enumeration, and the eigenvalues of a block do not depend on the other
+blocks stacked with it.  A design whose constant is below the slack (one
+with orthonormal columns, say) prunes nothing and still returns the exact
+value.
 
 The ``*_sampled`` variants maximise over random subsets only; their output is
 a lower bound on the true constant and is flagged as such, because any bound
@@ -25,7 +47,9 @@ computed from an under-estimated constant is optimistic.  Both draw one block
 of ``trials`` random permutations of ``range(m)`` from ``seed``: delta_S takes
 the first S entries of each row, and theta_{S,S'} pairs the first S with the
 last S'.  A sampled entry therefore depends only on the matrix, its sizes,
-``trials`` and ``seed``, and the subsets are nested across sizes.
+``trials`` and ``seed``, and the subsets are nested across sizes.  They
+prune their blocks like the exhaustive ones, so each equals the maximum over
+every block it draws.
 
 Both constants are monotone: enlarging a column subset can only widen the
 eigenvalue range of its Gram block, and a submatrix spectral norm never
@@ -51,13 +75,15 @@ from typing import Iterator
 import numpy as np
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
-_CHUNK = 20_000
+#: blocks gathered at a time; the power bound holds a few temporaries of this
+#: many blocks
+_CHUNK = 2_000
+#: squarings k of the power bound, ``q = 2^k``
+_SQUARINGS = 3
 _COLUMN_NORM_TOL = 1e-12
-#: ``theta_exhaustive`` skips a left subset when ``(1 + rtol) beta^2 + atol``
-#: does not exceed the square of the running max.  The computed largest
-#: eigenvalue of any ``B B'`` exceeds the computed bound by a few hundred ulps
-#: at most for any block size a subset budget admits, so a skipped pair can
-#: never carry the computed maximum.
+#: a block is skipped when its bound, widened to ``(1 + rtol) bound + atol``
+#: (``+ rtol`` instead of ``+ atol`` for delta), does not exceed the running
+#: max; see the module docstring
 _PRUNE_RTOL = 1e-9
 _PRUNE_ATOL = float(np.finfo(float).tiny)
 
@@ -84,6 +110,9 @@ class MeasurementMatrix:
         a = np.array(self.entries, dtype=float)
         if a.ndim != 2:
             raise ValueError("entries must be a 2-D array")
+        if not np.isfinite(a).all():
+            # a NaN block bound compares false and would be pruned unseen
+            raise ValueError("entries must be finite")
         norms = np.linalg.norm(a, axis=0)
         if np.any(np.abs(norms - 1.0) > _COLUMN_NORM_TOL):
             worst = float(np.max(np.abs(norms - 1.0)))
@@ -188,25 +217,82 @@ def _complements(subsets: np.ndarray, m: int) -> np.ndarray:
     return np.nonzero(keep)[1].reshape(len(subsets), m - subsets.shape[1])
 
 
-def _gram_deviation_max(gram: np.ndarray, subsets: np.ndarray) -> float:
-    """Worst deviation of Gram-block eigenvalues from 1 over stacked subsets."""
+def _radius_bounds(X: np.ndarray) -> np.ndarray:
+    """Upper bound on the spectral radius of each stacked symmetric block of
+    ``X``: ``f ||(X / f)^q||_F^(1/q)`` with ``f = ||X||_F`` and ``q =
+    2^_SQUARINGS``, taken by repeated squaring."""
+    f = np.sqrt(np.einsum("bij,bij->b", X, X))
+    Y = X * (1.0 / np.where(f > 0.0, f, 1.0))[:, None, None]
+    for _ in range(_SQUARINGS):
+        Y = Y @ Y
+    return f * np.einsum("bij,bij->b", Y, Y) ** (0.5 / 2 ** _SQUARINGS)
+
+
+def _squared_norm_bounds(blocks: np.ndarray) -> np.ndarray:
+    """Upper bound on the squared spectral norm of each stacked block, from
+    its smaller Gram side."""
+    flipped = np.swapaxes(blocks, 1, 2)
+    side = blocks @ flipped if blocks.shape[1] <= blocks.shape[2] else flipped @ blocks
+    return _radius_bounds(side)
+
+
+def _norm_caps(squared: np.ndarray) -> np.ndarray:
+    """Caps on computed spectral norms from bounds on their squares."""
+    return np.sqrt(squared * (1.0 + _PRUNE_RTOL) + _PRUNE_ATOL)
+
+
+def _pruned_max(caps: np.ndarray, evaluate, worst: float, growth: int = 2) -> float:
+    """``worst`` raised to the largest computed value over stacked blocks,
+    given a cap on each block's computed value.
+
+    Blocks are visited in descending cap, in batches of 1, ``growth``,
+    ``growth^2``, ... blocks; ``evaluate(idx, worst)`` returns the max of
+    ``worst`` and the values of the blocks ``idx``.  The visit stops at the
+    first block whose cap does not exceed the running max, since neither it
+    nor any later block can raise it.
+    """
+    live = np.flatnonzero(caps > worst)
+    order = live[np.argsort(-caps[live], kind="stable")]
+    lo, size = 0, 1
+    while lo < len(order) and caps[order[lo]] > worst:
+        worst = evaluate(order[lo:lo + size], worst)
+        lo, size = lo + size, growth * size
+    return worst
+
+
+def _delta_max(gram: np.ndarray, subsets: np.ndarray, worst: float) -> float:
+    """``worst`` raised to the largest deviation of a Gram block's
+    eigenvalues from 1 over stacked subsets."""
     blocks = gram[subsets[:, :, None], subsets[:, None, :]]
-    w = np.linalg.eigvalsh(blocks)
-    return float(np.max(np.maximum(1.0 - w[:, 0], w[:, -1] - 1.0)))
+    bounds = _radius_bounds(blocks - np.eye(subsets.shape[1]))
+    # the eigenvalues of G_T round relative to ||G_T|| <= 1 + bound
+    caps = bounds * (1.0 + _PRUNE_RTOL) + _PRUNE_RTOL
+
+    def evaluate(idx, worst):
+        w = np.linalg.eigvalsh(blocks[idx])
+        return max(worst, float(np.max(np.maximum(1.0 - w[:, 0], w[:, -1] - 1.0))))
+
+    return _pruned_max(caps, evaluate, worst)
 
 
-def _block_specnorms(gram: np.ndarray, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-    """Spectral norm of each Gram block ``gram[T1, T2]`` over stacked pairs;
-    ``lefts`` is (b, S), or (S,) for one left subset shared by every pair."""
+def _pairs_max(gram: np.ndarray, lefts: np.ndarray, rights: np.ndarray, worst: float) -> float:
+    """``worst`` raised to the largest spectral norm of a Gram block
+    ``gram[T1, T2]`` over stacked pairs; ``lefts`` is (b, S), or (S,) for one
+    left subset shared by every pair."""
     blocks = gram[lefts[..., :, None], rights[:, None, :]]
-    outer = blocks @ np.swapaxes(blocks, 1, 2)
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(outer)[:, -1], 0.0))
+
+    def evaluate(idx, worst):
+        b = blocks[idx]
+        w = np.linalg.eigvalsh(b @ np.swapaxes(b, 1, 2))[:, -1]
+        return max(worst, float(np.max(np.sqrt(np.maximum(w, 0.0)))))
+
+    return _pruned_max(_norm_caps(_squared_norm_bounds(blocks)), evaluate, worst)
 
 
 def delta_exhaustive(
     A: MeasurementMatrix, S: int, budget: int = DEFAULT_SUBSET_BUDGET
 ) -> float:
-    """Exact S-restricted isometry constant by enumerating all size-S subsets."""
+    """Exact S-restricted isometry constant over all size-S subsets."""
     if S < 0 or S > A.m:
         raise ValueError(f"S={S} out of range [0, {A.m}]")
     if S == 0:
@@ -218,8 +304,8 @@ def delta_exhaustive(
         )
     gram = A.gram()
     worst = 0.0
-    for block in _subsets(A.m, S, _CHUNK):
-        worst = max(worst, _gram_deviation_max(gram, block))
+    for subsets in _subsets(A.m, S, _CHUNK):
+        worst = _delta_max(gram, subsets, worst)
     return worst
 
 
@@ -230,9 +316,9 @@ def theta_exhaustive(
     of sizes (S, Sp).
 
     The budget counts every pair.  Left subsets come in batches that gather
-    no more Gram entries than ``_CHUNK`` pairs do; within a batch they are
-    visited in descending bound until the bound cannot beat the running max.
-    Their right subsets are fixed offsets into the sorted complement, taken
+    no more Gram entries than ``_CHUNK`` pairs do, and are visited in
+    descending bound until the bound cannot beat the running max.  Their
+    right subsets are fixed offsets into the sorted complement, taken
     ``_CHUNK`` at a time.  When ``S == Sp`` each unordered pair is visited
     once, with the lexicographically smaller subset on the left (disjoint
     sorted subsets differ in their first element).
@@ -257,19 +343,20 @@ def theta_exhaustive(
     for lefts in _subsets(m, S, max(1, _CHUNK * Sp // (m - S))):
         rest = _complements(lefts, m)
         cross = gram[lefts[:, :, None], rest[:, None, :]]
-        spec2 = np.linalg.eigvalsh(cross @ np.swapaxes(cross, 1, 2))[:, -1]
-        colsq = np.square(cross).sum(axis=1)
-        frob2 = np.sort(colsq, axis=1)[:, -Sp:].sum(axis=1)
-        bound = np.minimum(spec2, frob2) * (1.0 + _PRUNE_RTOL) + _PRUNE_ATOL
-        for i in np.argsort(-bound):
-            if bound[i] <= worst * worst:
-                break
-            # the complement holds every index below lefts[i, 0], so right
-            # subsets whose first index is above it start at that offset
-            first = np.searchsorted(offsets[:, 0], lefts[i, 0]) if S == Sp else 0
-            for lo in range(first, len(offsets), _CHUNK):
-                rights = rest[i][offsets[lo:lo + _CHUNK]]
-                worst = max(worst, float(np.max(_block_specnorms(gram, lefts[i], rights))))
+        frob2 = np.sort(np.square(cross).sum(axis=1), axis=1)[:, -Sp:].sum(axis=1)
+        caps = _norm_caps(np.minimum(_squared_norm_bounds(cross), frob2))
+
+        def evaluate(idx, worst):
+            for i in idx:
+                # the complement holds every index below lefts[i, 0], so right
+                # subsets whose first index is above it start at that offset
+                first = np.searchsorted(offsets[:, 0], lefts[i, 0]) if S == Sp else 0
+                for lo in range(first, len(offsets), _CHUNK):
+                    worst = _pairs_max(gram, lefts[i], rest[i][offsets[lo:lo + _CHUNK]], worst)
+            return worst
+
+        # one left subset at a time: each visit is a pruned search itself
+        worst = _pruned_max(caps, evaluate, worst, growth=1)
     return worst
 
 
@@ -299,7 +386,7 @@ def delta_sampled(A: MeasurementMatrix, S: int, trials: int, seed: int) -> float
     gram = A.gram()
     worst = 0.0
     for lo in range(0, trials, _CHUNK):
-        worst = max(worst, _gram_deviation_max(gram, perms[lo:lo + _CHUNK, :S]))
+        worst = _delta_max(gram, perms[lo:lo + _CHUNK, :S], worst)
     return worst
 
 
@@ -318,7 +405,7 @@ def theta_sampled(A: MeasurementMatrix, S: int, Sp: int, trials: int, seed: int)
     worst = 0.0
     for lo in range(0, trials, _CHUNK):
         block = perms[lo:lo + _CHUNK]
-        worst = max(worst, float(np.max(_block_specnorms(gram, block[:, :S], block[:, A.m - Sp:]))))
+        worst = _pairs_max(gram, block[:, :S], block[:, A.m - Sp:], worst)
     return worst
 
 

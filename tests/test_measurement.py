@@ -15,7 +15,6 @@ from lscs.measurement import (
     MeasurementMatrix,
     RipEntry,
     RipTable,
-    _block_specnorms,
     build_rip_table,
     delta_exhaustive,
     delta_sampled,
@@ -63,6 +62,20 @@ def reference_theta(A: MeasurementMatrix, S: int, Sp: int) -> float:
     return worst
 
 
+def count_eigvalsh_blocks(monkeypatch) -> list[int]:
+    """Record the number of blocks of each ``eigvalsh`` call the measurement
+    module makes: the blocks it evaluates exactly."""
+    counts = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(blocks):
+        counts.append(len(blocks))
+        return eigvalsh(blocks)
+
+    monkeypatch.setattr(measurement.np.linalg, "eigvalsh", counting)
+    return counts
+
+
 def size_pairs(m: int):
     return [(s, sp) for s in range(1, m) for sp in range(1, m - s + 1)]
 
@@ -94,6 +107,15 @@ class TestMatrixGeneration:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             MeasurementMatrix(2.0 * np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        raw = gen_gaussian_matrix(4, 6, 1).entries.copy()
+        raw[0, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            MeasurementMatrix(raw)
+        with pytest.raises(ValueError, match="finite"):
+            MeasurementMatrix.from_columns(raw)
 
     def test_induced_one_norm(self):
         A = MeasurementMatrix(np.eye(3))
@@ -245,16 +267,19 @@ class TestExhaustiveMatchesReference:
     ], ids=["orthonormal-4-8", "gaussian-3-3"])
     def test_prune_skips_almost_every_pair(self, monkeypatch, A, S, Sp):
         # either bound term alone lets through far more than 2% of the pairs
-        evaluated = []
-
-        def counting(gram, lefts, rights):
-            evaluated.append(len(rights))
-            return _block_specnorms(gram, lefts, rights)
-
-        monkeypatch.setattr(measurement, "_block_specnorms", counting)
-        theta_exhaustive(A, S, Sp)
+        expected = reference_theta(A, S, Sp)
+        evaluated = count_eigvalsh_blocks(monkeypatch)
+        assert theta_exhaustive(A, S, Sp) == expected
         pairs = math.comb(A.m, S) * math.comb(A.m - S, Sp) // (2 if S == Sp else 1)
         assert 0 < sum(evaluated) <= 0.02 * pairs
+
+    def test_prune_skips_almost_every_subset(self, monkeypatch):
+        # 2 of the 12,870 blocks get their eigenvalues computed
+        A = gen_perturbed_orthonormal_matrix(16, 16, 1, 0.2)
+        expected = reference_delta(A, 8)
+        evaluated = count_eigvalsh_blocks(monkeypatch)
+        assert delta_exhaustive(A, 8) == expected
+        assert 0 < sum(evaluated) <= 0.001 * math.comb(16, 8)
 
     @PROPERTY
     @given(st.data())
@@ -271,6 +296,27 @@ class TestExhaustiveMatchesReference:
         S = data.draw(st.integers(1, m - 1), label="S")
         Sp = data.draw(st.integers(1, m - S), label="Sp")
         assert theta_exhaustive(A, S, Sp) == reference_theta(A, S, Sp)
+
+    @PROPERTY
+    @given(st.data())
+    def test_drawn_delta_matrices(self, data):
+        # sign designs tie many blocks; orthonormal columns make every
+        # G_T - I zero or a rounding error, below the prune's slack
+        m = data.draw(st.integers(2, 9), label="m")
+        kind = data.draw(st.sampled_from(["signs", "floats", "orthonormal"]), label="kind")
+        if kind == "orthonormal":
+            seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+            q = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))[0]
+            A = MeasurementMatrix.from_columns(q if data.draw(st.booleans(), label="rotated") else np.eye(m))
+        else:
+            n = data.draw(st.integers(1, 5), label="n")
+            entries = (st.sampled_from([-1.0, 0.0, 1.0]) if kind == "signs"
+                       else st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False))
+            raw = data.draw(arrays(np.float64, (n, m), elements=entries), label="raw")
+            assume(np.all(np.linalg.norm(raw, axis=0) > 1e-3))
+            A = MeasurementMatrix.from_columns(raw)
+        S = data.draw(st.integers(1, m), label="S")
+        assert delta_exhaustive(A, S) == reference_delta(A, S)
 
 
 class TestSampledConstants:
@@ -297,6 +343,27 @@ class TestSampledConstants:
             if approx >= 0.95 * exact:
                 hits += 1
         assert hits >= 45
+
+    @pytest.mark.parametrize("A", [
+        gen_gaussian_matrix(8, 16, 3),
+        gen_perturbed_orthonormal_matrix(16, 16, 2, 0.02),
+        tied_matrix(1),
+    ], ids=["gaussian", "orthonormal", "tied"])
+    def test_pruned_sampled_equals_every_drawn_block(self, A):
+        # 2,500 rows span two chunks, so the running max crosses a chunk edge
+        trials, seed = 2_500, 7
+        perms = measurement._permutations(A.m, trials, seed)
+        gram = A.gram()
+        for S in range(1, A.m + 1):
+            idx = perms[:, :S]
+            w = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
+            expected = float(np.max(np.maximum(1.0 - w[:, 0], w[:, -1] - 1.0)))
+            assert delta_sampled(A, S, trials, seed) == expected, S
+        for S, Sp in size_pairs(A.m):
+            b = gram[perms[:, :S, None], perms[:, None, A.m - Sp:]]
+            w = np.linalg.eigvalsh(b @ np.swapaxes(b, 1, 2))[:, -1]
+            expected = float(np.max(np.sqrt(np.maximum(w, 0.0))))
+            assert theta_sampled(A, S, Sp, trials, seed) == expected, (S, Sp)
 
     def test_sampled_nested_across_sizes(self):
         # every entry maximises over the rows of one permutation block, and a
