@@ -172,15 +172,14 @@ def _hypotheses(
 def _min_over_s(ctx: BoundContext, cap: int, tail, exact: bool) -> BoundResult:
     """``min_S [C2(S) S lam^2 + C3(S) ((cap - S)/S) tail(S)]`` over S = 1..cap.
 
-    The scan stops at the first S whose recovery constants are undefined or
-    missing from the table.  Restricting the scan below the true threshold
-    only discards candidate values of the minimum, which keeps every bound
-    valid (possibly looser).
+    The scan stops at the first S outside S** (``3S > m`` included).  A
+    table lacking an entry the scan reads raises
+    :class:`InsufficientRipTable`, like every other read.  Restricting the
+    scan below the true threshold only discards candidate values of the
+    minimum, which keeps every bound valid (possibly looser).
     """
     best, best_s, scan_cap = math.inf, None, 0
     for s in range(1, cap + 1):
-        if not (ctx.rip.has_delta(2 * s) and ctx.rip.has_theta(s, 2 * s)):
-            break
         e = _s_starstar_entry(ctx, s)
         if e is None or e.value >= 1.0:
             break

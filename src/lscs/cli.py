@@ -25,7 +25,8 @@ from pathlib import Path
 
 from . import __version__
 from .bounds import BoundContext, find_min_d0, check_stability_conditions
-from .harness import ConfigError, ConfigReader, parse_model, run_experiment
+from .config import ConfigError, ConfigReader
+from .harness import parse_model, run_experiment
 from .measurement import DEFAULT_SUBSET_BUDGET, MeasurementMatrix, RipTable, build_rip_table, gen_matrix
 
 EXIT_OK = 0
@@ -117,7 +118,7 @@ def _cmd_check_stability(args) -> int:
         }
         rip_table = r.value("rip_table")
         if isinstance(rip_table, str):
-            table = RipTable.from_json(Path(rip_table).read_text())
+            table = RipTable.from_json_dict(_load_json(rip_table))
             table.validate_monotone()
         else:
             spec = r.obj("rip_table")

@@ -74,6 +74,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .config import ConfigReader
+
 DEFAULT_SUBSET_BUDGET = 2_000_000
 #: blocks gathered at a time; the power bound holds a few temporaries of this
 #: many blocks
@@ -462,12 +464,6 @@ class RipTable:
 
     # -- reads ----------------------------------------------------------
 
-    def has_delta(self, S: int) -> bool:
-        return S == 0 or S in self._delta or self._computable(S)
-
-    def has_theta(self, S: int, Sp: int) -> bool:
-        return S == 0 or Sp == 0 or (S, Sp) in self._theta or self._computable(S + Sp)
-
     def delta(self, S: int) -> RipEntry:
         if S == 0:
             return RipEntry(0.0, True)
@@ -486,15 +482,8 @@ class RipTable:
             raise InsufficientRipTable(f"theta_{{{S},{Sp}}} missing from table")
         return self._compute_theta(S, Sp)
 
-    @property
-    def delta_entries(self) -> dict[int, RipEntry]:
-        return dict(self._delta)
-
     def validate_monotone(self) -> None:
-        """Check that stored values are finite and nonnegative, and the
-        defining-maxima monotonicity across stored entries."""
-        if not all(0 <= e.value < np.inf for e in [*self._delta.values(), *self._theta.values()]):
-            raise ValueError("table values must be finite and nonnegative")
+        """Check the defining-maxima monotonicity across stored entries."""
         sizes = sorted(self._delta)
         for a, b in zip(sizes, sizes[1:]):
             if self._delta[a].value > self._delta[b].value + 1e-12:
@@ -523,17 +512,27 @@ class RipTable:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RipTable":
-        table = cls(doc.get("matrix_digest", ""))
-        for s, (value, exact) in doc.get("delta", {}).items():
-            table.set_delta(int(s), value, exact)
-        for key, (value, exact) in doc.get("theta", {}).items():
-            s, sp = key.split(",")
-            table.set_theta(int(s), int(sp), value, exact)
+        """The table that :meth:`to_json_dict` wrote.  Each entry must be a
+        ``[value, exact]`` pair of a finite nonnegative number and a bool;
+        a bad entry or an unknown key raises :class:`ConfigError`."""
+        with ConfigReader(doc) as r:
+            table = cls(r.value("matrix_digest", "", str))
+            delta, theta = r.obj("delta", {}), r.obj("theta", {})
+            for key in delta.doc:
+                entry = delta.obj(key, kind=list)
+                table.set_delta(*_table_sizes(key, 1), entry.float(0), entry.bool(1))
+            for key in theta.doc:
+                entry = theta.obj(key, kind=list)
+                table.set_theta(*_table_sizes(key, 2), entry.float(0), entry.bool(1))
         return table
 
-    @classmethod
-    def from_json(cls, text: str) -> "RipTable":
-        return cls.from_json_dict(json.loads(text))
+
+def _table_sizes(key: str, count: int) -> list[int]:
+    """The ``count`` positive sizes of a table key such as ``"2"`` or ``"1,2"``."""
+    sizes = key.split(",")
+    if len(sizes) != count or not all(s.isdigit() and int(s) > 0 for s in sizes):
+        raise ValueError(f"table key {key!r} is not {count} positive size(s)")
+    return [int(s) for s in sizes]
 
 
 def build_rip_table(

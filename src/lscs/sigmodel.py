@@ -1,34 +1,35 @@
-"""Ground-truth sequence generator: periodic support additions with ramping
-magnitudes, plateaus, and ramp-down removals.
+"""Ground-truth sequence generator: the signal model written as a schedule.
 
-The model: at t=0 the signal has ``s0 - sa`` nonzero entries of magnitude
-``big_m``.  At each addition time ``t_j = 1 + (j-1) d`` a fresh set of ``sa``
-indices enters at per-index initial magnitude ``a_i`` and grows by ``a_i`` per
-step, capping at ``big_m``; growth lasts at most ``d`` steps so the plateau
-value is the smaller of ``big_m`` and ``d a_i``.  At ``t_{j+1} - 1`` a set of
-``sa`` currently-active indices (disjoint from the newest additions) leaves
-the support after ramping down linearly over the final ``r`` steps: during
-``[t_{j+1} - r, t_{j+1} - 1]`` the magnitude is ``plateau * (t_{j+1} - 1 -
-t) / r``, reaching exactly zero at removal.  That ramp is the unique linear
-schedule with that per-step decrease rate and a zero endpoint, regardless of
-the value the coefficient held before the ramp started.
+At t=0 the signal has ``s0 - sa`` nonzero entries of magnitude ``big_m``.
+Epoch j starts at the addition time ``t_j = 1 + (j-1) d`` and ends at
+``t_{j+1} - 1``.  At ``t_j`` a set A(j) of ``sa`` indices is drawn from those
+that are zero at ``t_j``; index i of A(j) holds ``magnitude(min(t - t_j + 1,
+d), a_i)`` from ``t_j`` on: it grows by ``a_i`` per step, capped at ``big_m``,
+up to its plateau ``min(big_m, d a_i)``.  At ``t_{j+1} - r`` a set R(j) of
+``sa`` indices is drawn from those nonzero at that step, minus A(j); index i
+of R(j) holds ``plateau(i) (t_{j+1} - 1 - t) / r`` on ``[t_{j+1} - r,
+t_{j+1} - 1]``, reaching zero at ``t_{j+1} - 1``, and stays zero until a later
+addition draws it again.  That ramp is the unique linear schedule with that
+per-step decrease rate and a zero endpoint, whatever value the coefficient
+held before it started.  Coefficients added in earlier epochs are removal
+candidates too; they have finished growing by the time a ramp can start,
+since ``r < d``.
 
-Removal candidates are drawn from the support at ``t_j`` minus the newest
-additions only; coefficients added in earlier periods are eligible (they have
-finished growing by the time a ramp can start, since ``r < d``).
+So every coefficient's trajectory is a closed form of its draw times, and
+``generate`` writes each drawn index's whole range at once.  Every active
+coefficient is nonzero until its removal step, so the support at t is the
+support of the signal at t.  Each addition draw sees ``s0 - sa`` nonzero
+indices, so ``s0 <= m`` leaves enough zero ones and ``s0 >= 2 sa`` enough
+removal candidates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SupportSet
-
-ROLE_INCREASING = "increasing"
-ROLE_CONSTANT = "constant"
-ROLE_DECREASING = "decreasing"
+from .core import SupportSet, support_of
 
 
 @dataclass(frozen=True)
@@ -71,123 +72,60 @@ class SignalModelParams:
         """t_j = 1 + (j-1) d for j >= 1."""
         return 1 + (j - 1) * self.d
 
-    def magnitude(self, steps: int, rate: float) -> float:
+    def magnitude(self, steps, rate):
         """Magnitude of a coefficient after ``steps`` steps of growth at
-        ``rate``: the smaller of ``big_m`` and ``steps * rate``.  Every ramp
-        magnitude, in the generator and in the stability conditions, is read
-        here."""
-        return min(self.big_m, steps * float(rate))
+        ``rate``: the smaller of ``big_m`` and ``steps * rate``, elementwise
+        on arrays.  Every ramp magnitude, in the generator and in the
+        stability conditions, is read here."""
+        return np.minimum(self.big_m, steps * np.asarray(rate, dtype=float))
 
-    def plateau(self, i: int) -> float:
+    def plateau(self, i):
         return self.magnitude(self.d, self.rates[i])
 
 
 @dataclass
 class SignalSequence:
-    """Generated trajectory with per-step support and change-set bookkeeping."""
+    """Generated trajectory and its change schedule."""
 
     params: SignalModelParams
-    signals: np.ndarray                      # (t_end + 1, m)
-    supports: list[SupportSet]
-    roles: list[dict[int, str]]              # per t: active index -> role
-    addition_sets: list[SupportSet] = field(default_factory=list)   # A(j), j=1..
-    removal_sets: list[SupportSet] = field(default_factory=list)    # R(j), j=1..
-    addition_times: list[int] = field(default_factory=list)         # t_j, j=1..
+    signals: np.ndarray                # (t_end + 1, m)
+    addition_sets: list[SupportSet]    # A(j), j=1..
+    removal_sets: list[SupportSet]     # R(j), j=1..
+    addition_times: list[int]          # t_j, j=1..
 
     def signal_at(self, t: int) -> np.ndarray:
         return self.signals[t]
 
     def support_at(self, t: int) -> SupportSet:
-        return self.supports[t]
+        return support_of(self.signals[t])
 
 
 def generate(params: SignalModelParams) -> SignalSequence:
     """Draw one trajectory; deterministic per ``params.seed``."""
     p = params
     rng = np.random.default_rng(p.seed)
-    signals = np.zeros((p.t_end + 1, p.m))
-    supports: list[SupportSet] = []
-    roles: list[dict[int, str]] = []
-
-    init_count = p.s0 - p.sa
-    initial = rng.choice(p.m, size=init_count, replace=False) if init_count else np.empty(0, dtype=int)
+    initial = rng.choice(p.m, size=p.s0 - p.sa, replace=False)
     signs = np.where(rng.random(p.m) < 0.5, -1.0, 1.0)
-
-    # per-index state: epoch the index was added in (-1 for t=0 members)
-    added_at: dict[int, int] = {int(i): -1 for i in initial}
-    active = set(int(i) for i in initial)
-    addition_sets: list[SupportSet] = []
-    removal_sets: list[SupportSet] = []
-    addition_times: list[int] = []
-    ramp: dict[int, float] = {}  # index -> plateau value feeding the ramp-down
-
-    x = np.zeros(p.m)
-    x[list(active)] = p.big_m * signs[list(active)]
-    signals[0] = x
-    supports.append(SupportSet(active, p.m))
-    roles.append({i: ROLE_CONSTANT for i in active})
-
-    j = 1
-    for t in range(1, p.t_end + 1):
-        t_j = p.addition_time(j)
-        t_next = p.addition_time(j + 1)
-
-        if t == t_j and p.sa > 0:
-            free = np.setdiff1d(np.arange(p.m), np.asarray(sorted(active), dtype=int))
-            if free.size < p.sa:
-                raise ValueError("not enough zero indices left to draw additions")
-            new = rng.choice(free, size=p.sa, replace=False)
-            addition_sets.append(SupportSet(new, p.m))
-            addition_times.append(t_j)
-            for i in new:
-                added_at[int(i)] = j
-                active.add(int(i))
-        if t == t_next - p.r and p.sa > 0:
-            current = addition_sets[j - 1]
-            eligible = np.asarray(sorted(active - set(current.indices)), dtype=int)
-            if eligible.size < p.sa:
-                raise ValueError("not enough removal candidates")
-            removed = rng.choice(eligible, size=p.sa, replace=False)
-            removal_sets.append(SupportSet(removed, p.m))
-            ramp = {int(i): p.plateau(int(i)) for i in removed}
-
-        last_step_of_period = t == t_next - 1
-        x = np.zeros(p.m)
-        role_t: dict[int, str] = {}
-        for i in sorted(active):
-            epoch = added_at[i]
-            if i in ramp:
-                mag = ramp[i] * (t_next - 1 - t) / p.r
-                role_t[i] = ROLE_DECREASING
-            elif epoch == j:
-                k = min(t - t_j, p.d - 1)
-                mag = p.magnitude(k + 1, p.rates[i])
-                # the period's additions count as increasing until its last step
-                role_t[i] = ROLE_CONSTANT if last_step_of_period else ROLE_INCREASING
-            else:
-                mag = p.big_m if epoch == -1 else p.plateau(i)
-                role_t[i] = ROLE_CONSTANT
-            x[i] = mag * signs[i]
-
-        if last_step_of_period:
-            if p.sa > 0:
-                for i in removal_sets[j - 1]:
-                    active.discard(i)
-                    role_t.pop(i, None)
-                x[removal_sets[j - 1].to_array()] = 0.0
-            ramp = {}
-            j += 1
-
-        signals[t] = x
-        supports.append(SupportSet(active, p.m))
-        roles.append(role_t)
-
-    return SignalSequence(
-        params=p,
-        signals=signals,
-        supports=supports,
-        roles=roles,
-        addition_sets=addition_sets,
-        removal_sets=removal_sets,
-        addition_times=addition_times,
-    )
+    # rows past t_end hold the tail of a ramp that the horizon cuts off
+    mags = np.zeros((p.t_end + p.d, p.m))
+    mags[:, initial] = p.big_m
+    additions, removals, times = [], [], []
+    for j in range(1, (p.t_end - 1) // p.d + 2 if p.sa else 1):
+        t_j, t_next = p.addition_time(j), p.addition_time(j + 1)
+        new = rng.choice(np.flatnonzero(mags[t_j] == 0), size=p.sa, replace=False)
+        steps = np.minimum(np.arange(1, len(mags) - t_j + 1), p.d)
+        mags[t_j:, new] = p.magnitude(steps[:, None], p.rates[new])
+        additions.append(SupportSet(new, p.m))
+        times.append(t_j)
+        t_ramp = t_next - p.r
+        if t_ramp > p.t_end:
+            break
+        eligible = mags[t_ramp] != 0
+        eligible[new] = False
+        removed = rng.choice(np.flatnonzero(eligible), size=p.sa, replace=False)
+        mags[t_ramp:t_next, removed] = p.plateau(removed) * np.arange(p.r - 1, -1, -1)[:, None] / p.r
+        mags[t_next:, removed] = 0.0
+        removals.append(SupportSet(removed, p.m))
+    # + 0.0 turns the -0.0 of a zero magnitude with a negative sign into 0.0
+    signals = mags[: p.t_end + 1] * signs + 0.0
+    return SignalSequence(p, signals, additions, removals, times)

@@ -108,18 +108,15 @@ class DantzigStatusError(RuntimeError):
 class DsSolution:
     """Dantzig selector output.
 
-    ``objective`` is recomputed from ``zeta_hat`` and ``max_correlation`` is
-    the achieved ``||A'(y - A zeta_hat)||_inf``.  ``status`` is one of
-    ``"optimal"``, ``"infeasible"``, ``"budget_exceeded"``.  ``path`` names
-    what answered: ``"zero_exit"`` (no LP), ``"cold"`` (a drive from the top
-    of the lambda path), ``"warm"`` (a drive from the handle's last answer)
-    or ``"highs"`` (the fallback).  ``iterations`` counts the breakpoints of
-    a drive or the simplex iterations of HiGHS.
+    ``status`` is one of ``"optimal"``, ``"infeasible"``,
+    ``"budget_exceeded"``.  ``path`` names what answered: ``"zero_exit"``
+    (no LP), ``"cold"`` (a drive from the top of the lambda path), ``"warm"``
+    (a drive from the handle's last answer) or ``"highs"`` (the fallback).
+    ``iterations`` counts the breakpoints of a drive or the simplex
+    iterations of HiGHS.
     """
 
     zeta_hat: np.ndarray
-    objective: float
-    max_correlation: float
     status: str
     path: str
     iterations: int
@@ -330,22 +327,20 @@ class SelectorLP:
         self._basis: _Basis | None = None
 
 
-def _certify(
-    G: np.ndarray, g: np.ndarray, lam: float, zeta: np.ndarray, u: np.ndarray
-) -> tuple[float, str | None]:
-    """``||g - G zeta||_inf`` and the first certificate check that fails
-    (``None`` when ``(zeta, u)`` is a certified optimal pair)."""
+def _certify(G: np.ndarray, g: np.ndarray, lam: float, zeta: np.ndarray, u: np.ndarray) -> str | None:
+    """The first certificate check that fails, or ``None`` when ``(zeta, u)``
+    is a certified optimal pair."""
     max_corr = float(np.max(np.abs(g - G @ zeta)))
     if max_corr > lam + _CERTIFICATE_TOL:
-        return max_corr, f"constraint violation {max_corr - lam:.3e} exceeds tolerance"
+        return f"constraint violation {max_corr - lam:.3e} exceeds tolerance"
     dual = float(np.max(np.abs(G @ u)))
     if dual > 1.0 + _CERTIFICATE_TOL:
-        return max_corr, f"dual infeasibility {dual - 1.0:.3e} exceeds tolerance"
+        return f"dual infeasibility {dual - 1.0:.3e} exceeds tolerance"
     l1 = float(np.sum(np.abs(zeta)))
     gap = abs(l1 - (float(g @ u) - lam * float(np.sum(np.abs(u)))))
     if gap > _CERTIFICATE_TOL * max(1.0, l1):
-        return max_corr, f"duality gap {gap:.3e} exceeds tolerance"
-    return max_corr, None
+        return f"duality gap {gap:.3e} exceeds tolerance"
+    return None
 
 
 def _run(highs) -> object:
@@ -435,7 +430,7 @@ def solve_dantzig(
     peak = float(np.max(np.abs(g), initial=0.0))
     if lam >= peak:
         # zero is feasible and l1-minimal
-        return DsSolution(np.zeros(m), 0.0, peak, "optimal", "zero_exit", 0)
+        return DsSolution(np.zeros(m), "optimal", "zero_exit", 0)
 
     G = A.gram()
     basis = lp._basis if lp is not None else None
@@ -447,19 +442,18 @@ def solve_dantzig(
     drive = _homotopy(basis, g, float(lam))
     if drive is not None:
         zeta, u, iterations = drive
-        max_corr, failed = _certify(G, g, lam, zeta, u)
-        if failed is None:
+        if _certify(G, g, lam, zeta, u) is None:
             if lp is not None:
                 lp._basis = basis
-            return DsSolution(zeta, float(np.sum(np.abs(zeta))), max_corr, "optimal", path, iterations)
+            return DsSolution(zeta, "optimal", path, iterations)
 
     status, zeta, u, iterations = _solve_highs(G, g, lam)
     if zeta is None:
-        return DsSolution(np.zeros(m), float("nan"), float("nan"), status, "highs", iterations)
-    max_corr, failed = _certify(G, g, lam, zeta, u)
+        return DsSolution(np.zeros(m), status, "highs", iterations)
+    failed = _certify(G, g, lam, zeta, u)
     if failed is not None:
         raise DantzigNumericsError(failed)
-    return DsSolution(zeta, float(np.sum(np.abs(zeta))), max_corr, "optimal", "highs", iterations)
+    return DsSolution(zeta, "optimal", "highs", iterations)
 
 
 def optimal_zeta(sol: DsSolution) -> np.ndarray:

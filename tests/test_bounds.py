@@ -153,7 +153,8 @@ class TestSingleScaleBound:
     def test_looser_than_scan_term(self):
         # for |Delta| >= 1 the single-S form never beats the scan evaluated
         # with worst-case noise energy
-        table = flat_table(delta=0.1, theta=0.15)
+        # the scan reads up to S = 6 + 3, so delta_18 and theta_{9,18}
+        table = flat_table(delta=0.1, theta=0.15, max_s=18, max_pair=9)
         ctx = make_ctx(table)
         for size_delta in [1, 2, 3]:
             xd = np.linspace(1.0, 2.0, size_delta)
@@ -355,7 +356,8 @@ class TestStabilityConditions:
         # and each row reports a failure instead of looking one up
         model = generous_model(m=16, s0=8, sa=4, d=10)
         ctx = zero_rip_ctx(model)
-        assert not ctx.rip.has_theta(13, 4)
+        with pytest.raises(InsufficientRipTable):
+            ctx.rip.theta(13, 4)
         report = check_stability_conditions(model, ctx, f=1, d0=5, alpha=0.05)
         oversized = [f"keep-addition-{i}" for i in range(1, 5)] + ["keep-constant-coefficients"]
         for name in oversized:
@@ -377,7 +379,8 @@ class TestStabilityConditions:
         # that size is requested, and the rows that would read one fail
         model = generous_model(m=16, s0=8, sa=4, d=10)
         ctx = zero_rip_ctx(model)
-        assert max(ctx.rip.delta_entries) <= model.m
+        with pytest.raises(InsufficientRipTable):
+            ctx.rip.delta(model.m + 1)
         if d0 == "scan":
             found, report = find_min_d0(model, ctx, f=1, alpha=0.05)
             assert found is None and report.d0 == model.d - 1

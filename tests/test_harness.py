@@ -6,13 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lscs import measurement
+from lscs import cli, measurement
 from lscs.cli import main
+from lscs.config import ConfigError, ConfigReader
 from lscs.core import SupportSet
 from lscs.harness import (
     CSV_HEADER,
-    ConfigError,
-    ConfigReader,
     MetricsRow,
     _parse_tracking,
     _scored_row,
@@ -657,7 +656,13 @@ class TestCli:
         {"theta": {"1,1": [0.2, True], "1,2": [0.1, True]}},
         {"delta": {"1": [float("nan"), True]}},
         {"theta": {"1,1": [-0.1, True]}},
-    ], ids=["delta-non-monotone", "theta-non-monotone", "nan", "negative"])
+        {"delta": []},
+        {"delta": {"1": [0.1, "yes"]}},
+        {"thetas": {"1,1": [0.1, True]}},
+        {"delta": {"0": [0.1, True]}},
+        {"theta": {"1,1,1": [0.1, True]}},
+    ], ids=["delta-non-monotone", "theta-non-monotone", "nan", "negative", "delta-list", "exact-not-bool",
+            "unknown-key", "size-zero", "theta-three-sizes"])
     def test_check_stability_bad_table_file_exit_code(self, entries, tmp_path, capsys):
         table_path = tmp_path / "table.json"
         table_path.write_text(json.dumps({"matrix_digest": "", **entries}))
@@ -669,6 +674,17 @@ class TestCli:
         assert main(["check-stability", str(cfg_path), "--out", str(out_path)]) == 1
         assert "config error" in capsys.readouterr().err
         assert not out_path.exists()
+
+    def test_type_error_in_parsing_code_is_a_runtime_failure(self, tmp_path, monkeypatch, capsys):
+        # a TypeError inside a parse block is a fault of the code, not of the config
+        def broken(*args):
+            raise TypeError("broken parser")
+
+        monkeypatch.setattr(cli, "gen_matrix", broken)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(RIP_TABLE_CFG))
+        assert main(["rip-table", str(cfg_path), "--out", str(tmp_path / "table.json")]) == 2
+        assert "runtime failure: TypeError: broken parser" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["static_table", "stability", "low_snr", "bound_validation",
                                       "check_stability", "rip_table"])

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from itertools import combinations
@@ -392,7 +393,7 @@ class TestRipTable:
 
     def test_roundtrip_json(self):
         _, table = self.make_table()
-        doc = RipTable.from_json(table.to_json())
+        doc = RipTable.from_json_dict(json.loads(table.to_json()))
         assert doc.matrix_digest == table.matrix_digest
         for s in [1, 2, 3, 4]:
             assert doc.delta(s) == table.delta(s)
@@ -441,18 +442,23 @@ class TestRipTable:
             return theta_exhaustive(A, S, Sp, budget=budget)
 
         monkeypatch.setattr(measurement, "theta_exhaustive", counted)
-        assert table.has_delta(10) and table.has_theta(2, 8)
-        assert not table.has_delta(11) and not table.has_theta(3, 8)
+        # sizes past m raise without computing anything
+        with pytest.raises(InsufficientRipTable):
+            table.delta(11)
+        with pytest.raises(InsufficientRipTable):
+            table.theta(3, 8)
         assert calls == []
         assert table.theta(2, 3) == RipEntry(theta_exhaustive(A, 2, 3), True)
         assert table.theta(2, 3) == table.theta(2, 3)
         assert calls == [(2, 3)]
-        with pytest.raises(InsufficientRipTable):
-            table.theta(3, 8)
+        # sizes up to m compute
+        assert table.theta(2, 8).exact and table.delta(10).exact
+        assert calls == [(2, 3), (2, 8)]
         # a table read back from JSON holds the stored entries only
-        loaded = RipTable.from_json(table.to_json())
+        loaded = RipTable.from_json_dict(json.loads(table.to_json()))
         assert loaded.delta(2) == table.delta(2) and loaded.theta(2, 3) == table.theta(2, 3)
-        assert not loaded.has_delta(3)
+        with pytest.raises(InsufficientRipTable):
+            loaded.delta(3)
 
     def test_zero_size_entries(self):
         table = RipTable("t")

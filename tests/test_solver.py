@@ -171,7 +171,7 @@ class TestDantzig:
         sol = solve_dantzig(A, y, lam)
         assert sol.status == "optimal"
         assert np.all(sol.zeta_hat == 0.0)
-        assert sol.objective == 0.0
+        assert np.abs(sol.zeta_hat).sum() == 0.0
 
     def test_matches_vertex_oracle(self):
         for seed in range(3):
@@ -182,7 +182,7 @@ class TestDantzig:
             sol = solve_dantzig(A, y, lam)
             assert sol.status == "optimal"
             oracle = vertex_enumeration_optimum(A.entries, y, lam)
-            assert sol.objective == pytest.approx(oracle, abs=1e-6)
+            assert np.abs(sol.zeta_hat).sum() == pytest.approx(oracle, abs=1e-6)
 
     def test_feasibility_and_objective_contract(self):
         A = gen_gaussian_matrix(10, 30, 7)
@@ -190,8 +190,10 @@ class TestDantzig:
         y = rng.standard_normal(10)
         lam = 0.15
         sol = solve_dantzig(A, y, lam)
-        assert sol.max_correlation <= lam + 1e-9
-        assert sol.objective == pytest.approx(np.abs(sol.zeta_hat).sum(), rel=1e-12)
+        G, g = A.gram(), A.entries.T @ y
+        assert np.max(np.abs(g - G @ sol.zeta_hat)) <= lam + 1e-9
+        reference = np.abs(milp_ranged_dantzig(A, y, lam)).sum()
+        assert np.abs(sol.zeta_hat).sum() == pytest.approx(reference, abs=1e-9)
 
     def test_first_order_optimality(self):
         # no feasible coordinate perturbation improves the l1 norm
@@ -218,7 +220,7 @@ class TestDantzig:
         # least-norm interpolator is feasible for any lam >= 0
         z0, *_ = np.linalg.lstsq(A.entries, y, rcond=None)
         assert np.max(np.abs(A.entries.T @ (y - A.entries @ z0))) <= 0.25 + 1e-9
-        assert sol.objective <= np.abs(z0).sum() + 1e-8
+        assert np.abs(sol.zeta_hat).sum() <= np.abs(z0).sum() + 1e-8
 
     def test_path_and_iterations(self):
         A, y = static_table_instance(59, seed=5, sigma=0.04)
@@ -295,7 +297,7 @@ class TestDantzig:
             assert sol.path == ("warm" if started else "cold")
             started = True
             assert np.max(np.abs(A.entries.T @ (y - A.entries @ sol.zeta_hat))) <= lam + 1e-9
-            assert abs(sol.objective - vertex_enumeration_optimum(A.entries, y, lam)) <= 1e-8
+            assert abs(np.abs(sol.zeta_hat).sum() - vertex_enumeration_optimum(A.entries, y, lam)) <= 1e-8
             assert np.max(np.abs(sol.zeta_hat - milp_ranged_dantzig(A, y, lam))) <= 1e-9
 
 
@@ -315,7 +317,7 @@ class TestDantzig:
         lam = scale * float(np.max(np.abs(A.entries.T @ y)))
         sol = solve_dantzig(A, y, lam)
         assert (sol.status, sol.path) == ("optimal", "cold")
-        assert abs(sol.objective - vertex_enumeration_optimum(A.entries, y, lam)) <= 1e-8
+        assert abs(np.abs(sol.zeta_hat).sum() - vertex_enumeration_optimum(A.entries, y, lam)) <= 1e-8
 
     def test_event_times_clip_values_past_the_bound(self):
         # the drive calls it under one errstate, which this call repeats
@@ -336,16 +338,16 @@ class TestRangedForm:
         assert sol.status == "optimal" and sol.path != "highs"
         assert np.max(np.abs(sol.zeta_hat - reference)) <= 1e-9
         assert np.max(np.abs(sol.zeta_hat - ref)) <= 1e-9
-        assert abs(sol.objective - np.abs(ref).sum()) <= 1e-9
-        assert sol.max_correlation <= lam + 1e-9
+        assert abs(np.abs(sol.zeta_hat).sum() - np.abs(ref).sum()) <= 1e-9
         G, g = A.gram(), A.entries.T @ y
+        assert np.max(np.abs(g - G @ sol.zeta_hat)) <= lam + 1e-9
         if lam < np.max(np.abs(g)):
             # the fallback solves the program milp solves, bit for bit, and
             # its row duals as returned certify the answer
             status, zeta, u, _ = lscs.solver._solve_highs(G, g, lam)
             assert status == "optimal" and np.array_equal(zeta, reference)
-            assert lscs.solver._certify(G, g, lam, zeta, u)[1] is None
-            assert lscs.solver._certify(G, g, lam, zeta, -u)[1] is not None
+            assert lscs.solver._certify(G, g, lam, zeta, u) is None
+            assert lscs.solver._certify(G, g, lam, zeta, -u) is not None
         return sol
 
     @pytest.mark.parametrize("n", [45, 59, 100])
@@ -619,7 +621,7 @@ class TestCertificate:
         G, g = A.gram(), A.entries.T @ y
         basis = lscs.solver._Basis(G, A.n, g, float(np.max(np.abs(g))))
         zeta, u, _ = lscs.solver._homotopy(basis, g, lam)
-        assert lscs.solver._certify(G, g, lam, zeta, u)[1] is None
+        assert lscs.solver._certify(G, g, lam, zeta, u) is None
         return A, y, G, g, zeta, u
 
     @pytest.mark.parametrize("seed", [1, 2])
@@ -628,16 +630,16 @@ class TestCertificate:
         # the least-norm interpolator meets every row with c = 0
         z0, *_ = np.linalg.lstsq(A.entries, y, rcond=None)
         assert np.max(np.abs(g - G @ z0)) <= 1e-9
-        assert "duality gap" in lscs.solver._certify(G, g, 0.35, z0, u)[1]
+        assert "duality gap" in lscs.solver._certify(G, g, 0.35, z0, u)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_corrupted_dual_fails(self, seed):
         A, y, G, g, zeta, u = self.pair(seed)
-        assert lscs.solver._certify(G, g, 0.35, zeta, 1.01 * u)[1] is not None
+        assert lscs.solver._certify(G, g, 0.35, zeta, 1.01 * u) is not None
         for r in np.flatnonzero(u):
             flipped = u.copy()
             flipped[r] = -flipped[r]
-            assert lscs.solver._certify(G, g, 0.35, zeta, flipped)[1] is not None
+            assert lscs.solver._certify(G, g, 0.35, zeta, flipped) is not None
 
     def test_dual_infeasible_pair_with_no_gap_fails(self):
         # move u within the active rows along a direction that keeps its
@@ -651,7 +653,7 @@ class TestCertificate:
         bent[R] += 1e-3 * np.min(np.abs(u[R])) / np.max(np.abs(v)) * v
         if np.max(np.abs(G @ bent)) <= 1.0:
             bent[R] = 2.0 * u[R] - bent[R]
-        assert "dual infeasibility" in lscs.solver._certify(G, g, 0.35, zeta, bent)[1]
+        assert "dual infeasibility" in lscs.solver._certify(G, g, 0.35, zeta, bent)
 
     def test_failed_highs_answer_raises(self, monkeypatch):
         solve_highs = lscs.solver._solve_highs
