@@ -272,7 +272,7 @@ def run_static_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
             err_sum["cs_residual"] += row.err_final
             rows["cs_residual"].append(row)
 
-            # one handle drives the draw's lambda scales one after another
+            # one handle answers the draw's lambda scales one after another
             lp = SelectorLP(A)
             for factor in ds_factors:
                 name = _ds_method_name(factor)
@@ -420,7 +420,7 @@ def _estimate(
     state: FilterState, truth: SupportSet, baseline: SelectorLP,
 ) -> tuple[np.ndarray, SupportSet | None]:
     """A method's estimate at one instant and the support it claims (none for
-    the plain selector, which drives from ``baseline``'s previous answer)."""
+    the plain selector, which pivots from ``baseline``'s previous answer)."""
     if name == METHOD_LSCS:
         return state.x_hat, state.support_estimate
     if name == METHOD_GENIE:

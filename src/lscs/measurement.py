@@ -126,6 +126,8 @@ class MeasurementMatrix:
     def from_columns(cls, raw: np.ndarray) -> "MeasurementMatrix":
         """Build from an arbitrary matrix by rescaling each column to unit norm."""
         raw = np.asarray(raw, dtype=float)
+        if not np.isfinite(raw).all():
+            raise ValueError("entries must be finite")
         norms = np.linalg.norm(raw, axis=0)
         if np.any(norms == 0.0):
             raise ValueError("cannot normalize a zero column")

@@ -1,5 +1,5 @@
-"""Dantzig selector by a certified primal-dual homotopy, and least squares on
-a column subset.
+"""Dantzig selector by a certified dual simplex, and least squares on a
+column subset.
 
 The selector minimises ``||zeta||_1`` subject to ``||A'(y - A zeta)||_inf <=
 lambda``.  With ``G = A'A`` and ``g = A'y`` this is the linear program
@@ -10,34 +10,39 @@ whose dual is
 
     max g'u - lambda ||u||_1   s.t.   |G u| <= 1     (every column).
 
-Homotopy.  An optimal basis is a set R of k active rows, where ``c = g -
-G zeta`` sits at ``lambda s`` (signs s), and a support S of k columns with
-signs z, such that ``M = G[R, S]`` is nonsingular.  The primal answer is
-``zeta_S = M^-1 (g_R - lambda s)`` and the dual one ``u_R = M^-T z``; the
-basis is optimal while ``sign(zeta_S) = z``, ``sign(u_R) = s``, ``|c| <=
-lambda`` and ``|Gu| <= 1``.  Along a segment ``g(theta) = g_A + theta dg``,
-``lambda(theta) = lambda_A + theta dlambda`` with a fixed basis, ``zeta_S``
-and ``c`` are affine in theta and u does not move.  The drive walks theta
-from 0 to 1 and stops at the first primal event: a support coefficient
-reaching zero (its column leaves S) or a row outside R reaching
-``+-lambda(theta)`` (it joins R).  Each event is a value over a rate, with
-the value clipped at zero, so that a variable sitting on its bound and
-moving outward fires at once instead of crossing it.  A dual step then
-moves u along the one direction that keeps ``(Gu)`` fixed on the rest of
-the basis, until a column outside S reaches ``|Gu| = 1`` (it joins S) or a
-dual coordinate reaches zero (its row leaves R).  The four outcomes (border,
-row swap, column swap, shrink) keep ``|R| = |S|`` and update ``M^-1`` in
-O(k^2); a breakpoint costs O(mk).  At the end of a drive ``M^-1`` is
-computed afresh, and the answer and the next drive start from it.  This is the lambda-homotopy of DASSO
-(James, Radchenko & Lv, JRSS-B 2009) joined with the homotopy in y of Asif &
-Romberg ("Dantzig selector homotopy with dynamic measurements", 2009).
+Basis.  A basis is a set R of k active rows, where ``c = g - G zeta`` sits
+at ``lambda s`` (signs s), and a support S of k columns with signs z, such
+that ``M = G[R, S]`` is nonsingular.  Its primal point is ``zeta_S = M^-1
+(g_R - lambda s)`` and its dual ``u_R = M^-T z``.  The basis is dual
+feasible while ``sign(u_R) = s`` and ``|Gu| <= 1``, and primal feasible
+while ``sign(zeta_S) = z`` and ``|c| <= lambda``; it is optimal when it is
+both.  Dual feasibility involves neither g nor lambda, so an optimal basis
+for one ``(g, lambda)`` is a dual feasible start for any other.
 
-A cold drive starts from the top of the lambda path, ``lambda = max|g|``,
-where ``zeta = 0`` and the basis is empty, so its answer depends on its
-arguments alone.  A :class:`SelectorLP` handle keeps the optimal basis of its
-last answer and the ``(g, lambda)`` it solved, and its next call drives from
-there: across a change of ``y``, of ``lambda``, or both at once.  A call that
-the zero exit answers neither reads nor changes the handle.
+Dual simplex.  Each pass computes ``zeta_S`` and c at the call's ``(g,
+lambda)`` and stops when no row outside R has ``|c_i| - lambda > 1e-12`` and
+no support coefficient has ``-z_p zeta_p > 1e-12``.  Otherwise it prices
+the violations by dual steepest edge (Forrest & Goldfarb, Math. Programming
+57, 1992): the largest violation^2 / (1 + ||edge||^2), where the edge of row
+i is ``G[i, S] M^-1`` and that of coefficient p is row p of ``M^-1``.  A
+violating row joins R with the sign of ``c_i``; a coefficient of the wrong
+sign has its column leave S.  Either moves u along the one direction that
+keeps ``(Gu)`` fixed on the rest of the basis and raises the dual objective
+at the rate of the violation.  The ratio test stops the step at the first
+column outside S reaching ``|Gu| = 1`` (it joins S) or the first dual on R
+reaching zero (its row leaves R).  Columns whose ``|Gu|`` moves slower than
+1e-9 do not bound the step, and of the columns tied within 1e-12 of the
+smallest step the one with the largest rate, the largest pivot, enters.  The
+four outcomes (border, row swap, column swap, shrink) keep ``|R| = |S|`` and
+update ``M^-1`` in O(k^2); a pivot costs O(mk) plus the pricing.
+
+A cold call pivots from the empty basis.  A :class:`SelectorLP` handle keeps
+the optimal basis of its last answer, and its next call pivots from there,
+whatever changed of ``y`` and ``lambda``.  A call that the zero exit answers
+neither reads nor changes the handle.  At the end of a call R and S are
+sorted and ``G[R, S]`` is inverted afresh; the answer and the next call start
+from that factor, so an answer depends on the optimal basis alone, not on the
+pivots that reached it.
 
 Certificate.  Every answer that is not the zero exit is checked before it is
 returned: primal feasibility ``||g - G zeta||_inf <= lambda + 1e-9``, dual
@@ -45,9 +50,9 @@ feasibility ``||G u||_inf <= 1 + 1e-9`` and the duality gap ``|||zeta||_1 -
 (g'u - lambda ||u||_1)| <= 1e-9 max(1, ||zeta||_1)``.  Weak duality makes
 the gap an optimality bound, so a certified answer is optimal to within it.
 
-Fallback.  A drive that meets a pivot below 1e-10 or a dual step with no
-bound, that takes more than ``10 m`` breakpoints, or whose answer fails the
-certificate hands the call to HiGHS, and the handle forgets its basis.
+Fallback.  A call that meets a pivot below 1e-10 or a dual step with no
+bound, that takes more than ``10 m`` pivots, or whose answer fails the
+certificate is answered by HiGHS, and the handle forgets its basis.
 HiGHS solves the LP in the ranged-row form ``g - lambda <= G(p - q) <= g +
 lambda``, ``p, q >= 0``, ``min 1'(p + q)``, the program ``scipy.optimize.milp``
 would solve, loaded as numpy arrays into a fresh instance of scipy's bundled
@@ -78,6 +83,15 @@ _CERTIFICATE_TOL = 1e-9
 
 #: smallest pivot a basis update accepts
 _PIVOT_TOL = 1e-10
+
+#: primal violation the dual simplex leaves in place
+_PRIMAL_TOL = 1e-12
+
+#: columns whose |Gu| moves slower than this do not bound a dual step
+_RATE_TOL = 1e-9
+
+#: dual steps within this of the smallest are tied
+_TIE_TOL = 1e-12
 
 _HIGHS_OPTIONS = (
     ("log_to_console", False),
@@ -110,10 +124,10 @@ class DsSolution:
 
     ``status`` is one of ``"optimal"``, ``"infeasible"``,
     ``"budget_exceeded"``.  ``path`` names what answered: ``"zero_exit"``
-    (no LP), ``"cold"`` (a drive from the top of the lambda path), ``"warm"``
-    (a drive from the handle's last answer) or ``"highs"`` (the fallback).
-    ``iterations`` counts the breakpoints of a drive or the simplex
-    iterations of HiGHS.
+    (no LP), ``"cold"`` (pivots from the empty basis), ``"warm"`` (pivots
+    from the handle's last answer) or ``"highs"`` (the fallback).
+    ``iterations`` counts the dual simplex pivots of a cold or warm call, or
+    the simplex iterations of HiGHS.
     """
 
     zeta_hat: np.ndarray
@@ -123,8 +137,8 @@ class DsSolution:
 
 
 class _Basis:
-    """An optimal basis of the selector at ``(g, lam)``, and the rows of G
-    that drive it.
+    """A dual feasible basis of the selector, optimal at ``(g, lam)`` after a
+    drive, and the rows of G that its pivots read.
 
     Positions ``0..k-1`` of ``R``/``s``/``u``/``GR`` hold the active rows,
     their signs, their duals and their rows of G; those of ``S``/``z``/``GS``
@@ -134,9 +148,10 @@ class _Basis:
     the dual.
     """
 
-    def __init__(self, G: np.ndarray, cap: int, g: np.ndarray, lam: float):
+    def __init__(self, G: np.ndarray, cap: int):
         m = G.shape[0]
-        self.G, self.g, self.lam, self.k = G, g, lam, 0
+        self.G, self.k = G, 0
+        self.g, self.lam = np.zeros(m), 0.0
         self.R = np.zeros(cap, dtype=np.intp)
         self.S = np.zeros(cap, dtype=np.intp)
         self.s, self.z, self.u = np.zeros(cap), np.zeros(cap), np.zeros(cap)
@@ -145,54 +160,52 @@ class _Basis:
         self.Gu = np.zeros(m)
 
     def drive(self, g: np.ndarray, lam: float) -> int | None:
-        """Move the basis to the optimum at ``(g, lam)``; the number of
-        breakpoints, or ``None`` when the drive breaks down."""
-        g0, dg, lam0, dlam = self.g, g - self.g, self.lam, lam - self.lam
+        """Pivot the basis to the optimum at ``(g, lam)`` by the dual simplex;
+        the number of pivots, or ``None`` when a pivot breaks down."""
+        self.g, self.lam = g, lam
         limit = 10 * self.G.shape[0]
-        theta, steps = 0.0, 0
+        pivots = 0
         while True:
             k = self.k
-            g_t, lam_t = g0 + theta * dg, lam0 + theta * dlam
-            if k:
-                R, Mi, GS = self.R[:k], self.Minv[:k, :k], self.GS[:k]
-                zeta = Mi @ (g_t[R] - lam_t * self.s[:k])
-                dzeta = Mi @ (dg[R] - dlam * self.s[:k])
-                c, dc = g_t - zeta @ GS, dg - dzeta @ GS
-            else:
-                c, dc = g_t, dg
-            # rows outside R reaching +lambda or -lambda
-            t_up = _exit_times(lam_t - c, dc - dlam)
-            t_lo = _exit_times(lam_t + c, -dc - dlam)
-            t_row = np.minimum(t_up, t_lo)
-            t_row[self.R[:k]] = np.inf
-            i = int(np.argmin(t_row))
-            tau = t_row[i]
-            p = -1
-            if k:
-                # support coefficients reaching zero
-                z = self.z[:k]
-                t_col = _exit_times(z * zeta, -z * dzeta)
-                if t_col.min() < tau:
-                    p = int(np.argmin(t_col))
-                    tau = t_col[p]
-            if tau >= 1.0 - theta:
-                break
-            theta += tau
-            steps += 1
-            if steps > limit:
+            R, Mi, GS = self.R[:k], self.Minv[:k, :k], self.GS[:k]
+            zeta = Mi @ (g[R] - lam * self.s[:k])
+            c = g - zeta @ GS
+            # primal violations: rows outside R past +-lam, support
+            # coefficients of the wrong sign
+            row_gap = np.abs(c) - lam
+            row_gap[R] = 0.0
+            rows = (row_gap > _PRIMAL_TOL).nonzero()[0]
+            col_gap = -self.z[:k] * zeta
+            cols = (col_gap > _PRIMAL_TOL).nonzero()[0]
+            if not (rows.size or cols.size):
+                return pivots
+            pivots += 1
+            if pivots > limit:
                 return None
-            ok = self._leave(p) if p >= 0 else self._join(i, 1.0 if t_up[i] <= t_lo[i] else -1.0)
+            # dual steepest edge: the largest violation^2 / (1 + |edge|^2)
+            best, i, p = 0.0, -1, -1
+            if rows.size:
+                edges = Mi.T @ GS[:, rows]
+                score = row_gap[rows] ** 2 / (1.0 + (edges * edges).sum(axis=0))
+                r = score.argmax()
+                best, i = score[r], int(rows[r])
+            if cols.size:
+                edges = Mi[cols]
+                score = col_gap[cols] ** 2 / (1.0 + (edges * edges).sum(axis=1))
+                r = score.argmax()
+                if score[r] > best:
+                    p = int(cols[r])
+            ok = self._leave(p) if p >= 0 else self._join(i, 1.0 if c[i] > 0.0 else -1.0)
             if not ok:
                 return None
-        self.g, self.lam = g, lam
-        return steps
 
     def _join(self, i: int, sign: float) -> bool:
         """Dual step for row ``i`` joining R with sign ``sign``."""
         k = self.k
         Mi = self.Minv[:k, :k]
         v = self.GS[:k, i]                        # G[i, S]
-        w = -sign * (v @ Mi)
+        b = v @ Mi                                # G[i, S] M^-1
+        w = -sign * b
         Gw = w @ self.GR[:k] + sign * self.G[i]
         step = self._dual_step(w, Gw)
         if step is None:
@@ -202,12 +215,11 @@ class _Basis:
             # border: i joins R and j joins S
             if k == len(self.R):
                 return False
-            col = self.GR[:k, j]                  # G[R, j]
-            a, b = Mi @ col, v @ Mi
+            a = Mi @ self.GR[:k, j]               # M^-1 G[R, j]
             pivot = self.G[i, j] - v @ a
             if abs(pivot) < _PIVOT_TOL:
                 return False
-            Mi += np.outer(a / pivot, b)
+            Mi += (a / pivot)[:, None] * b
             self.Minv[:k, k] = -a / pivot
             self.Minv[k, :k] = -b / pivot
             self.Minv[k, k] = 1.0 / pivot
@@ -216,12 +228,11 @@ class _Basis:
             self.k = k + 1
         else:
             # row swap: i takes the place of the row at position q
-            h = v @ Mi
-            pivot = h[q]
+            pivot = b[q]
             if abs(pivot) < _PIVOT_TOL:
                 return False
-            h[q] -= 1.0
-            Mi -= np.outer(Mi[:, q] / pivot, h)
+            b[q] -= 1.0
+            Mi -= (Mi[:, q] / pivot)[:, None] * b
         self.R[q], self.s[q], self.u[q], self.GR[q] = i, sign, t * sign, self.G[i]
         return True
 
@@ -243,14 +254,14 @@ class _Basis:
             if abs(pivot) < _PIVOT_TOL:
                 return False
             a[p] -= 1.0
-            Mi -= np.outer(a / pivot, Mi[p])
+            Mi -= (a / pivot)[:, None] * Mi[p]
             self.S[p], self.z[p], self.GS[p] = j, np.sign(self.Gu[j]), self.G[j]
             return True
         # shrink: the row at position q and the column at position p leave
         pivot = Mi[p, q]
         if abs(pivot) < _PIVOT_TOL:
             return False
-        Mi -= np.outer(Mi[:, q] / pivot, Mi[p])
+        Mi -= (Mi[:, q] / pivot)[:, None] * Mi[p]
         last = k - 1
         Mi[p], self.S[p], self.z[p], self.GS[p] = Mi[last], self.S[last], self.z[last], self.GS[last]
         Mi[:, q] = Mi[:, last]
@@ -265,18 +276,20 @@ class _Basis:
         (or -1); ``None`` when nothing bounds the step.  Column ``j_out`` is
         leaving S and may join it again."""
         k = self.k
-        direction = np.sign(Gw)
-        t_col = np.maximum(1.0 - direction * self.Gu, 0.0) / np.abs(Gw)
+        rate = np.abs(Gw)
+        t_col = np.maximum(1.0 - np.sign(Gw) * self.Gu, 0.0) / rate
+        t_col[rate < _RATE_TOL] = np.inf
         S = self.S[:k]
         t_col[S[S != j_out]] = np.inf
-        j = int(np.argmin(t_col))
-        t = t_col[j]
+        t = t_col.min()
+        # of the columns tied at the smallest step, the largest pivot enters
+        j = int(np.where(t_col <= t + _TIE_TOL, rate, -1.0).argmax())
         q = -1
         if k:
             s = self.s[:k]
             t_row = _exit_times(s * self.u[:k], -s * w)
             if t_row.min() < t:
-                q = int(np.argmin(t_row))
+                q = int(t_row.argmin())
                 t = t_row[q]
         if not np.isfinite(t):
             return None
@@ -288,9 +301,14 @@ class _Basis:
         return t, -1, j
 
     def answer(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Refactor ``G[R, S]`` and return the primal and dual answers at the
-        basis's ``(g, lam)``; ``None`` when the factor is singular."""
+        """Sort R and S, refactor ``G[R, S]`` and return the primal and dual
+        answers at the basis's ``(g, lam)``; ``None`` when the factor is
+        singular.  The answer depends on the basis alone, not on the pivots
+        that reached it."""
         k = self.k
+        rows, cols = np.argsort(self.R[:k]), np.argsort(self.S[:k])
+        self.R[:k], self.s[:k], self.GR[:k] = self.R[rows], self.s[rows], self.GR[rows]
+        self.S[:k], self.z[:k], self.GS[:k] = self.S[cols], self.z[cols], self.GS[cols]
         R, S = self.R[:k], self.S[:k]
         try:
             Mi = np.linalg.inv(self.GR[:k][:, S]) if k else np.zeros((0, 0))
@@ -317,8 +335,8 @@ def _exit_times(value: np.ndarray, rate: np.ndarray) -> np.ndarray:
 class SelectorLP:
     """A matrix's selector handle: the optimal basis of its last answer.
 
-    A call through a handle drives from that basis to the new ``(y,
-    lambda)`` instead of from the top of the lambda path; see
+    A call through a handle pivots from that basis to the optimum at the
+    new ``(y, lambda)`` instead of from the empty basis; see
     :func:`solve_dantzig`.
     """
 
@@ -387,9 +405,9 @@ def _solve_highs(
     return "optimal", x[:m] - x[m:], np.asarray(solution.row_dual), iterations
 
 
-def _homotopy(basis: _Basis, g: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """Drive ``basis`` to ``(g, lam)``: zeta, the dual and the breakpoint
-    count, or ``None`` when the drive breaks down."""
+def _dual_simplex(basis: _Basis, g: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """Pivot ``basis`` to the optimum at ``(g, lam)``: zeta, the dual and the
+    pivot count, or ``None`` when a pivot breaks down."""
     with np.errstate(divide="ignore", invalid="ignore"):
         steps = basis.drive(g, lam)
         pair = None if steps is None else basis.answer()
@@ -406,9 +424,9 @@ def solve_dantzig(
     """Solve ``min ||zeta||_1  s.t.  ||A'(y - A zeta)||_inf <= lam``.
 
     ``lp`` is a :class:`SelectorLP` handle for ``A``.  Without one, or on a
-    handle's first call, the homotopy starts cold from the top of the lambda
-    path; later calls through the handle drive from its last answer.  A
-    certified answer becomes the handle's new start.  A drive that breaks
+    handle's first call, the dual simplex starts cold from the empty basis;
+    later calls through the handle pivot from its last answer.  A
+    certified answer becomes the handle's new start.  A call that breaks
     down or fails the certificate is solved again by HiGHS, and the handle
     forgets its basis.  A HiGHS run stopped at an iteration or time limit
     has the status ``"budget_exceeded"``, one HiGHS cannot load or solve
@@ -436,10 +454,10 @@ def solve_dantzig(
     basis = lp._basis if lp is not None else None
     path = "cold" if basis is None else "warm"
     if basis is None:
-        basis = _Basis(G, min(A.n, m), g, peak)
+        basis = _Basis(G, min(A.n, m))
     if lp is not None:
         lp._basis = None
-    drive = _homotopy(basis, g, float(lam))
+    drive = _dual_simplex(basis, g, float(lam))
     if drive is not None:
         zeta, u, iterations = drive
         if _certify(G, g, lam, zeta, u) is None:

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -113,10 +114,13 @@ class TestMatrixGeneration:
     def test_rejects_non_finite(self, bad):
         raw = gen_gaussian_matrix(4, 6, 1).entries.copy()
         raw[0, 3] = bad
-        with pytest.raises(ValueError, match="finite"):
-            MeasurementMatrix(raw)
-        with pytest.raises(ValueError, match="finite"):
-            MeasurementMatrix.from_columns(raw)
+        with warnings.catch_warnings():
+            # non-finite input is rejected before any arithmetic on it
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                MeasurementMatrix(raw)
+            with pytest.raises(ValueError, match="finite"):
+                MeasurementMatrix.from_columns(raw)
 
     def test_induced_one_norm(self):
         A = MeasurementMatrix(np.eye(3))

@@ -232,8 +232,9 @@ class TestDantzig:
         handle = SelectorLP(A)
         first, second = (solve_dantzig(A, y, lam, lp=handle) for lam in (0.5, 0.16))
         assert first.path == "cold" and second.path == "warm"
-        # the drive from lambda = 0.5 passes the breakpoints above it once
-        assert first.iterations + second.iterations == cold.iterations
+        # the dual simplex from the optimal basis at lambda = 0.5 takes
+        # fewer pivots than the one from the empty basis
+        assert second.iterations < cold.iterations
         assert np.array_equal(second.zeta_hat, cold.zeta_hat)
 
     def test_rejects_bad_inputs(self):
@@ -309,15 +310,44 @@ class TestDantzig:
          [3.0, -3.0, -2.0, -2.0, 2.0], 0.5),
     ])
     def test_tied_events_on_a_sign_design(self, raw, y, scale):
-        # a design of -1, 0, +1 entries has exact ties between events, so a
-        # row can sit on its bound within rounding while the path moves it
-        # outward; the drive must fire it at once rather than let it cross
+        # a design of -1, 0, +1 entries has exact ties between dual steps
+        # and columns that |Gu| barely moves; the pivots must still reach
+        # the optimum without HiGHS
         A = MeasurementMatrix.from_columns(np.array(raw, dtype=float))
         y = np.array(y)
         lam = scale * float(np.max(np.abs(A.entries.T @ y)))
         sol = solve_dantzig(A, y, lam)
         assert (sol.status, sol.path) == ("optimal", "cold")
         assert abs(np.abs(sol.zeta_hat).sum() - vertex_enumeration_optimum(A.entries, y, lam)) <= 1e-8
+
+    def test_seeded_walk_on_sign_designs(self):
+        # -1/0/+1 designs scaled to unit columns, integer y, eight solves per
+        # handle: every answer is optimal, and HiGHS answers only the two
+        # whose pivots break down (a homotopy that entered the first column
+        # tied at the smallest dual step sent 269 of these 2,400 to HiGHS)
+        rng = np.random.default_rng(2024)
+        paths = []
+        for _ in range(300):
+            m = int(rng.integers(3, 16))
+            n = int(rng.integers(2, m + 1))
+            raw = rng.integers(-1, 2, size=(n, m)).astype(float)
+            while not np.all(np.any(raw != 0, axis=0)):
+                raw = rng.integers(-1, 2, size=(n, m)).astype(float)
+            A = MeasurementMatrix.from_columns(raw)
+            handle = SelectorLP(A)
+            for _ in range(8):
+                y = rng.integers(-3, 4, size=n).astype(float)
+                g = A.entries.T @ y
+                lam = float(rng.uniform(0.05, 1.0)) * float(np.max(np.abs(g)))
+                sol = solve_dantzig(A, y, lam, lp=handle)
+                assert sol.status == "optimal"
+                paths.append(sol.path)
+                if sol.path != "zero_exit":
+                    _, reference, _, _ = lscs.solver._solve_highs(A.gram(), g, lam)
+                    l1 = np.abs(reference).sum()
+                    assert abs(np.abs(sol.zeta_hat).sum() - l1) <= 1e-9 * max(1.0, l1)
+        assert paths.count("highs") == 2
+        assert paths.count("zero_exit") == 12
 
     def test_event_times_clip_values_past_the_bound(self):
         # the drive calls it under one errstate, which this call repeats
@@ -328,7 +358,7 @@ class TestDantzig:
 
 class TestRangedForm:
     """The HiGHS fallback solves the ranged-row LP that milp solves, and the
-    homotopy agrees with it and with the 2m-row inequality form."""
+    dual simplex agrees with it and with the 2m-row inequality form."""
 
     @staticmethod
     def assert_agrees(A, y, lam, lp=None):
@@ -372,7 +402,7 @@ class TestRangedForm:
     def test_reused_handle_matches_reference(self, family):
         # one handle per matrix drives between its cases in a shuffled order
         # with repeats, across changes of y, of lambda (up and down) and of
-        # both; a repeat of the previous call takes no breakpoint
+        # both; a repeat of the previous call takes no pivot
         rng = np.random.default_rng(17)
         for draw in (1, 2, 3):
             if family == "static_table":
@@ -403,7 +433,7 @@ class TestRangedForm:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = solve_dantzig(A, y, 0.16)
-            monkeypatch.setattr(lscs.solver, "_homotopy", lambda *args: None)
+            monkeypatch.setattr(lscs.solver, "_dual_simplex", lambda *args: None)
             fallback = solve_dantzig(A, y, 0.16)
         assert (sol.status, fallback.status, fallback.path) == ("optimal", "optimal", "highs")
         assert warnings.filters == filters
@@ -444,21 +474,23 @@ class TestWarmStart:
         # the residual solves take no handle and start cold
         assert len(residuals) == 24 and all(lp is None for _, lp in residuals)
         assert {sol.path for sol, _ in residuals} == {"cold", "zero_exit"}
-        warm_breakpoints = cold_breakpoints = 0
+        warm_pivots = cold_pivots = 0
         for t, (sol, cold, A, y, lam) in enumerate(solves):
             assert sol.status == cold.status == "optimal"
             g = A.entries.T @ y
             assert np.max(np.abs(g - A.gram() @ sol.zeta_hat)) <= lam + 1e-9
-            assert np.max(np.abs(sol.zeta_hat - cold.zeta_hat)) <= 1e-9
+            # the answer is factored from the sorted optimal basis, so it
+            # does not depend on the pivots that reached it
+            assert np.array_equal(sol.zeta_hat, cold.zeta_hat), t
             assert cold.path == "cold"
             if t == 0:
                 # the handle's first solve starts cold too
-                assert sol.path == "cold" and np.array_equal(sol.zeta_hat, cold.zeta_hat)
+                assert sol.path == "cold"
             else:
                 assert sol.path == "warm", t
-                warm_breakpoints += sol.iterations
-                cold_breakpoints += cold.iterations
-        assert warm_breakpoints < cold_breakpoints / 2
+                warm_pivots += sol.iterations
+                cold_pivots += cold.iterations
+        assert warm_pivots < cold_pivots / 2
 
     @pytest.mark.parametrize("failure", ["not_optimal", "past_lambda"])
     def test_rejected_warm_run_falls_back_to_cold(self, failure, monkeypatch):
@@ -469,7 +501,7 @@ class TestWarmStart:
         assert solve_dantzig(A, y, 0.35, lp=handle).path == "cold"
         zero = np.zeros(A.m)
         monkeypatch.setattr(
-            lscs.solver, "_homotopy",
+            lscs.solver, "_dual_simplex",
             lambda *args: None if failure == "not_optimal" else (zero, zero, 7),
         )
         y_res = y - A.entries @ x_init
@@ -538,7 +570,7 @@ class TestHandle:
             solve_dantzig(A, y, 0.1, lp=handle)
             assert handle._basis is not None
         monkeypatch.setattr(highs_core, "_Highs", Unloadable)
-        monkeypatch.setattr(lscs.solver, "_homotopy", lambda *args: None)
+        monkeypatch.setattr(lscs.solver, "_dual_simplex", lambda *args: None)
         sol = solve_dantzig(A, y, 0.35, lp=handle)
         assert (sol.status, sol.path, sol.iterations) == ("infeasible", "highs", 0)
         with pytest.raises(DantzigStatusError):
@@ -555,8 +587,8 @@ class TestSelectorFailure:
 
     @pytest.fixture(autouse=True)
     def failing_lp(self, monkeypatch):
-        # the homotopy breaks down and HiGHS reports the program infeasible
-        monkeypatch.setattr(lscs.solver, "_homotopy", lambda *args: None)
+        # the dual simplex breaks down and HiGHS reports the program infeasible
+        monkeypatch.setattr(lscs.solver, "_dual_simplex", lambda *args: None)
         monkeypatch.setattr(lscs.solver, "_run", lambda highs: HighsModelStatus.kInfeasible)
 
     def test_status_reported(self):
@@ -619,8 +651,8 @@ class TestCertificate:
     def pair(seed: int, lam: float = 0.35):
         A, y, _ = stability_instance(seed)
         G, g = A.gram(), A.entries.T @ y
-        basis = lscs.solver._Basis(G, A.n, g, float(np.max(np.abs(g))))
-        zeta, u, _ = lscs.solver._homotopy(basis, g, lam)
+        basis = lscs.solver._Basis(G, A.n)
+        zeta, u, _ = lscs.solver._dual_simplex(basis, g, lam)
         assert lscs.solver._certify(G, g, lam, zeta, u) is None
         return A, y, G, g, zeta, u
 
@@ -662,7 +694,7 @@ class TestCertificate:
             status, zeta, u, iterations = solve_highs(G, g, lam)
             return status, zeta, 1.01 * u, iterations
 
-        monkeypatch.setattr(lscs.solver, "_homotopy", lambda *args: None)
+        monkeypatch.setattr(lscs.solver, "_dual_simplex", lambda *args: None)
         monkeypatch.setattr(lscs.solver, "_solve_highs", corrupted)
         A, y, _ = stability_instance(1)
         with pytest.raises(DantzigNumericsError):
@@ -696,7 +728,7 @@ class TestImport:
 
             A = gen_gaussian_matrix(8, 16, 3)
             y = np.random.default_rng(3).standard_normal(8)
-            lscs.solver._homotopy = lambda *args: None
+            lscs.solver._dual_simplex = lambda *args: None
             sol = lscs.solver.solve_dantzig(A, y, 0.2)
             assert (sol.status, sol.path) == ("optimal", "highs"), sol
             from scipy.optimize import Bounds, LinearConstraint, milp
