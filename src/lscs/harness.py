@@ -213,9 +213,11 @@ def _draw_instance(
     mags = 1.0 if magnitudes is None else rng.uniform(magnitudes[0], magnitudes[1], support_size)
     x[support] = mags * rng.choice([-1.0, 1.0], size=support_size)
     delta = rng.choice(support, size=delta_size, replace=False)
-    off = np.setdiff1d(np.arange(m), support)
-    delta_e = rng.choice(off, size=delta_e_size, replace=False)
-    known = SupportSet(np.concatenate([np.setdiff1d(support, delta), delta_e]), m)
+    on = np.zeros(m, dtype=bool)
+    on[support] = True
+    delta_e = rng.choice(np.flatnonzero(~on), size=delta_e_size, replace=False)
+    on[delta] = False
+    known = SupportSet(np.concatenate([np.flatnonzero(on), delta_e]), m)
     return x, known, np.sort(delta)
 
 

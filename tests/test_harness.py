@@ -13,6 +13,7 @@ from lscs.core import SupportSet
 from lscs.harness import (
     CSV_HEADER,
     MetricsRow,
+    _draw_instance,
     _parse_tracking,
     _scored_row,
     _tracking_trial,
@@ -243,6 +244,40 @@ class TestBoundValidationRunner:
         rep = run_bound_validation(cfg)
         assert rep["violations"] == []
         assert rep["skipped"]["scan_bound"] + rep["verified"]["scan_bound"] == 4
+
+
+def setdiff_draw_instance(rng, m, support_size, delta_size, delta_e_size, magnitudes=None):
+    """``_draw_instance`` as it was written with ``np.setdiff1d``."""
+    support = rng.choice(m, size=support_size, replace=False)
+    x = np.zeros(m)
+    mags = 1.0 if magnitudes is None else rng.uniform(magnitudes[0], magnitudes[1], support_size)
+    x[support] = mags * rng.choice([-1.0, 1.0], size=support_size)
+    delta = rng.choice(support, size=delta_size, replace=False)
+    off = np.setdiff1d(np.arange(m), support)
+    delta_e = rng.choice(off, size=delta_e_size, replace=False)
+    known = SupportSet(np.concatenate([np.setdiff1d(support, delta), delta_e]), m)
+    return x, known, np.sort(delta)
+
+
+class TestDrawInstance:
+    def test_matches_setdiff_draws(self):
+        # same draws in the same order: outputs and the generator state agree
+        params = np.random.default_rng(20)
+        for seed in range(250):
+            m = int(params.integers(1, 41))
+            support_size = int(params.integers(0, m + 1))
+            delta_size = int(params.integers(0, support_size + 1))
+            delta_e_size = int(params.integers(0, m - support_size + 1))
+            low = float(params.uniform(0.0, 2.0))
+            magnitudes = None if seed % 3 == 0 else (low, low + float(params.uniform(0.0, 2.0)))
+            args = (m, support_size, delta_size, delta_e_size, magnitudes)
+            new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+            x, known, delta = _draw_instance(new, *args)
+            x0, known0, delta0 = setdiff_draw_instance(old, *args)
+            assert np.array_equal(x, x0), args
+            assert known.indices == known0.indices, args
+            assert np.array_equal(delta, delta0) and delta.dtype == delta0.dtype, args
+            assert new.integers(2**62) == old.integers(2**62), args
 
 
 class TestDeterminism:

@@ -78,6 +78,20 @@ def count_eigvalsh_blocks(monkeypatch) -> list[int]:
     return counts
 
 
+def count_bounded_blocks(monkeypatch) -> list[int]:
+    """Record the number of blocks of each ``_radius_bounds`` call: the
+    blocks the measurement module bounds."""
+    counts = []
+    radius_bounds = measurement._radius_bounds
+
+    def counting(X):
+        counts.append(len(X))
+        return radius_bounds(X)
+
+    monkeypatch.setattr(measurement, "_radius_bounds", counting)
+    return counts
+
+
 def size_pairs(m: int):
     return [(s, sp) for s in range(1, m) for sp in range(1, m - s + 1)]
 
@@ -279,12 +293,86 @@ class TestExhaustiveMatchesReference:
         assert 0 < sum(evaluated) <= 0.02 * pairs
 
     def test_prune_skips_almost_every_subset(self, monkeypatch):
-        # 2 of the 12,870 blocks get their eigenvalues computed
+        # the prefix groups leave 2,990 of 8,008 (S = 6) and 4,032 of 12,870
+        # (S = 8) blocks to bound; 2 of each get their eigenvalues computed
         A = gen_perturbed_orthonormal_matrix(16, 16, 1, 0.2)
-        expected = reference_delta(A, 8)
+        expected = {S: reference_delta(A, S) for S in (6, 8)}
         evaluated = count_eigvalsh_blocks(monkeypatch)
+        bounded = count_bounded_blocks(monkeypatch)
+        for S, most_bounded in [(6, 3_500), (8, 5_000)]:
+            evaluated.clear()
+            bounded.clear()
+            assert delta_exhaustive(A, S) == expected[S]
+            assert sum(bounded) <= most_bounded, S
+            assert 0 < sum(evaluated) <= 0.001 * math.comb(16, S), S
+
+    def test_unpruned_design_keeps_chunk_sized_calls(self, monkeypatch):
+        # every group's cap beats delta = 0, so every block is evaluated; one
+        # call takes the first group and the rest fill _CHUNK rows, against
+        # ceil(12870 / _CHUNK) = 7 calls for a plain enumeration
+        A = MeasurementMatrix(np.eye(16))
+        expected = reference_delta(A, 8)
+        calls = []
+        delta_max = measurement._delta_max
+
+        def counting(gram, shifted, subsets, worst):
+            calls.append(len(subsets))
+            return delta_max(gram, shifted, subsets, worst)
+
+        monkeypatch.setattr(measurement, "_delta_max", counting)
         assert delta_exhaustive(A, 8) == expected
-        assert 0 < sum(evaluated) <= 0.001 * math.comb(16, 8)
+        assert sum(calls) == math.comb(16, 8)
+        assert len(calls) <= 9
+
+    @pytest.mark.parametrize("A, sizes", [
+        (MeasurementMatrix(np.eye(16)), range(1, 17)),
+        (MeasurementMatrix.from_columns(
+            np.linalg.qr(np.random.default_rng(3).standard_normal((30, 30)))[0]), range(1, 5)),
+        (gen_gaussian_matrix(20, 200, 0), [2]),
+    ], ids=["identity-16", "orthonormal-30", "gaussian-20x200"])
+    def test_designs_the_groups_cannot_prune(self, A, sizes):
+        # delta below the slack prunes no group; at m = 30, S = 4 and at
+        # m = 200 most groups are too wide to bound; small counts skip the
+        # prefix level
+        for S in sizes:
+            assert delta_exhaustive(A, S) == reference_delta(A, S), S
+
+    @pytest.mark.parametrize("A, S", [
+        (MeasurementMatrix(np.eye(24)), 20),
+        (gen_gaussian_matrix(12, 24, 2), 20),
+        (gen_gaussian_matrix(12, 24, 2), 18),
+    ], ids=["identity-24-S20", "gaussian-12x24-S20", "gaussian-12x24-S18"])
+    def test_tables_stay_within_the_subset_count(self, A, S, monkeypatch):
+        # at S > m / 2 there are more (S - p)-subsets of range(m) than
+        # S-subsets, and at S = 18 3,003 prefixes share their last index;
+        # the tables and the bounds' gathers must not outgrow the
+        # enumeration the budget admits
+        tables, entries = [], []
+        subsets, radius_bounds = measurement._subsets, measurement._radius_bounds
+
+        def recording_subsets(n, k, rows):
+            for block in subsets(n, k, rows):
+                tables.append(len(block))
+                yield block
+
+        def recording_bounds(X):
+            entries.append(X.size)
+            return radius_bounds(X)
+
+        monkeypatch.setattr(measurement, "_subsets", recording_subsets)
+        monkeypatch.setattr(measurement, "_radius_bounds", recording_bounds)
+        assert delta_exhaustive(A, S) == reference_delta(A, S)
+        assert 0 < max(tables) <= math.comb(A.m, S)
+        assert max(entries) <= measurement._CHUNK * S * S
+
+    @pytest.mark.parametrize("A", [
+        gen_gaussian_matrix(8, 16, 1),
+        MeasurementMatrix.from_columns(np.random.default_rng(4).choice([-1.0, 0.0, 1.0], (5, 16))),
+    ], ids=["gaussian-8x16", "signs-5x16"])
+    def test_prefix_groups_at_every_size(self, A):
+        # above _CHUNK subsets the groups prune; sign designs tie many blocks
+        for S in range(1, A.m + 1):
+            assert delta_exhaustive(A, S) == reference_delta(A, S), S
 
     @PROPERTY
     @given(st.data())
