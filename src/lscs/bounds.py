@@ -649,10 +649,9 @@ class PredicateTally:
         self.violations[name] = self.violations.get(name, 0) + violation_count
 
     def merge(self, other: "PredicateTally") -> None:
-        for k, v in other.hypotheses.items():
-            self.hypotheses[k] = self.hypotheses.get(k, 0) + v
-        for k, v in other.violations.items():
-            self.violations[k] = self.violations.get(k, 0) + v
+        # add is the only writer, so both dicts hold the same names
+        for name in other.hypotheses:
+            self.add(name, other.hypotheses[name], other.violations[name])
 
     def total_violations(self) -> int:
         return sum(self.violations.values())

@@ -55,6 +55,24 @@ def small_stability_cfg(trials=2, check_guarantees=False):
     }
 
 
+def small_low_snr_cfg():
+    base = small_stability_cfg(trials=1)
+    return {
+        "kind": "low_snr", "seed": 3, "trials": 1,
+        "variants": {"slow": {**base, "init": {"kind": "simple_cs", "n0": 50}}},
+    }
+
+
+def small_bound_cfg():
+    return {
+        "kind": "bound_validation",
+        "m": 16, "n": 16, "support_size": 3, "delta_size": 1, "delta_e_size": 1,
+        "lam": 0.5, "alpha": 0.25,
+        "num_matrices": 1, "instances_per_matrix": 6,
+        "seed": 9, "matrix_kind": "perturbed_orthonormal",
+    }
+
+
 def bad_config(name):
     """A config with one fault, which the runner must report before its
     first selector solve."""
@@ -203,14 +221,7 @@ class TestLowSnrRunner:
         assert snr["max_snr"] == pytest.approx(19.7, rel=0.01)
 
     def test_variants_run(self, tmp_path):
-        base = small_stability_cfg(trials=1)
-        cfg = {
-            "kind": "low_snr", "seed": 3, "trials": 1,
-            "variants": {
-                "slow": {**base, "init": {"kind": "simple_cs", "n0": 50}},
-            },
-        }
-        res = run_low_snr_experiments(cfg, tmp_path)
+        res = run_low_snr_experiments(small_low_snr_cfg(), tmp_path)
         assert "slow" in res
         assert res["slow"].snr is not None
         assert (tmp_path / "slow" / "lscs.csv").exists()
@@ -219,14 +230,7 @@ class TestLowSnrRunner:
 
 class TestBoundValidationRunner:
     def test_small_sweep_sound(self, tmp_path):
-        cfg = {
-            "kind": "bound_validation",
-            "m": 16, "n": 16, "support_size": 3, "delta_size": 1, "delta_e_size": 1,
-            "lam": 0.5, "alpha": 0.25,
-            "num_matrices": 1, "instances_per_matrix": 6,
-            "seed": 9, "matrix_kind": "perturbed_orthonormal",
-        }
-        rep = run_bound_validation(cfg, tmp_path)
+        rep = run_bound_validation(small_bound_cfg(), tmp_path)
         assert rep["violations"] == []
         assert rep["verified"]["scan_bound"] > 0
         assert (tmp_path / "bound_validation.json").exists()
@@ -280,22 +284,29 @@ class TestDrawInstance:
             assert new.integers(2**62) == old.integers(2**62), args
 
 
-class TestDeterminism:
-    def test_static_rerun_binary_identical(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        run_static_experiment(small_static_cfg(), a)
-        run_static_experiment(small_static_cfg(), b)
-        fa = a / "n20_sigma0.05" / "cs_residual.csv"
-        fb = b / "n20_sigma0.05" / "cs_residual.csv"
-        assert fa.read_bytes() == fb.read_bytes()
+TRACKING_FILES = ["genie_ls.csv", "lscs.csv", "manifest.json", "simple_cs.csv"]
 
-    def test_stability_rerun_binary_identical(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        run_stability_experiment(small_stability_cfg(), a)
-        run_stability_experiment(small_stability_cfg(), b)
-        for name in ["lscs", "genie_ls", "simple_cs"]:
-            assert (a / f"{name}.csv").read_bytes() == (b / f"{name}.csv").read_bytes()
-        assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
+#: kind -> (small config, every file it writes)
+SMALL_RUNS = {
+    "static_table": (small_static_cfg(), ["manifest.json"] + [
+        f"n20_sigma0.05/{name}.csv" for name in ("cs_residual", "ds_0.4sigma", "ds_12sigma", "ds_4sigma")
+    ]),
+    "stability": (small_stability_cfg(), TRACKING_FILES),
+    "low_snr": (small_low_snr_cfg(), [f"slow/{name}" for name in TRACKING_FILES + ["snr.json"]]),
+    "bound_validation": (small_bound_cfg(), ["bound_validation.json"]),
+}
+
+
+class TestDeterminism:
+    @pytest.mark.parametrize("kind", list(SMALL_RUNS))
+    def test_rerun_binary_identical(self, kind, tmp_path):
+        cfg, files = SMALL_RUNS[kind]
+        outputs = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            run_experiment(cfg, out)
+            outputs.append({p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+        assert sorted(outputs[0]) == files
+        assert outputs[0] == outputs[1]
 
     def test_different_seed_changes_output(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
