@@ -9,6 +9,9 @@ One time step, given the previous support estimate T:
 5. deletion: threshold that estimate to shrink the support,
 6. final least squares on the surviving support.
 
+Least squares in steps 4 and 6 on the support of the stage before reuses
+that stage's estimate: the inputs, and so the bits, are the same.
+
 Detection uses a strict ``>`` and deletion uses ``<=``, so a value exactly at
 the detection threshold is not added while one exactly at the deletion
 threshold is removed.
@@ -26,14 +29,7 @@ import numpy as np
 
 from .core import SupportSet, magnitude_order
 from .measurement import MeasurementMatrix
-from .solver import (
-    DantzigNumericsError,
-    DantzigStatusError,
-    LsSolveError,
-    ls_on_support,
-    optimal_zeta,
-    solve_dantzig,
-)
+from .solver import DantzigNumericsError, LsSolveError, ls_on_support, solve_dantzig
 
 @dataclass(frozen=True)
 class FilterConfig:
@@ -85,7 +81,7 @@ def cs_residual_estimate(
     A: MeasurementMatrix, x_init: np.ndarray, y_res: np.ndarray, lam: float
 ) -> np.ndarray:
     """Dantzig-selector solve on the residual, added back to the LS estimate."""
-    return optimal_zeta(solve_dantzig(A, y_res, lam)) + x_init
+    return solve_dantzig(A, y_res, lam).zeta_hat + x_init
 
 
 def detect(x_csres: np.ndarray, T: SupportSet, cfg: FilterConfig) -> SupportSet:
@@ -119,7 +115,7 @@ def simple_cs(
     Returns the refit estimate and its support.  Used as the t=0
     initialization (with a taller matrix) and as a per-step baseline.
     """
-    zeta = optimal_zeta(solve_dantzig(A, y, lam))
+    zeta = solve_dantzig(A, y, lam).zeta_hat
     support = SupportSet([i for i in range(A.m) if abs(zeta[i]) > alpha], A.m)
     x_hat = ls_on_support(A, support, y)
     return x_hat, support
@@ -154,16 +150,17 @@ def lscs_step(
         return fallback("initial_ls", exc)
     try:
         diag.x_csres = cs_residual_estimate(A, diag.x_init, y_res, cfg.lam)
-    except (DantzigNumericsError, DantzigStatusError) as exc:
+    except DantzigNumericsError as exc:
         return fallback("cs_residual", exc)
     diag.T_det = detect(diag.x_csres, T, cfg)
     try:
-        diag.x_det = ls_on_support(A, diag.T_det, y)
+        diag.x_det = diag.x_init if diag.T_det == T else ls_on_support(A, diag.T_det, y)
     except LsSolveError as exc:
         return fallback("detect_ls", exc)
     diag.final_support = delete(diag.x_det, diag.T_det, cfg.alpha_del)
     try:
-        diag.x_final = ls_on_support(A, diag.final_support, y)
+        diag.x_final = (diag.x_det if diag.final_support == diag.T_det
+                        else ls_on_support(A, diag.final_support, y))
     except LsSolveError as exc:
         return fallback("final_ls", exc)
     return FilterState(diag.final_support, diag.x_final), diag

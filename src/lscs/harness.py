@@ -65,7 +65,7 @@ from .filter import (
 )
 from .measurement import DEFAULT_SUBSET_BUDGET, MeasurementMatrix, build_rip_table, gen_matrix
 from .sigmodel import SignalModelParams, SignalSequence, generate
-from .solver import SelectorLP, ls_on_support, optimal_zeta, solve_dantzig
+from .solver import SelectorLP, ls_on_support, solve_dantzig
 
 CSV_HEADER = "trial,t,method,nmse,misses,extras,support_size,err_csres,err_final"
 
@@ -298,8 +298,13 @@ def run_static_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
         seed = r.int("seed")
         csres_factor = r.float("csres_lambda_factor", default=4.0)
         ds_factors = r.floats("ds_lambda_factors", default=[12.0, 4.0, 0.4])
-
-    methods = ["cs_residual"] + [_ds_method_name(f) for f in ds_factors]
+        methods = ["cs_residual"] + [_ds_method_name(f) for f in ds_factors]
+        cell_dirs = ["n%d_sigma%s" % (n, _fmt(sigma)) for n, sigma in cells]
+        # a repeated factor or cell would write two results to one file
+        for key, names in (("ds_lambda_factors", methods), ("cells", cell_dirs)):
+            repeated = sorted({name for name in names if names.count(name) > 1})
+            if repeated:
+                raise ConfigError(f"{key} repeats {repeated}")
 
     def cell_trial(ci: int, k: int) -> TrialRecord:
         n, sigma = cells[ci]
@@ -316,7 +321,7 @@ def run_static_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
         lp = SelectorLP(A)
         for factor in ds_factors:
             name = _ds_method_name(factor)
-            zeta = optimal_zeta(solve_dantzig(A, y, factor * sigma, lp=lp))
+            zeta = solve_dantzig(A, y, factor * sigma, lp=lp).zeta_hat
             rows[name] = [_scored_row(k, 0, name, x, zeta, sig_sq)]
         return TrialRecord(rows, [sig_sq])
 
@@ -325,7 +330,7 @@ def run_static_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
         folded = _fold(methods, [cell_trial(ci, k) for k in range(trials)], 1)
         summary.append({"n": n, "sigma": sigma, "nmse": {name: folded[name][2].nmse for name in methods}})
         for name, (rows, _, overall) in folded.items():
-            csvs["n%d_sigma%s/%s.csv" % (n, _fmt(sigma), name)] = rows + [overall]
+            csvs[f"{cell_dirs[ci]}/{name}.csv"] = rows + [overall]
 
     result = {
         "kind": "static_table",
@@ -446,7 +451,7 @@ def _estimate(
         return state.x_hat, state.support_estimate
     if name == METHOD_GENIE:
         return genie_ls(A, truth, y), truth
-    return optimal_zeta(solve_dantzig(A, y, setup.cs_lambda, lp=baseline)), None
+    return solve_dantzig(A, y, setup.cs_lambda, lp=baseline).zeta_hat, None
 
 
 def _tracking_trial(setup: TrackingSetup, k: int) -> TrialRecord:

@@ -32,9 +32,12 @@ at the rate of the violation.  The ratio test stops the step at the first
 column outside S reaching ``|Gu| = 1`` (it joins S) or the first dual on R
 reaching zero (its row leaves R).  Columns whose ``|Gu|`` moves slower than
 1e-9 do not bound the step, and of the columns tied within 1e-12 of the
-smallest step the one with the largest rate, the largest pivot, enters.  The
-four outcomes (border, row swap, column swap, shrink) keep ``|R| = |S|`` and
-update ``M^-1`` in O(k^2); a pivot costs O(mk) plus the pricing.
+smallest step the one with the largest rate, the largest pivot, enters.  A
+row's exit pivot is its dual's rate, so a dual on R falling slower than
+1e-10, the smallest pivot, does not bound the step either: the step passes
+its kink of ``-lambda |u_q|`` and the row changes sign.  The four outcomes
+(border, row swap, column swap, shrink) keep ``|R| = |S|`` and update
+``M^-1`` in O(k^2); a pivot costs O(mk) plus the pricing.
 
 A cold call pivots from the empty basis.  A :class:`SelectorLP` handle keeps
 the optimal basis of its last answer, and its next call pivots from there,
@@ -50,16 +53,10 @@ feasibility ``||G u||_inf <= 1 + 1e-9`` and the duality gap ``|||zeta||_1 -
 (g'u - lambda ||u||_1)| <= 1e-9 max(1, ||zeta||_1)``.  Weak duality makes
 the gap an optimality bound, so a certified answer is optimal to within it.
 
-Fallback.  A call that meets a pivot below 1e-10 or a dual step with no
+Breakdown.  A call that meets a pivot below 1e-10 or a dual step with no
 bound, that takes more than ``10 m`` pivots, or whose answer fails the
-certificate is answered by HiGHS, and the handle forgets its basis.
-HiGHS solves the LP in the ranged-row form ``g - lambda <= G(p - q) <= g +
-lambda``, ``p, q >= 0``, ``min 1'(p + q)``, the program ``scipy.optimize.milp``
-would solve, loaded as numpy arrays into a fresh instance of scipy's bundled
-bindings, with presolve and scaling off and 1e-10 tolerances.  Its row
-duals are the u of the certificate.  A HiGHS answer that fails the
-certificate raises :class:`DantzigNumericsError`.  HiGHS is imported on the
-first fallback only.
+certificate raises :class:`DantzigNumericsError`, and the handle forgets its
+basis.
 
 The constraint is stated with ``<=`` although the original program uses a
 strict inequality: the closed program is well posed and has the same optimum.
@@ -93,14 +90,6 @@ _RATE_TOL = 1e-9
 #: dual steps within this of the smallest are tied
 _TIE_TOL = 1e-12
 
-_HIGHS_OPTIONS = (
-    ("log_to_console", False),
-    ("presolve", "off"),
-    ("simplex_scale_strategy", 0),
-    ("primal_feasibility_tolerance", 1e-10),
-    ("dual_feasibility_tolerance", 1e-10),
-)
-
 
 class LsSolveError(RuntimeError):
     """Least squares on a support failed (too many columns or ill-conditioned)."""
@@ -111,23 +100,18 @@ class LsSolveError(RuntimeError):
 
 
 class DantzigNumericsError(RuntimeError):
-    """The LP backend returned an answer that fails the certificate."""
-
-
-class DantzigStatusError(RuntimeError):
-    """A selector solve ended with a status other than ``"optimal"``."""
+    """The dual simplex broke down, or its answer fails the certificate."""
 
 
 @dataclass(frozen=True)
 class DsSolution:
     """Dantzig selector output.
 
-    ``status`` is one of ``"optimal"``, ``"infeasible"``,
-    ``"budget_exceeded"``.  ``path`` names what answered: ``"zero_exit"``
-    (no LP), ``"cold"`` (pivots from the empty basis), ``"warm"`` (pivots
-    from the handle's last answer) or ``"highs"`` (the fallback).
-    ``iterations`` counts the dual simplex pivots of a cold or warm call, or
-    the simplex iterations of HiGHS.
+    ``status`` is always ``"optimal"``: a solve that cannot certify an
+    optimum raises instead.  ``path`` names what answered: ``"zero_exit"``
+    (no LP), ``"cold"`` (pivots from the empty basis) or ``"warm"`` (pivots
+    from the handle's last answer).  ``iterations`` counts the dual simplex
+    pivots.
     """
 
     zeta_hat: np.ndarray
@@ -271,10 +255,11 @@ class _Basis:
 
     def _dual_step(self, w: np.ndarray, Gw: np.ndarray, j_out: int = -1) -> tuple[float, int, int] | None:
         """Move the dual by ``t w`` up to the first column outside S reaching
-        ``|Gu| = 1`` or the first dual on R reaching zero.  Returns ``t``,
-        the position of the row that leaves (or -1) and the column that joins
-        (or -1); ``None`` when nothing bounds the step.  Column ``j_out`` is
-        leaving S and may join it again."""
+        ``|Gu| = 1`` or the first dual on R reaching zero, flipping the sign
+        of each slower dual it passes.  Returns ``t``, the position of the
+        row that leaves (or -1) and the column that joins (or -1); ``None``
+        when nothing bounds the step.  Column ``j_out`` is leaving S and may
+        join it again."""
         k = self.k
         rate = np.abs(Gw)
         t_col = np.maximum(1.0 - np.sign(Gw) * self.Gu, 0.0) / rate
@@ -284,17 +269,26 @@ class _Basis:
         t = t_col.min()
         # of the columns tied at the smallest step, the largest pivot enters
         j = int(np.where(t_col <= t + _TIE_TOL, rate, -1.0).argmax())
-        q = -1
+        q, kinks = -1, None
         if k:
             s = self.s[:k]
             t_row = _exit_times(s * self.u[:k], -s * w)
-            if t_row.min() < t:
-                q = int(t_row.argmin())
-                t = t_row[q]
+            r = int(t_row.argmin())
+            if abs(w[r]) < _PIVOT_TOL:
+                # a row's exit pivot is its dual's rate: slow duals stay on R and
+                # the step passes their kinks (one not first to fall is not reached)
+                slow = np.abs(w) < _PIVOT_TOL
+                kinks = np.where(slow, t_row, np.inf)
+                t_row[slow] = np.inf
+                r = int(t_row.argmin())
+            if t_row[r] < t:
+                q, t = r, t_row[r]
         if not np.isfinite(t):
             return None
         self.u[:k] += t * w
         self.Gu += t * Gw
+        if kinks is not None:
+            self.s[:k][kinks < t] *= -1.0
         if q >= 0:
             self.u[q] = 0.0
             return t, q, -1
@@ -361,57 +355,16 @@ def _certify(G: np.ndarray, g: np.ndarray, lam: float, zeta: np.ndarray, u: np.n
     return None
 
 
-def _run(highs) -> object:
-    """Run the simplex on a loaded HiGHS instance and return its model status."""
-    highs.run()
-    return highs.getModelStatus()
-
-
-def _solve_highs(
-    G: np.ndarray, g: np.ndarray, lam: float
-) -> tuple[str, np.ndarray | None, np.ndarray | None, int]:
-    """Solve the ranged-row LP on a fresh HiGHS instance.  Returns the status
-    (``"optimal"``, ``"infeasible"`` or ``"budget_exceeded"``), zeta and the
-    row duals (``None`` unless optimal) and the simplex iteration count."""
-    from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, MatrixFormat, ObjSense, _Highs
-
-    m = G.shape[0]
-    highs = _Highs()
-    for name, value in _HIGHS_OPTIONS:
-        if highs.setOptionValue(name, value) != HighsStatus.kOk:
-            raise RuntimeError(f"HiGHS rejected option {name}={value!r}")
-    # column j of [G, -G] is row j of [G; -G], because G is symmetric
-    cols = np.vstack([G, -G])
-    nonzero = cols != 0.0
-    start = np.zeros(2 * m + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(nonzero, axis=1), out=start[1:])
-    loaded = highs.passModel(
-        2 * m, m, int(start[-1]), int(MatrixFormat.kColwise), int(ObjSense.kMinimize), 0.0,
-        np.ones(2 * m), np.zeros(2 * m), np.full(2 * m, np.inf), g - lam, g + lam,
-        # an empty integrality array is an error, so every column is marked continuous
-        start, (np.flatnonzero(nonzero) % m).astype(np.int32), cols[nonzero], np.zeros(2 * m, dtype=np.int32),
-    )
-    if loaded == HighsStatus.kError:
-        # a model HiGHS cannot load is a model error, reported as "infeasible"
-        return "infeasible", None, None, 0
-    status = _run(highs)
-    iterations = int(highs.getInfo().simplex_iteration_count)
-    if status in (HighsModelStatus.kIterationLimit, HighsModelStatus.kTimeLimit):
-        return "budget_exceeded", None, None, iterations
-    if status != HighsModelStatus.kOptimal:
-        return "infeasible", None, None, iterations
-    solution = highs.getSolution()
-    x = np.asarray(solution.col_value)
-    return "optimal", x[:m] - x[m:], np.asarray(solution.row_dual), iterations
-
-
-def _dual_simplex(basis: _Basis, g: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray, int] | None:
+def _dual_simplex(basis: _Basis, g: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray, int]:
     """Pivot ``basis`` to the optimum at ``(g, lam)``: zeta, the dual and the
-    pivot count, or ``None`` when a pivot breaks down."""
+    pivot count.  Raises :class:`DantzigNumericsError` when a pivot breaks
+    down."""
     with np.errstate(divide="ignore", invalid="ignore"):
         steps = basis.drive(g, lam)
         pair = None if steps is None else basis.answer()
-    return None if pair is None else (*pair, steps)
+    if pair is None:
+        raise DantzigNumericsError("the dual simplex broke down")
+    return (*pair, steps)
 
 
 def solve_dantzig(
@@ -427,11 +380,8 @@ def solve_dantzig(
     handle's first call, the dual simplex starts cold from the empty basis;
     later calls through the handle pivot from its last answer.  A
     certified answer becomes the handle's new start.  A call that breaks
-    down or fails the certificate is solved again by HiGHS, and the handle
-    forgets its basis.  A HiGHS run stopped at an iteration or time limit
-    has the status ``"budget_exceeded"``, one HiGHS cannot load or solve
-    ``"infeasible"``; a HiGHS answer that fails the certificate raises
-    :class:`DantzigNumericsError`.
+    down or fails the certificate raises :class:`DantzigNumericsError`, and
+    the handle forgets its basis.
     """
     y = np.asarray(y, dtype=float)
     if lam < 0:
@@ -457,33 +407,13 @@ def solve_dantzig(
         basis = _Basis(G, min(A.n, m))
     if lp is not None:
         lp._basis = None
-    drive = _dual_simplex(basis, g, float(lam))
-    if drive is not None:
-        zeta, u, iterations = drive
-        if _certify(G, g, lam, zeta, u) is None:
-            if lp is not None:
-                lp._basis = basis
-            return DsSolution(zeta, "optimal", path, iterations)
-
-    status, zeta, u, iterations = _solve_highs(G, g, lam)
-    if zeta is None:
-        return DsSolution(np.zeros(m), status, "highs", iterations)
+    zeta, u, iterations = _dual_simplex(basis, g, float(lam))
     failed = _certify(G, g, lam, zeta, u)
     if failed is not None:
-        raise DantzigNumericsError(failed)
-    return DsSolution(zeta, "optimal", "highs", iterations)
-
-
-def optimal_zeta(sol: DsSolution) -> np.ndarray:
-    """The estimate of an optimal solve.
-
-    A non-optimal :class:`DsSolution` carries an all-zero placeholder that
-    must never be scored as an estimate, so any other status raises
-    :class:`DantzigStatusError`.
-    """
-    if sol.status != "optimal":
-        raise DantzigStatusError(f"selector solve ended with status {sol.status}")
-    return sol.zeta_hat
+        raise DantzigNumericsError(f"the dual simplex answer fails the certificate: {failed}")
+    if lp is not None:
+        lp._basis = basis
+    return DsSolution(zeta, "optimal", path, iterations)
 
 
 def ls_on_support(

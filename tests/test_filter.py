@@ -14,6 +14,7 @@ from lscs.filter import (
     simple_cs,
 )
 from lscs.measurement import MeasurementMatrix, gen_gaussian_matrix
+from lscs.solver import ls_on_support
 
 
 def planted_instance(seed, n=20, m=40, k=5, noise=0.0):
@@ -156,6 +157,34 @@ class TestStep:
         assert diag.failed_stage == "initial_ls"
         assert new_state.support_estimate == too_big
         assert new_state.x_hat is state.x_hat
+
+    @pytest.mark.parametrize("case", ["locked", "detecting"])
+    def test_repeated_support_reuses_least_squares(self, case, monkeypatch):
+        # least squares runs once per distinct support of a step; a reused
+        # estimate equals a fresh solve on its support bit for bit
+        if case == "locked":
+            A, x, support, y, _ = planted_instance(6)
+            known = support
+            cfg = FilterConfig(lam=0.3, alpha=0.25, alpha_del=np.abs(x[support.to_array()]).min() / 2)
+        else:
+            A, x, support, y, _ = planted_instance(9)
+            idx = support.to_array()
+            known = support - SupportSet([idx[np.argmax(np.abs(x[idx]))]], 40)
+            cfg = FilterConfig(lam=0.05, alpha=0.2, alpha_del=0.05)
+        solved = []
+
+        def counted(A, T, y):
+            solved.append(T)
+            return ls_on_support(A, T, y)
+
+        monkeypatch.setattr("lscs.filter.ls_on_support", counted)
+        _, diag = lscs_step(FilterState(known, np.zeros(40)), A, y, cfg)
+        assert diag.final_support == support and diag.failed_stage is None
+        assert solved == ([support] if case == "locked" else [known, support])
+        assert (diag.x_det is diag.x_init) == (case == "locked")
+        assert diag.x_final is diag.x_det
+        for T, estimate in ((diag.T_prev, diag.x_init), (diag.T_det, diag.x_det), (diag.final_support, diag.x_final)):
+            assert np.array_equal(estimate, ls_on_support(A, T, y))
 
     def test_stationary_after_noiseless_lock(self):
         A, x, support, y, _ = planted_instance(11)

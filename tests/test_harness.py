@@ -122,6 +122,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run_stability_experiment(cfg)
 
+    @pytest.mark.parametrize("key", ["ds_lambda_factors", "cells"])
+    def test_repeated_factor_or_cell(self, key, tmp_path, capsys):
+        # a repeated factor names two solves alike, a repeated cell writes
+        # one directory twice: both exit 1 before anything is written
+        cfg = small_static_cfg(trials=1)
+        if key == "ds_lambda_factors":
+            cfg[key] = [4.0, 0.4, 4.0]
+        else:
+            cfg[key] = [{"n": 20, "sigma": 0.05}, {"n": 24, "sigma": 0.05}, {"n": 20, "sigma": 0.05}]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert f"config error: {key} repeats" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_shipped_static_config_loads(self):
+        cfg = json.loads((CONFIGS / "static_table.json").read_text())
+        res = run_static_experiment({**cfg, "trials": 1})
+        assert [(c["n"], c["sigma"]) for c in res["cells"]] == [(c["n"], c["sigma"]) for c in cfg["cells"]]
+        assert all(len(c["nmse"]) == 1 + len(cfg["ds_lambda_factors"]) for c in res["cells"])
+
 
 class TestStaticRunner:
     def test_runs_and_reports(self, tmp_path):

@@ -11,8 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
-from scipy.optimize._highspy import _core as highs_core
-from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus
 
 import lscs.solver
 from lscs.cli import main as cli_main
@@ -20,15 +18,7 @@ from lscs.core import SupportSet, support_of
 from lscs.filter import FilterConfig, FilterState, lscs_step
 from lscs.harness import _parse_tracking, _tracking_trial, run_static_experiment, run_stability_experiment
 from lscs.measurement import MeasurementMatrix, gen_gaussian_matrix
-from lscs.solver import (
-    DantzigNumericsError,
-    DantzigStatusError,
-    LsSolveError,
-    SelectorLP,
-    ls_on_support,
-    optimal_zeta,
-    solve_dantzig,
-)
+from lscs.solver import DantzigNumericsError, LsSolveError, SelectorLP, ls_on_support, solve_dantzig
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -68,14 +58,17 @@ def vertex_enumeration_optimum(A: np.ndarray, y: np.ndarray, lam: float) -> floa
     return best
 
 
-def inequality_form_dantzig(A: MeasurementMatrix, y: np.ndarray, lam: float) -> np.ndarray:
+def inequality_form_dantzig(A: MeasurementMatrix, y: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Reference selector: the 2m-row inequality form
-    ``G(p - q) <= lam + g, -G(p - q) <= lam - g`` with ``p, q >= 0``."""
+    ``G(p - q) <= lam + g, -G(p - q) <= lam - g`` with ``p, q >= 0``.
+    Returns zeta and the dual u of ``max g'u - lam ||u||_1  s.t.  |Gu| <= 1``
+    read from HiGHS's row marginals: a row at ``+lam`` gives ``u_i >= 0``,
+    one at ``-lam`` gives ``u_i <= 0``."""
     G = A.entries.T @ A.entries
     g = A.entries.T @ y
     m = A.m
     if lam >= np.max(np.abs(g)):
-        return np.zeros(m)
+        return np.zeros(m), np.zeros(m)
     res = linprog(
         np.ones(2 * m),
         A_ub=np.block([[G, -G], [-G, G]]),
@@ -85,7 +78,8 @@ def inequality_form_dantzig(A: MeasurementMatrix, y: np.ndarray, lam: float) -> 
         options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
     )
     assert res.status == 0
-    return res.x[:m] - res.x[m:]
+    marginals = res.ineqlin.marginals
+    return res.x[:m] - res.x[m:], marginals[:m] - marginals[m:]
 
 
 def milp_ranged_dantzig(A: MeasurementMatrix, y: np.ndarray, lam: float) -> np.ndarray:
@@ -312,7 +306,7 @@ class TestDantzig:
     def test_tied_events_on_a_sign_design(self, raw, y, scale):
         # a design of -1, 0, +1 entries has exact ties between dual steps
         # and columns that |Gu| barely moves; the pivots must still reach
-        # the optimum without HiGHS
+        # the optimum
         A = MeasurementMatrix.from_columns(np.array(raw, dtype=float))
         y = np.array(y)
         lam = scale * float(np.max(np.abs(A.entries.T @ y)))
@@ -322,32 +316,61 @@ class TestDantzig:
 
     def test_seeded_walk_on_sign_designs(self):
         # -1/0/+1 designs scaled to unit columns, integer y, eight solves per
-        # handle: every answer is optimal, and HiGHS answers only the two
-        # whose pivots break down (a homotopy that entered the first column
-        # tied at the smallest dual step sent 269 of these 2,400 to HiGHS)
-        rng = np.random.default_rng(2024)
-        paths = []
-        for _ in range(300):
-            m = int(rng.integers(3, 16))
-            n = int(rng.integers(2, m + 1))
-            raw = rng.integers(-1, 2, size=(n, m)).astype(float)
-            while not np.all(np.any(raw != 0, axis=0)):
+        # handle: no solve breaks down, and every answer matches the ranged
+        # LP through milp (when a dual slower than the smallest pivot could
+        # still leave R, 2, 5 and 3 of these seeds' 2,400 solves broke down)
+        for seed, zero_exits in ((2024, 12), (11, 20), (12, 9)):
+            rng = np.random.default_rng(seed)
+            paths = []
+            for _ in range(300):
+                m = int(rng.integers(3, 16))
+                n = int(rng.integers(2, m + 1))
                 raw = rng.integers(-1, 2, size=(n, m)).astype(float)
-            A = MeasurementMatrix.from_columns(raw)
-            handle = SelectorLP(A)
-            for _ in range(8):
-                y = rng.integers(-3, 4, size=n).astype(float)
-                g = A.entries.T @ y
-                lam = float(rng.uniform(0.05, 1.0)) * float(np.max(np.abs(g)))
-                sol = solve_dantzig(A, y, lam, lp=handle)
-                assert sol.status == "optimal"
-                paths.append(sol.path)
-                if sol.path != "zero_exit":
-                    _, reference, _, _ = lscs.solver._solve_highs(A.gram(), g, lam)
-                    l1 = np.abs(reference).sum()
-                    assert abs(np.abs(sol.zeta_hat).sum() - l1) <= 1e-9 * max(1.0, l1)
-        assert paths.count("highs") == 2
-        assert paths.count("zero_exit") == 12
+                while not np.all(np.any(raw != 0, axis=0)):
+                    raw = rng.integers(-1, 2, size=(n, m)).astype(float)
+                A = MeasurementMatrix.from_columns(raw)
+                handle = SelectorLP(A)
+                for _ in range(8):
+                    y = rng.integers(-3, 4, size=n).astype(float)
+                    lam = float(rng.uniform(0.05, 1.0)) * float(np.max(np.abs(A.entries.T @ y)))
+                    sol = solve_dantzig(A, y, lam, lp=handle)
+                    paths.append(sol.path)
+                    if sol.path != "zero_exit":
+                        l1 = np.abs(milp_ranged_dantzig(A, y, lam)).sum()
+                        assert abs(np.abs(sol.zeta_hat).sum() - l1) <= 1e-9 * max(1.0, l1), seed
+            # each handle starts cold once and keeps its basis from then on
+            assert (paths.count("cold"), paths.count("zero_exit")) == (300, zero_exits), seed
+
+    def test_slow_dual_passes_its_kink(self, monkeypatch):
+        # design 201 of the seed-11 walk: on the fourth call a coefficient's
+        # column leaves S, and the dual that stops the step falls at a rate
+        # below the smallest pivot, so its row could only be refused; the
+        # step passes that dual's kink and the row changes sign instead
+        raw = [[-1, 1, -1, 0, -1, 0, 1, 0, 1, 0, -1, 1],
+               [-1, 0, 0, 1, 1, -1, 1, 0, 0, 1, 0, -1],
+               [1, -1, -1, 0, 0, 1, 1, 1, 1, 1, 1, 1]]
+        calls = [([0, 2, 0], 1.8289144318858572), ([2, 2, 1], 2.6873018974716074),
+                 ([-2, 0, 2], 1.8185660125820353), ([-1, 2, 1], 0.7980700600389762)]
+        A = MeasurementMatrix.from_columns(np.array(raw, dtype=float))
+        dual_step = lscs.solver._Basis._dual_step
+        flips = []
+
+        def counted(basis, w, Gw, j_out=-1):
+            signs = basis.s[:basis.k].copy()
+            step = dual_step(basis, w, Gw, j_out)
+            flips[-1] += int(np.sum(basis.s[:len(signs)] != signs))
+            return step
+
+        monkeypatch.setattr(lscs.solver._Basis, "_dual_step", counted)
+        handle, paths = SelectorLP(A), []
+        for y, lam in calls:
+            flips.append(0)
+            sol = solve_dantzig(A, np.array(y, dtype=float), lam, lp=handle)
+            paths.append(sol.path)
+            l1 = np.abs(milp_ranged_dantzig(A, np.array(y, dtype=float), lam)).sum()
+            assert abs(np.abs(sol.zeta_hat).sum() - l1) <= 1e-9 * max(1.0, l1)
+        assert paths == ["cold", "warm", "warm", "warm"]
+        assert flips[-1] >= 1, flips
 
     def test_event_times_clip_values_past_the_bound(self):
         # the drive calls it under one errstate, which this call repeats
@@ -357,27 +380,24 @@ class TestDantzig:
 
 
 class TestRangedForm:
-    """The HiGHS fallback solves the ranged-row LP that milp solves, and the
-    dual simplex agrees with it and with the 2m-row inequality form."""
+    """The dual simplex agrees with the ranged-row LP that milp solves and
+    with the 2m-row inequality form, whose HiGHS duals the certificate
+    accepts as solved and rejects negated."""
 
     @staticmethod
     def assert_agrees(A, y, lam, lp=None):
         sol = solve_dantzig(A, y, lam, lp=lp)
-        ref = inequality_form_dantzig(A, y, lam)
+        ref, u = inequality_form_dantzig(A, y, lam)
         reference = milp_ranged_dantzig(A, y, lam)
-        assert sol.status == "optimal" and sol.path != "highs"
+        assert sol.status == "optimal"
         assert np.max(np.abs(sol.zeta_hat - reference)) <= 1e-9
         assert np.max(np.abs(sol.zeta_hat - ref)) <= 1e-9
         assert abs(np.abs(sol.zeta_hat).sum() - np.abs(ref).sum()) <= 1e-9
         G, g = A.gram(), A.entries.T @ y
         assert np.max(np.abs(g - G @ sol.zeta_hat)) <= lam + 1e-9
         if lam < np.max(np.abs(g)):
-            # the fallback solves the program milp solves, bit for bit, and
-            # its row duals as returned certify the answer
-            status, zeta, u, _ = lscs.solver._solve_highs(G, g, lam)
-            assert status == "optimal" and np.array_equal(zeta, reference)
-            assert lscs.solver._certify(G, g, lam, zeta, u) is None
-            assert lscs.solver._certify(G, g, lam, zeta, -u) is not None
+            assert lscs.solver._certify(G, g, lam, ref, u) is None
+            assert lscs.solver._certify(G, g, lam, ref, -u) is not None
         return sol
 
     @pytest.mark.parametrize("n", [45, 59, 100])
@@ -427,15 +447,13 @@ class TestRangedForm:
         record = _tracking_trial(_parse_tracking(stability_cfg(424242, trials=26)), 25)
         assert len(record.rows["simple_cs"]) == 25
 
-    def test_no_warning_escapes(self, monkeypatch):
+    def test_no_warning_escapes(self):
         A, y = static_table_instance(59, seed=5, sigma=0.04)
         filters = list(warnings.filters)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = solve_dantzig(A, y, 0.16)
-            monkeypatch.setattr(lscs.solver, "_dual_simplex", lambda *args: None)
-            fallback = solve_dantzig(A, y, 0.16)
-        assert (sol.status, fallback.status, fallback.path) == ("optimal", "optimal", "highs")
+        assert (sol.status, sol.path) == ("optimal", "cold")
         assert warnings.filters == filters
 
     def test_gram_is_cached_and_read_only(self):
@@ -451,7 +469,7 @@ class TestRangedForm:
 
 class TestWarmStart:
     """The tracking baseline drives each solve from the previous instant's
-    answer; a drive that fails hands the call to HiGHS."""
+    answer; a drive that fails raises, and the handle starts cold again."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_tracking_baseline_matches_cold(self, seed, monkeypatch):
@@ -494,25 +512,25 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("failure", ["not_optimal", "past_lambda"])
     def test_rejected_warm_run_falls_back_to_cold(self, failure, monkeypatch):
-        # a drive that breaks down, or whose answer fails the certificate,
-        # is answered by HiGHS, and the handle's next call starts cold
+        # a drive that breaks down (every pivot refused), or whose answer
+        # fails the certificate, raises; the handle forgets its basis, and
+        # its next call starts cold
         A, y, x_init = stability_instance(1)
         handle = SelectorLP(A)
         assert solve_dantzig(A, y, 0.35, lp=handle).path == "cold"
-        zero = np.zeros(A.m)
-        monkeypatch.setattr(
-            lscs.solver, "_dual_simplex",
-            lambda *args: None if failure == "not_optimal" else (zero, zero, 7),
-        )
+        if failure == "not_optimal":
+            monkeypatch.setattr(lscs.solver, "_PIVOT_TOL", np.inf)
+        else:
+            zero = np.zeros(A.m)
+            monkeypatch.setattr(lscs.solver, "_dual_simplex", lambda *args: (zero, zero, 7))
         y_res = y - A.entries @ x_init
-        sol = solve_dantzig(A, y_res, 0.35, lp=handle)
-        status, zeta, _, iterations = lscs.solver._solve_highs(A.gram(), A.entries.T @ y_res, 0.35)
-        assert (sol.status, sol.path, sol.iterations) == (status, "highs", iterations)
-        assert np.array_equal(sol.zeta_hat, zeta)
+        with pytest.raises(DantzigNumericsError, match="broke down" if failure == "not_optimal" else "constraint"):
+            solve_dantzig(A, y_res, 0.35, lp=handle)
         assert handle._basis is None
         monkeypatch.undo()
         again = solve_dantzig(A, y_res, 0.35, lp=handle)
-        assert again.path == "cold" and np.max(np.abs(again.zeta_hat - zeta)) <= 1e-9
+        assert again.path == "cold"
+        assert np.max(np.abs(again.zeta_hat - milp_ranged_dantzig(A, y_res, 0.35))) <= 1e-9
 
     def test_zero_exit_keeps_basis(self):
         A, y, _ = stability_instance(3)
@@ -556,56 +574,28 @@ class TestHandle:
         assert [path for path, _ in scales] == ["cold", "warm", "warm"]
         assert len({id(lp) for _, lp in scales}) == 1 and scales[0][1] is not None
 
-    @pytest.mark.parametrize("through_handle", [True, False])
-    def test_failed_load_keeps_no_instance(self, through_handle, monkeypatch):
-        # a fallback that HiGHS cannot load reports "infeasible" and leaves
-        # the handle without a basis
-        class Unloadable(highs_core._Highs):
-            def passModel(self, *args):
-                return HighsStatus.kError
-
-        A, y, _ = stability_instance(2)
-        handle = SelectorLP(A) if through_handle else None
-        if handle is not None:
-            solve_dantzig(A, y, 0.1, lp=handle)
-            assert handle._basis is not None
-        monkeypatch.setattr(highs_core, "_Highs", Unloadable)
-        monkeypatch.setattr(lscs.solver, "_dual_simplex", lambda *args: None)
-        sol = solve_dantzig(A, y, 0.35, lp=handle)
-        assert (sol.status, sol.path, sol.iterations) == ("infeasible", "highs", 0)
-        with pytest.raises(DantzigStatusError):
-            optimal_zeta(sol)
-        if handle is not None:
-            assert handle._basis is None
-        monkeypatch.undo()
-        sol = solve_dantzig(A, y, 0.35, lp=handle)
-        assert (sol.status, sol.path) == ("optimal", "cold")
-
 
 class TestSelectorFailure:
-    """A non-optimal selector status must surface, never score as zeros."""
+    """A selector breakdown must surface as an error, never score as zeros."""
 
     @pytest.fixture(autouse=True)
     def failing_lp(self, monkeypatch):
-        # the dual simplex breaks down and HiGHS reports the program infeasible
-        monkeypatch.setattr(lscs.solver, "_dual_simplex", lambda *args: None)
-        monkeypatch.setattr(lscs.solver, "_run", lambda highs: HighsModelStatus.kInfeasible)
+        # the dual simplex refuses every pivot
+        monkeypatch.setattr(lscs.solver, "_PIVOT_TOL", np.inf)
 
     def test_status_reported(self):
         A = gen_gaussian_matrix(10, 20, 1)
-        y = A.entries @ np.ones(20)
-        sol = solve_dantzig(A, y, 0.01)
-        assert (sol.status, sol.path) == ("infeasible", "highs")
-        with pytest.raises(DantzigStatusError):
-            optimal_zeta(sol)
+        with pytest.raises(DantzigNumericsError, match="broke down"):
+            solve_dantzig(A, A.entries @ np.ones(20), 0.01)
 
     def test_iteration_limit_reported(self, monkeypatch):
-        monkeypatch.setattr(lscs.solver, "_run", lambda highs: HighsModelStatus.kIterationLimit)
+        # pivots that change nothing stop at the cap of 10 m
+        tried = []
+        monkeypatch.setattr(lscs.solver._Basis, "_join", lambda basis, i, sign: tried.append(i) or True)
         A = gen_gaussian_matrix(10, 20, 1)
-        sol = solve_dantzig(A, A.entries @ np.ones(20), 0.01)
-        assert (sol.status, sol.path) == ("budget_exceeded", "highs")
-        with pytest.raises(DantzigStatusError):
-            optimal_zeta(sol)
+        with pytest.raises(DantzigNumericsError, match="broke down"):
+            solve_dantzig(A, A.entries @ np.ones(20), 0.01)
+        assert len(tried) == 10 * A.m
 
     def test_step_fails_at_cs_residual(self):
         A = gen_gaussian_matrix(20, 40, 3)
@@ -616,7 +606,7 @@ class TestSelectorFailure:
         state = FilterState(known, np.zeros(40))
         new_state, diag = lscs_step(state, A, y, FilterConfig(lam=0.01, alpha=0.1, alpha_del=0.05))
         assert diag.failed_stage == "cs_residual"
-        assert "infeasible" in diag.failure
+        assert "broke down" in diag.failure
         assert new_state.support_estimate == known
 
     def test_experiments_raise(self, tmp_path):
@@ -626,7 +616,7 @@ class TestSelectorFailure:
             "cells": [{"n": 20, "sigma": 0.05}],
             "trials": 1, "seed": 11,
         }
-        with pytest.raises(DantzigStatusError):
+        with pytest.raises(DantzigNumericsError):
             run_static_experiment(static)
         stability = {
             "kind": "stability",
@@ -637,7 +627,7 @@ class TestSelectorFailure:
             "filter": {"lam": 0.15, "alpha": 0.05, "alpha_del": 0.1},
         }
         # the per-step lscs failures are caught; the simple_cs baseline is not
-        with pytest.raises(DantzigStatusError):
+        with pytest.raises(DantzigNumericsError):
             run_stability_experiment(stability)
         path = tmp_path / "static.json"
         path.write_text(json.dumps(static))
@@ -688,60 +678,42 @@ class TestCertificate:
         assert "dual infeasibility" in lscs.solver._certify(G, g, 0.35, zeta, bent)
 
     def test_failed_highs_answer_raises(self, monkeypatch):
-        solve_highs = lscs.solver._solve_highs
-
-        def corrupted(G, g, lam):
-            status, zeta, u, iterations = solve_highs(G, g, lam)
-            return status, zeta, 1.01 * u, iterations
-
-        monkeypatch.setattr(lscs.solver, "_dual_simplex", lambda *args: None)
-        monkeypatch.setattr(lscs.solver, "_solve_highs", corrupted)
+        # an independent HiGHS answer whose duals, scaled by 1.01, break
+        # |Gu| <= 1 fails the certificate inside the solve, which raises and
+        # leaves the handle without a basis
         A, y, _ = stability_instance(1)
-        with pytest.raises(DantzigNumericsError):
-            solve_dantzig(A, y, 0.35)
+        zeta, u = inequality_form_dantzig(A, y, 0.35)
+        handle = SelectorLP(A)
+        solve_dantzig(A, y, 0.35, lp=handle)
+        monkeypatch.setattr(lscs.solver, "_dual_simplex", lambda *args: (zeta, 1.01 * u, 0))
+        with pytest.raises(DantzigNumericsError, match="dual infeasibility"):
+            solve_dantzig(A, y, 0.35, lp=handle)
+        assert handle._basis is None
 
 
 class TestImport:
-    """The CLI imports no scipy; the fallback imports HiGHS when it runs."""
+    """Neither the CLI nor a run imports scipy."""
 
-    @staticmethod
-    def run(code: str) -> subprocess.CompletedProcess:
-        return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True, text=True)
-
-    def test_cli_imports_no_scipy(self):
-        out = self.run("""
+    def test_cli_imports_no_scipy(self, tmp_path):
+        cfg = tmp_path / "static.json"
+        cfg.write_text(json.dumps({
+            "kind": "static_table", "m": 40, "support_size": 6, "delta_size": 1, "delta_e_size": 1,
+            "cells": [{"n": 20, "sigma": 0.05}], "trials": 2, "seed": 11,
+        }))
+        code = f"""
             import sys
             import lscs.cli
-            assert not [name for name in sys.modules if name.split(".")[0] == "scipy"]
-        """)
-        assert out.returncode == 0, out.stderr
 
-    @pytest.mark.parametrize("milp_first", [True, False])
-    def test_fallback_in_either_import_order(self, milp_first):
-        out = self.run(f"""
-            import warnings
-            if {milp_first}:
-                from scipy.optimize import milp
-            import numpy as np
-            import lscs.solver
-            from lscs.measurement import gen_gaussian_matrix
+            def scipy_modules():
+                return [name for name in sys.modules if name.split(".")[0] == "scipy"]
 
-            A = gen_gaussian_matrix(8, 16, 3)
-            y = np.random.default_rng(3).standard_normal(8)
-            lscs.solver._dual_simplex = lambda *args: None
-            sol = lscs.solver.solve_dantzig(A, y, 0.2)
-            assert (sol.status, sol.path) == ("optimal", "highs"), sol
-            from scipy.optimize import Bounds, LinearConstraint, milp
-            G, g = A.gram(), A.entries.T @ y
-            options = {{"presolve": False, "simplex_scale_strategy": 0,
-                       "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}}
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                res = milp(np.ones(32), constraints=LinearConstraint(np.hstack([G, -G]), g - 0.2, g + 0.2),
-                           bounds=Bounds(0.0, np.inf), options=options)
-            assert np.array_equal(sol.zeta_hat, res.x[:16] - res.x[16:])
-        """)
+            assert not scipy_modules()
+            assert lscs.cli.main(["run", {str(cfg)!r}, "--out", {str(tmp_path / "out")!r}]) == 0
+            assert not scipy_modules(), scipy_modules()
+        """
+        out = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
+        assert (tmp_path / "out" / "manifest.json").exists()
 
 
 class TestLsOnSupport:
