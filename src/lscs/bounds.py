@@ -143,7 +143,7 @@ class _Hypotheses(NamedTuple):
 
 def _hypotheses(
     ctx: BoundContext,
-    size_T: int = 0,
+    size_T: int,
     theta_with: int = 0,
     s_starstar: int = 0,
     names: tuple[str, str] = ("|T|", "|Delta|"),
@@ -259,17 +259,6 @@ def no_miss_residual_bound(ctx: BoundContext, size_T: int) -> BoundResult:
     if h.reason:
         return BoundResult(None, False, reasons=[h.reason])
     return _min_over_s(ctx, size_T, lambda s: 4.0 * ctx.w_max_sq(), h.exact)
-
-
-def one_shot_recovery_bound(ctx: BoundContext, x_on_N: np.ndarray) -> BoundResult:
-    """One-shot (no prior support) recovery bound for comparison:
-    ``min_S [C2 S lam^2 + C3 ((|N|-S)/S) ||x_N(|N|-S)||^2]``."""
-    x_on_N = np.asarray(x_on_N, dtype=float)
-    size_N = int(x_on_N.size)
-    h = _hypotheses(ctx)
-    if h.reason:
-        return BoundResult(None, False, reasons=[h.reason])
-    return _min_over_s(ctx, size_N, lambda s: _smallest_sqnorm(x_on_N, size_N - s), h.exact)
 
 
 def compressibility_residual_bound(

@@ -6,7 +6,8 @@ Commands:
   lscs check-stability <config.json> [--out FILE]
   lscs version
 
-Flag overrides beat config-file values, in every ``low_snr`` variant too.
+Flag overrides beat config-file values, in every ``low_snr`` variant too;
+``--trials`` does not apply to ``bound_validation`` and exits 1 there.
 Each command loads and parses its whole config before it starts work.  Exit
 codes: 0 success; 1 the config could not be loaded, or a key is missing,
 unknown, of the wrong type, non-finite or out of range, or keys disagree
@@ -66,6 +67,8 @@ def _table_options(spec: ConfigReader, default_mode: str) -> dict:
 
 def _cmd_run(args) -> int:
     cfg = _load_json(args.config)
+    if args.trials is not None and cfg.get("kind") == "bound_validation":
+        raise ConfigError("--trials does not apply to bound_validation; set instances_per_matrix in the config")
     overrides = {"seed": args.seed, "trials": args.trials}
     overrides = {key: value for key, value in overrides.items() if value is not None}
     cfg.update(overrides)

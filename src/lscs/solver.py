@@ -39,8 +39,8 @@ its kink of ``-lambda |u_q|`` and the row changes sign.  The four outcomes
 (border, row swap, column swap, shrink) keep ``|R| = |S|`` and update
 ``M^-1`` in O(k^2); a pivot costs O(mk) plus the pricing.
 
-A cold call pivots from the empty basis.  A :class:`SelectorLP` handle keeps
-the optimal basis of its last answer, and its next call pivots from there,
+A :class:`SelectorLP` handle is the basis: it starts empty, holds the
+optimal basis of its last answer, and its next call pivots from there,
 whatever changed of ``y`` and ``lambda``.  A call that the zero exit answers
 neither reads nor changes the handle.  At the end of a call R and S are
 sorted and ``G[R, S]`` is inverted afresh; the answer and the next call start
@@ -55,8 +55,8 @@ the gap an optimality bound, so a certified answer is optimal to within it.
 
 Breakdown.  A call that meets a pivot below 1e-10 or a dual step with no
 bound, that takes more than ``10 m`` pivots, or whose answer fails the
-certificate raises :class:`DantzigNumericsError`, and the handle forgets its
-basis.
+certificate raises :class:`DantzigNumericsError`.  Any exception raised while
+a call pivots or certifies returns the handle to the empty basis.
 
 The constraint is stated with ``<=`` although the original program uses a
 strict inequality: the closed program is well posed and has the same optimum.
@@ -109,9 +109,10 @@ class DsSolution:
 
     ``status`` is always ``"optimal"``: a solve that cannot certify an
     optimum raises instead.  ``path`` names what answered: ``"zero_exit"``
-    (no LP), ``"cold"`` (pivots from the empty basis) or ``"warm"`` (pivots
-    from the handle's last answer).  ``iterations`` counts the dual simplex
-    pivots.
+    (no LP), ``"cold"`` (the handle was at the empty basis: a new handle, a
+    call without one, or the first call after a failure) or ``"warm"`` (the
+    handle held the optimal basis of its last answer).  ``iterations``
+    counts the dual simplex pivots.
     """
 
     zeta_hat: np.ndarray
@@ -120,28 +121,33 @@ class DsSolution:
     iterations: int
 
 
-class _Basis:
-    """A dual feasible basis of the selector, optimal at ``(g, lam)`` after a
-    drive, and the rows of G that its pivots read.
+class SelectorLP:
+    """A matrix's selector handle: a dual feasible basis, optimal at ``(g,
+    lam)`` after a drive, and the rows of G that its pivots read.
 
     Positions ``0..k-1`` of ``R``/``s``/``u``/``GR`` hold the active rows,
     their signs, their duals and their rows of G; those of ``S``/``z``/``GS``
     the support columns, their signs and their rows of G (equal to the
     columns, because G is symmetric).  ``Minv[:k, :k]`` is the inverse of
     ``G[R, S]``, indexed (support position, row position).  ``Gu`` is G times
-    the dual.
+    the dual.  From ``k = 0`` every array but ``Gu`` is written before it is
+    read, so a handle at the empty basis pivots as a new one does.
     """
 
-    def __init__(self, G: np.ndarray, cap: int):
-        m = G.shape[0]
-        self.G, self.k = G, 0
+    def __init__(self, A: MeasurementMatrix):
+        self.A, self.G = A, A.gram()
+        m, cap = A.m, min(A.n, A.m)
         self.g, self.lam = np.zeros(m), 0.0
         self.R = np.zeros(cap, dtype=np.intp)
         self.S = np.zeros(cap, dtype=np.intp)
         self.s, self.z, self.u = np.zeros(cap), np.zeros(cap), np.zeros(cap)
         self.GR, self.GS = np.empty((cap, m)), np.empty((cap, m))
         self.Minv = np.empty((cap, cap))
-        self.Gu = np.zeros(m)
+        self.reset()
+
+    def reset(self) -> None:
+        """Return to the empty basis, from which the next call starts cold."""
+        self.k, self.Gu = 0, np.zeros(self.A.m)
 
     def drive(self, g: np.ndarray, lam: float) -> int | None:
         """Pivot the basis to the optimum at ``(g, lam)`` by the dual simplex;
@@ -326,19 +332,6 @@ def _exit_times(value: np.ndarray, rate: np.ndarray) -> np.ndarray:
     return t
 
 
-class SelectorLP:
-    """A matrix's selector handle: the optimal basis of its last answer.
-
-    A call through a handle pivots from that basis to the optimum at the
-    new ``(y, lambda)`` instead of from the empty basis; see
-    :func:`solve_dantzig`.
-    """
-
-    def __init__(self, A: MeasurementMatrix):
-        self.A = A
-        self._basis: _Basis | None = None
-
-
 def _certify(G: np.ndarray, g: np.ndarray, lam: float, zeta: np.ndarray, u: np.ndarray) -> str | None:
     """The first certificate check that fails, or ``None`` when ``(zeta, u)``
     is a certified optimal pair."""
@@ -355,18 +348,6 @@ def _certify(G: np.ndarray, g: np.ndarray, lam: float, zeta: np.ndarray, u: np.n
     return None
 
 
-def _dual_simplex(basis: _Basis, g: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """Pivot ``basis`` to the optimum at ``(g, lam)``: zeta, the dual and the
-    pivot count.  Raises :class:`DantzigNumericsError` when a pivot breaks
-    down."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        steps = basis.drive(g, lam)
-        pair = None if steps is None else basis.answer()
-    if pair is None:
-        raise DantzigNumericsError("the dual simplex broke down")
-    return (*pair, steps)
-
-
 def solve_dantzig(
     A: MeasurementMatrix,
     y: np.ndarray,
@@ -376,12 +357,12 @@ def solve_dantzig(
 ) -> DsSolution:
     """Solve ``min ||zeta||_1  s.t.  ||A'(y - A zeta)||_inf <= lam``.
 
-    ``lp`` is a :class:`SelectorLP` handle for ``A``.  Without one, or on a
-    handle's first call, the dual simplex starts cold from the empty basis;
-    later calls through the handle pivot from its last answer.  A
-    certified answer becomes the handle's new start.  A call that breaks
-    down or fails the certificate raises :class:`DantzigNumericsError`, and
-    the handle forgets its basis.
+    ``lp`` is a :class:`SelectorLP` handle for ``A``; without one the call
+    drives a new handle.  The dual simplex pivots from the handle's basis,
+    cold from the empty one or warm from its last answer, and a certified
+    answer becomes its new start.  A call that breaks down or fails the
+    certificate raises :class:`DantzigNumericsError`; any exception raised
+    while it pivots or certifies returns the handle to the empty basis.
     """
     y = np.asarray(y, dtype=float)
     if lam < 0:
@@ -394,26 +375,28 @@ def solve_dantzig(
         raise ValueError("the selector handle belongs to another matrix")
 
     g = A.entries.T @ y
-    m = A.m
     peak = float(np.max(np.abs(g), initial=0.0))
     if lam >= peak:
         # zero is feasible and l1-minimal
-        return DsSolution(np.zeros(m), "optimal", "zero_exit", 0)
+        return DsSolution(np.zeros(A.m), "optimal", "zero_exit", 0)
 
-    G = A.gram()
-    basis = lp._basis if lp is not None else None
-    path = "cold" if basis is None else "warm"
-    if basis is None:
-        basis = _Basis(G, min(A.n, m))
-    if lp is not None:
-        lp._basis = None
-    zeta, u, iterations = _dual_simplex(basis, g, float(lam))
-    failed = _certify(G, g, lam, zeta, u)
-    if failed is not None:
-        raise DantzigNumericsError(f"the dual simplex answer fails the certificate: {failed}")
-    if lp is not None:
-        lp._basis = basis
-    return DsSolution(zeta, "optimal", path, iterations)
+    if lp is None:
+        lp = SelectorLP(A)
+    path = "warm" if lp.k else "cold"
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            iterations = lp.drive(g, float(lam))
+            pair = None if iterations is None else lp.answer()
+        if pair is None:
+            raise DantzigNumericsError("the dual simplex broke down")
+        failed = _certify(lp.G, g, lam, *pair)
+        if failed is not None:
+            raise DantzigNumericsError(f"the dual simplex answer fails the certificate: {failed}")
+    except BaseException:
+        # a half-pivoted or uncertified basis is no start for the next call
+        lp.reset()
+        raise
+    return DsSolution(pair[0], "optimal", path, iterations)
 
 
 def ls_on_support(

@@ -12,7 +12,6 @@ from lscs.bounds import (
     no_miss_residual_bound,
     simplified_residual_bound,
     compressibility_residual_bound,
-    one_shot_recovery_bound,
     detected_support_ls_error_bound,
     find_min_d0,
     detection_condition,
@@ -183,20 +182,6 @@ class TestSingleScaleBound:
 
 
 class TestCsBound:
-    def test_constant_magnitude_tail(self):
-        ctx = make_ctx(flat_table(), lam=0.5)
-        x = np.full(6, 1.5)
-        res = one_shot_recovery_bound(ctx, x)
-        for s in range(1, 7):
-            cc = recovery_constants(s, ctx.rip)
-            f_s = cc.c2 * s * 0.25 + cc.c3 * (6 - s) / s * (6 - s) * 1.5 ** 2
-            assert res.value <= f_s + 1e-9
-
-    def test_zero_signal(self):
-        ctx = make_ctx(flat_table(), lam=1.0)
-        res = one_shot_recovery_bound(ctx, np.array([]))
-        assert not res.applicable  # no admissible S beats an empty scan cap
-
     def test_residual_route_beats_one_shot_under_comparison_regime(self):
         # |Delta| = |Delta_e| = 0.1 |N|, scan capped at 0.2 |N| via coverage,
         # theta^2 < 1/8, small noise, recent additions no larger than the rest

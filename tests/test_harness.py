@@ -381,6 +381,17 @@ class TestCli:
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["config"]["trials"] == 1
 
+    def test_trials_flag_rejected_for_bound_validation(self, tmp_path):
+        # the sweep's size is instances_per_matrix; the message names the
+        # flag, not a config key the file does not hold
+        out = self.run_cli(
+            "run", str(CONFIGS / "bound_validation.json"), "--trials", "2", "--out", str(tmp_path / "o"),
+        )
+        assert out.returncode == 1
+        assert "--trials" in out.stderr and "instances_per_matrix" in out.stderr
+        assert "unknown config keys" not in out.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_config_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text("{\"kind\": \"static_table\"}")

@@ -352,16 +352,16 @@ class TestDantzig:
         calls = [([0, 2, 0], 1.8289144318858572), ([2, 2, 1], 2.6873018974716074),
                  ([-2, 0, 2], 1.8185660125820353), ([-1, 2, 1], 0.7980700600389762)]
         A = MeasurementMatrix.from_columns(np.array(raw, dtype=float))
-        dual_step = lscs.solver._Basis._dual_step
+        dual_step = SelectorLP._dual_step
         flips = []
 
-        def counted(basis, w, Gw, j_out=-1):
-            signs = basis.s[:basis.k].copy()
-            step = dual_step(basis, w, Gw, j_out)
-            flips[-1] += int(np.sum(basis.s[:len(signs)] != signs))
+        def counted(handle, w, Gw, j_out=-1):
+            signs = handle.s[:handle.k].copy()
+            step = dual_step(handle, w, Gw, j_out)
+            flips[-1] += int(np.sum(handle.s[:len(signs)] != signs))
             return step
 
-        monkeypatch.setattr(lscs.solver._Basis, "_dual_step", counted)
+        monkeypatch.setattr(SelectorLP, "_dual_step", counted)
         handle, paths = SelectorLP(A), []
         for y, lam in calls:
             flips.append(0)
@@ -510,37 +510,52 @@ class TestWarmStart:
                 cold_pivots += cold.iterations
         assert warm_pivots < cold_pivots / 2
 
-    @pytest.mark.parametrize("failure", ["not_optimal", "past_lambda"])
+    @pytest.mark.parametrize("failure", ["not_optimal", "past_lambda", "interrupted"])
     def test_rejected_warm_run_falls_back_to_cold(self, failure, monkeypatch):
-        # a drive that breaks down (every pivot refused), or whose answer
-        # fails the certificate, raises; the handle forgets its basis, and
-        # its next call starts cold
+        # a drive that breaks down (every pivot refused), whose answer fails
+        # the certificate, or that any other exception stops halfway
+        # raises; the handle returns to the empty basis, and its next call
+        # starts cold
         A, y, x_init = stability_instance(1)
         handle = SelectorLP(A)
         assert solve_dantzig(A, y, 0.35, lp=handle).path == "cold"
         if failure == "not_optimal":
             monkeypatch.setattr(lscs.solver, "_PIVOT_TOL", np.inf)
-        else:
+            raised = pytest.raises(DantzigNumericsError, match="broke down")
+        elif failure == "past_lambda":
             zero = np.zeros(A.m)
-            monkeypatch.setattr(lscs.solver, "_dual_simplex", lambda *args: (zero, zero, 7))
+            monkeypatch.setattr(SelectorLP, "answer", lambda handle: (zero, zero))
+            raised = pytest.raises(DantzigNumericsError, match="constraint")
+        else:
+            dual_step = SelectorLP._dual_step
+
+            def interrupted(handle, *args):
+                dual_step(handle, *args)  # the dual has moved, the basis not
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(SelectorLP, "_dual_step", interrupted)
+            raised = pytest.raises(KeyboardInterrupt)
         y_res = y - A.entries @ x_init
-        with pytest.raises(DantzigNumericsError, match="broke down" if failure == "not_optimal" else "constraint"):
+        with raised:
             solve_dantzig(A, y_res, 0.35, lp=handle)
-        assert handle._basis is None
+        assert handle.k == 0 and not handle.Gu.any()
         monkeypatch.undo()
         again = solve_dantzig(A, y_res, 0.35, lp=handle)
         assert again.path == "cold"
         assert np.max(np.abs(again.zeta_hat - milp_ranged_dantzig(A, y_res, 0.35))) <= 1e-9
+        # the reset handle pivots exactly as a new one does
+        fresh = solve_dantzig(A, y_res, 0.35, lp=SelectorLP(A))
+        assert np.array_equal(again.zeta_hat, fresh.zeta_hat)
+        assert (again.path, again.iterations) == (fresh.path, fresh.iterations)
 
     def test_zero_exit_keeps_basis(self):
         A, y, _ = stability_instance(3)
         handle = SelectorLP(A)
         solve_dantzig(A, y, 0.35, lp=handle)
-        basis = handle._basis
-        g, lam = basis.g, basis.lam
+        k, g, lam = handle.k, handle.g, handle.lam
         sol = solve_dantzig(A, 2.0 * y, float(np.max(np.abs(A.entries.T @ y))) * 2.0, lp=handle)
         assert (sol.path, sol.iterations) == ("zero_exit", 0)
-        assert handle._basis is basis and basis.g is g and basis.lam == lam
+        assert k > 0 and handle.k == k and handle.g is g and handle.lam == lam
         # the next call drives from the answer before the zero exit
         repeat = solve_dantzig(A, y, 0.35, lp=handle)
         assert (repeat.path, repeat.iterations) == ("warm", 0)
@@ -591,7 +606,7 @@ class TestSelectorFailure:
     def test_iteration_limit_reported(self, monkeypatch):
         # pivots that change nothing stop at the cap of 10 m
         tried = []
-        monkeypatch.setattr(lscs.solver._Basis, "_join", lambda basis, i, sign: tried.append(i) or True)
+        monkeypatch.setattr(SelectorLP, "_join", lambda handle, i, sign: tried.append(i) or True)
         A = gen_gaussian_matrix(10, 20, 1)
         with pytest.raises(DantzigNumericsError, match="broke down"):
             solve_dantzig(A, A.entries @ np.ones(20), 0.01)
@@ -641,8 +656,11 @@ class TestCertificate:
     def pair(seed: int, lam: float = 0.35):
         A, y, _ = stability_instance(seed)
         G, g = A.gram(), A.entries.T @ y
-        basis = lscs.solver._Basis(G, A.n)
-        zeta, u, _ = lscs.solver._dual_simplex(basis, g, lam)
+        handle = SelectorLP(A)
+        # the drive runs under the errstate that solve_dantzig sets
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert handle.drive(g, lam) is not None
+            zeta, u = handle.answer()
         assert lscs.solver._certify(G, g, lam, zeta, u) is None
         return A, y, G, g, zeta, u
 
@@ -680,15 +698,20 @@ class TestCertificate:
     def test_failed_highs_answer_raises(self, monkeypatch):
         # an independent HiGHS answer whose duals, scaled by 1.01, break
         # |Gu| <= 1 fails the certificate inside the solve, which raises and
-        # leaves the handle without a basis
+        # returns the handle to the empty basis
         A, y, _ = stability_instance(1)
         zeta, u = inequality_form_dantzig(A, y, 0.35)
         handle = SelectorLP(A)
         solve_dantzig(A, y, 0.35, lp=handle)
-        monkeypatch.setattr(lscs.solver, "_dual_simplex", lambda *args: (zeta, 1.01 * u, 0))
+        monkeypatch.setattr(SelectorLP, "answer", lambda handle: (zeta, 1.01 * u))
         with pytest.raises(DantzigNumericsError, match="dual infeasibility"):
             solve_dantzig(A, y, 0.35, lp=handle)
-        assert handle._basis is None
+        assert handle.k == 0 and not handle.Gu.any()
+        monkeypatch.undo()
+        # the next call pivots exactly as a new handle does
+        again, fresh = (solve_dantzig(A, y, 0.35, lp=lp) for lp in (handle, SelectorLP(A)))
+        assert np.array_equal(again.zeta_hat, fresh.zeta_hat)
+        assert (again.path, again.iterations) == ("cold", fresh.iterations)
 
 
 class TestImport:
