@@ -16,6 +16,13 @@ theta_{S,2S} < 1``.  Each is defined once, by the entry that decides whether a
 size lies within it (:func:`_s_star_entry` and :func:`_s_starstar_entry`), and
 every check reads that entry.
 
+The recovery-bound scan (:func:`_min_over_s`) reads ``delta_2S`` and
+``theta_{S,2S}`` for S = 1, 2, ... up to the first S outside S**, and stops
+sooner once ``C2(S) S lam^2`` alone cannot beat the best value so far.  With
+the shipped bound-validation sweep (m = 16, |T| = 3, |Delta| = 1) it stops
+before S = 3, so no bound there reads ``delta_6``, ``delta_8``,
+``theta_{3,6}`` or ``theta_{4,8}``.
+
 The deletion side rests on one lemma: least squares on a support that misses
 ``count`` coefficients of squared magnitude at most ``mag_sq`` errs by at
 most ``4 n lam^2/||A||_1^2 + 8 theta^2 count mag_sq``.  :func:`_ls_error`
@@ -47,6 +54,9 @@ from .measurement import RipEntry, RipTable
 from .sigmodel import SignalModelParams
 
 _NOISE_TOL = 1e-12
+# Slack on the S** gap in the scan's stop rule (see _min_over_s); far above
+# RipTable.validate_monotone's 1e-12 and the rounding of computed constants.
+_GAP_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -172,18 +182,30 @@ def _hypotheses(
 def _min_over_s(ctx: BoundContext, cap: int, tail, exact: bool) -> BoundResult:
     """``min_S [C2(S) S lam^2 + C3(S) ((cap - S)/S) tail(S)]`` over S = 1..cap.
 
-    The scan stops at the first S outside S** (``3S > m`` included).  A
-    table lacking an entry the scan reads raises
-    :class:`InsufficientRipTable`, like every other read.  Restricting the
-    scan below the true threshold only discards candidate values of the
-    minimum, which keeps every bound valid (possibly looser).
+    The scan stops at the first S outside S** (``3S > m`` included).  It
+    also stops, before reading anything at S >= 2, once ``48 S lam^2 /
+    (gap_{S-1} + _GAP_SLACK)^2`` reaches the best value so far, where
+    ``gap_{S-1} = 1 - delta_{2S-2} - theta_{S-1,2S-2}`` was just read.  That
+    stop changes nothing: every later term is at least ``C2(S') S' lam^2``
+    (C3, ``cap - S'`` and the tail are nonnegative), and ``C2(S') = 48 /
+    gap_{S'}^2 >= 48 / gap_{S-1}^2`` because delta and theta are
+    nondecreasing in their sizes, as :func:`_gate_terms` also relies on.  The
+    slack absorbs a loaded table's 1e-12 monotonicity tolerance and rounding.
+    Constants past the stop are never read, so a table may lack them and
+    their provenance does not enter ``optimistic``.  A table lacking an entry
+    the scan does read raises :class:`InsufficientRipTable`, like every other
+    read.  Restricting the scan below the true threshold only discards
+    candidate values of the minimum, which keeps every bound valid (possibly
+    looser).
     """
-    best, best_s, scan_cap = math.inf, None, 0
+    best, best_s, gap = math.inf, None, 0.0
     for s in range(1, cap + 1):
+        if best_s is not None and 48.0 * s * ctx.lam ** 2 / (gap + _GAP_SLACK) ** 2 >= best:
+            break
         e = _s_starstar_entry(ctx, s)
         if e is None or e.value >= 1.0:
             break
-        scan_cap = s
+        gap = 1.0 - e.value
         cc = recovery_constants(s, ctx.rip)
         exact = exact and cc.exact
         f = cc.c2 * s * ctx.lam ** 2 + cc.c3 * (cap - s) / s * tail(s)
@@ -191,7 +213,7 @@ def _min_over_s(ctx: BoundContext, cap: int, tail, exact: bool) -> BoundResult:
             best, best_s = f, s
     if best_s is None:
         return BoundResult(None, False, reasons=["no admissible S"])
-    return BoundResult(best, True, optimistic=not exact, argmin_s=best_s, details={"scan_cap": scan_cap})
+    return BoundResult(best, True, optimistic=not exact, argmin_s=best_s)
 
 
 def residual_recovery_bound(
@@ -338,7 +360,8 @@ def _gate_terms(
     that fits in m carries the maximum over every ``|T| <= S_T``.  A table
     loaded from a file is checked monotone only up to 1e-12
     (:meth:`RipTable.validate_monotone`), and for one the terms read here may
-    fall short of that maximum by as much.
+    fall short of that maximum by as much.  :func:`_min_over_s` stops its scan
+    on the same monotonicity.
 
     Returns ``[(pair, 2 theta^2 |Delta| C'', C')]`` in order of ``|Delta|``
     and whether every constant used was exact.  At the first ``|Delta|``

@@ -10,6 +10,7 @@ ordering deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -84,7 +85,8 @@ class SupportSet:
         return iter(self._indices)
 
     def __contains__(self, i: object) -> bool:
-        return i in set(self._indices)
+        j = bisect_left(self._indices, i)
+        return j < len(self._indices) and self._indices[j] == i
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SupportSet):

@@ -22,6 +22,9 @@ from lscs.bounds import (
     check_stability_conditions,
     _keep_threshold,
     _ls_error,
+    _min_over_s,
+    _s_starstar_entry,
+    BoundResult,
 )
 from lscs.core import SupportSet, support_of
 from lscs.filter import FilterConfig, FilterState, StepDiagnostics, lscs_step
@@ -30,6 +33,7 @@ from lscs.measurement import (
     RipTable,
     build_rip_table,
     gen_gaussian_matrix,
+    gen_matrix,
     gen_perturbed_orthonormal_matrix,
 )
 from lscs.sigmodel import SignalModelParams, generate
@@ -128,6 +132,118 @@ class TestScanBound:
         assert not res.applicable
 
 
+def reference_min_over_s(ctx: BoundContext, cap: int, tail, exact: bool) -> BoundResult:
+    """The scan without its early stop: every S up to the first outside S**."""
+    best, best_s, scan_cap = math.inf, None, 0
+    for s in range(1, cap + 1):
+        e = _s_starstar_entry(ctx, s)
+        if e is None or e.value >= 1.0:
+            break
+        scan_cap = s
+        cc = recovery_constants(s, ctx.rip)
+        exact = exact and cc.exact
+        f = cc.c2 * s * ctx.lam ** 2 + cc.c3 * (cap - s) / s * tail(s)
+        if f < best:
+            best, best_s = f, s
+    if best_s is None:
+        return BoundResult(None, False, reasons=["no admissible S"])
+    return BoundResult(best, True, optimistic=not exact, argmin_s=best_s, details={"scan_cap": scan_cap})
+
+
+class TestScanStop:
+    """The scan stops once ``C2(S) S lam^2`` alone cannot beat its best
+    value, and returns what the full scan returns."""
+
+    LAMS = (0.0, 1e-3, 0.01, 0.05, 0.2, 0.5, 1.0)
+
+    @staticmethod
+    def tails(seed: int) -> list:
+        """Nonnegative tails over S = 1..6 at scales 1e-4 to 1e3, half of them
+        nonincreasing in S as the residual bound's is, half in any order."""
+        rng = np.random.default_rng(seed)
+        shapes = []
+        for i, scale in enumerate(np.logspace(-4, 3, 8)):
+            t = scale * rng.uniform(0.1, 2.0, 7)
+            shapes.append(np.sort(t)[::-1] if i % 2 == 0 else t)
+        return shapes
+
+    def assert_same(self, table: RipTable, seed: int) -> list[int]:
+        """Both scans over every lam, cap 1-6 and tail; returns the argmins."""
+        argmins = []
+        for lam in self.LAMS:
+            ctx = BoundContext(rip=table, n=16, m=16, lam=lam, norm_A_1=2.0, noise_linf_bound=0.0)
+            for cap in range(1, 7):
+                for i, t in enumerate(self.tails(seed)):
+                    exact = i % 3 != 0
+                    ref = reference_min_over_s(ctx, cap, lambda s: float(t[s]), exact)
+                    got = _min_over_s(ctx, cap, lambda s: float(t[s]), exact)
+                    assert (got.applicable, got.argmin_s, got.optimistic, got.reasons) == \
+                        (ref.applicable, ref.argmin_s, ref.optimistic, ref.reasons)
+                    assert got.value is ref.value is None or \
+                        np.float64(got.value).tobytes() == np.float64(ref.value).tobytes()
+                    argmins.append(got.argmin_s)
+        return argmins
+
+    def test_exact_tables_match_full_scan(self):
+        argmins = []
+        for seed, noise in [(0, 0.2), (1, 0.2), (2, 0.2), (3, 0.35)]:
+            A = gen_matrix("perturbed_orthonormal", 16, 16, seed, noise)
+            argmins += self.assert_same(build_rip_table(A, mode="exact"), seed)
+        assert len(argmins) == 4 * 7 * 6 * 8
+        # a stop that fired too soon would cut off the minima past S = 2
+        assert sum(s is not None and s >= 3 for s in argmins) >= 100
+
+    def test_sampled_table_matches_full_scan(self):
+        A = gen_matrix("perturbed_orthonormal", 16, 16, 7, 0.2)
+        argmins = self.assert_same(build_rip_table(A, mode="sampled", trials=40, seed=3), 7)
+        assert any(s is not None and s >= 3 for s in argmins)
+
+    def test_table_failing_s_starstar_mid_scan(self):
+        # delta_2S + theta_{S,2S} is below 1 at S = 1, 2 and reaches it at 3
+        table = RipTable("mid-scan")
+        for s, d, th in [(1, 0.05, 0.05), (2, 0.1, 0.1), (3, 0.6, 0.45)]:
+            table.set_delta(2 * s, d, True)
+            table.set_theta(s, 2 * s, th, True)
+        argmins = self.assert_same(table, 11)
+        assert set(argmins) == {1, 2}
+
+    def test_flat_table_matches_full_scan(self):
+        # with constant gaps the term at S = cap is exactly C2(cap) cap lam^2,
+        # the stop value itself, so a stop any earlier than the rule's shows
+        argmins = self.assert_same(flat_table(delta=0.1, theta=0.15), 5)
+        assert any(s is not None and s >= 3 for s in argmins)
+
+    def test_slack_covers_loaded_table_tolerance(self):
+        # delta_4 sits 1e-12 below delta_2, which validate_monotone admits,
+        # so f(2) = 96 lam^2 / (0.8 + 1e-12)^2 lies just below the unslacked
+        # stop value 96 lam^2 / 0.8^2; the tail puts f(1) between the two
+        table = RipTable("loaded")
+        table.set_delta(2, 0.1, True)
+        table.set_theta(1, 2, 0.1, True)
+        table.set_delta(4, 0.1 - 1e-12, True)
+        table.set_theta(2, 4, 0.1, True)
+        table.validate_monotone()
+        ctx = make_ctx(table, m=16)
+        cc = recovery_constants(1, table)
+        t = (150.0 * (1.0 - 1.25e-12) - cc.c2) / cc.c3
+        ref = reference_min_over_s(ctx, 2, lambda s: t, True)
+        res = _min_over_s(ctx, 2, lambda s: t, True)
+        assert (res.value, res.argmin_s) == (ref.value, ref.argmin_s)
+        assert res.argmin_s == 2
+
+    def test_stop_reads_no_constant_past_it(self):
+        # with no tail, S = 2 cannot beat S = 1, so the scan reads neither
+        # delta_4 nor theta_{2,4}, which this table lacks
+        table = RipTable("s1-only")
+        table.set_delta(2, 0.1, True)
+        table.set_theta(1, 2, 0.1, True)
+        ctx = make_ctx(table, m=16)
+        res = _min_over_s(ctx, 5, lambda s: 0.0, True)
+        assert (res.value, res.argmin_s) == (48.0 / 0.8 ** 2, 1)
+        with pytest.raises(InsufficientRipTable):
+            reference_min_over_s(ctx, 5, lambda s: 0.0, True)
+
+
 class TestSingleScaleBound:
     def test_hand_values(self):
         ctx = make_ctx(flat_table(), n=10, lam=1.0, norm1=2.0)
@@ -152,7 +268,8 @@ class TestSingleScaleBound:
     def test_looser_than_scan_term(self):
         # for |Delta| >= 1 the single-S form never beats the scan evaluated
         # with worst-case noise energy
-        # the scan reads up to S = 6 + 3, so delta_18 and theta_{9,18}
+        # a scan that does not stop early reads up to S = 6 + 3, so delta_18
+        # and theta_{9,18}
         table = flat_table(delta=0.1, theta=0.15, max_s=18, max_pair=9)
         ctx = make_ctx(table)
         for size_delta in [1, 2, 3]:

@@ -86,7 +86,8 @@ class TestSupportSetProperties:
             assert arr.dtype == np.intp
             assert arr.tolist() == sorted(set(r)) == list(s)
             assert len(s) == arr.size == len(set(r))
-            assert all(i in s for i in r)
+            assert all(i in s for i in r) and all(np.intp(i) in s for i in r)
+            assert [i in s for i in range(-1, m + 1)] == [i in set(r) for i in range(-1, m + 1)]
 
 
 def test_magnitude_order_tie_rule():

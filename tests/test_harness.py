@@ -893,6 +893,18 @@ class TestLazyConstants:
             ("theta_exhaustive", 1, 2), ("theta_exhaustive", 3, 1),
         ]
 
+    def test_bound_validation_computes_what_it_reads(self, monkeypatch):
+        computed = count_constants(monkeypatch)
+        cfg = json.loads((CONFIGS / "bound_validation.json").read_text())
+        run_bound_validation({**cfg, "num_matrices": 2, "instances_per_matrix": 4})
+        # the recovery-bound scan stops before S = 3, so neither delta_6,
+        # delta_8, theta_{3,6} nor theta_{4,8} is enumerated
+        per_matrix = [
+            ("delta_exhaustive", 2), ("delta_exhaustive", 3), ("delta_exhaustive", 4),
+            ("theta_exhaustive", 1, 2), ("theta_exhaustive", 2, 4), ("theta_exhaustive", 3, 1),
+        ]
+        assert sorted(computed) == sorted(per_matrix * 2)
+
     def test_tracking_trial_reads_no_constant(self, monkeypatch):
         # trial 0 fails the noise budget, so no condition predicate reads one
         computed = count_constants(monkeypatch)
