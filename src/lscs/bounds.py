@@ -665,9 +665,6 @@ class PredicateTally:
         for name in other.hypotheses:
             self.add(name, other.hypotheses[name], other.violations[name])
 
-    def total_violations(self) -> int:
-        return sum(self.violations.values())
-
 
 def runtime_step_checks(
     diag: StepDiagnostics,

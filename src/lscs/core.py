@@ -66,16 +66,11 @@ class SupportSet:
         self._check(other)
         return SupportSet(set(self._indices) | set(other._indices), self._m)
 
-    def intersection(self, other: "SupportSet") -> "SupportSet":
-        self._check(other)
-        return SupportSet(set(self._indices) & set(other._indices), self._m)
-
     def difference(self, other: "SupportSet") -> "SupportSet":
         self._check(other)
         return SupportSet(set(self._indices) - set(other._indices), self._m)
 
     __or__ = union
-    __and__ = intersection
     __sub__ = difference
 
     def __len__(self) -> int:

@@ -25,6 +25,10 @@ signal energies, plus epoch delays and the predicate tally when tracking.
 (unit, t) order as a single loop would.  A bound-validation unit returns one
 outcome per check, and the runner counts them.
 
+A static or tracking unit is a module-level function of a frozen, picklable
+setup and its key.  Bound validation's stays a closure: a matrix's instances
+share one lazily filled exact RIP table, so they run in order in one process.
+
 Aggregate NMSE is the ratio of summed squared errors to summed signal energy
 over all trials and steps; per-(trial, t) rows are also emitted so a
 per-instant convention can be recovered.  Every random draw derives from the
@@ -38,7 +42,6 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -217,21 +220,24 @@ def parse_model(r: ConfigReader, seed: int) -> SignalModelParams:
 
 @dataclass(frozen=True)
 class Noise:
-    """i.i.d. zero-mean noise: its standard deviation, its l-inf bound
-    (infinite for Gaussian noise) and ``draw(size, rng)``."""
+    """i.i.d. zero-mean noise: its standard deviation and its l-inf bound,
+    infinite for Gaussian noise and ``c`` for noise uniform on [-c, c]."""
 
     std: float
     linf_bound: float
-    draw: Callable[[int, np.random.Generator], np.ndarray]
+
+    def draw(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        if math.isinf(self.linf_bound):
+            return self.std * rng.standard_normal(size)
+        return rng.uniform(-self.linf_bound, self.linf_bound, size)
 
 
 def parse_noise(r: ConfigReader) -> Noise:
     """Gaussian noise of standard deviation ``sigma``, or uniform on [-c, c]."""
     if r.choice("kind", ("gaussian", "uniform")) == "gaussian":
-        sigma = r.float("sigma")
-        return Noise(sigma, math.inf, lambda size, rng: sigma * rng.standard_normal(size))
+        return Noise(r.float("sigma"), math.inf)
     c = r.float("c")
-    return Noise(c / math.sqrt(3.0), c, lambda size, rng: rng.uniform(-c, c, size))
+    return Noise(c / math.sqrt(3.0), c)
 
 
 def _sizes(r: ConfigReader, m: int) -> tuple[int, int, int]:
@@ -279,6 +285,40 @@ def _ds_method_name(factor: float) -> str:
     return "ds_%gsigma" % factor
 
 
+@dataclass(frozen=True)
+class StaticSetup:
+    """What a ``static_table`` trial reads of its config."""
+
+    m: int
+    sizes: tuple[int, int, int]            # support_size, delta_size, delta_e_size
+    cells: tuple[tuple[int, float], ...]   # (n, sigma)
+    seed: int
+    csres_factor: float
+    ds_factors: tuple[float, ...]
+
+
+def _static_trial(setup: StaticSetup, key: tuple[int, int]) -> TrialRecord:
+    """Trial ``k`` of cell ``ci``, where ``key = (ci, k)``."""
+    ci, k = key
+    n, sigma = setup.cells[ci]
+    rng = np.random.default_rng([setup.seed, ci, k])
+    A = MeasurementMatrix.from_columns(rng.standard_normal((n, setup.m)))
+    x, known, _ = _draw_instance(rng, setup.m, *setup.sizes)
+    y = A.entries @ x + sigma * rng.standard_normal(n)
+    sig_sq = float(x @ x)
+    x_init, y_res = initial_ls_residual(A, known, y)
+    x_csres = cs_residual_estimate(A, x_init, y_res, setup.csres_factor * sigma)
+    rows = {"cs_residual": [_scored_row(k, 0, "cs_residual", x, x_csres, sig_sq,
+                                        err_csres=_sq_err(x, x_csres))]}
+    # one handle answers the draw's lambda scales one after another
+    lp = SelectorLP(A)
+    for factor in setup.ds_factors:
+        name = _ds_method_name(factor)
+        zeta = solve_dantzig(A, y, factor * sigma, lp=lp).zeta_hat
+        rows[name] = [_scored_row(k, 0, name, x, zeta, sig_sq)]
+    return TrialRecord(rows, [sig_sq])
+
+
 def run_static_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
     """One-shot reconstruction over (n, sigma) cells.
 
@@ -291,14 +331,13 @@ def run_static_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
     with ConfigReader(cfg) as r:
         r.choice("kind", ("static_table",), default="static_table")
         m = r.int("m", low=1)
-        support_size, delta_size, delta_e_size = _sizes(r, m)
+        sizes = _sizes(r, m)
         items = r.obj("cells", kind=list)
-        cells = [(cell.int("n", low=1), cell.float("sigma")) for cell in map(items.obj, items.doc)]
+        cells = tuple((cell.int("n", low=1), cell.float("sigma")) for cell in map(items.obj, items.doc))
         trials = r.int("trials", low=1)
-        seed = r.int("seed")
-        csres_factor = r.float("csres_lambda_factor", default=4.0)
-        ds_factors = r.floats("ds_lambda_factors", default=[12.0, 4.0, 0.4])
-        methods = ["cs_residual"] + [_ds_method_name(f) for f in ds_factors]
+        setup = StaticSetup(m, sizes, cells, r.int("seed"), r.float("csres_lambda_factor", default=4.0),
+                            tuple(r.floats("ds_lambda_factors", default=[12.0, 4.0, 0.4])))
+        methods = ["cs_residual"] + [_ds_method_name(f) for f in setup.ds_factors]
         cell_dirs = ["n%d_sigma%s" % (n, _fmt(sigma)) for n, sigma in cells]
         # a repeated factor or cell would write two results to one file
         for key, names in (("ds_lambda_factors", methods), ("cells", cell_dirs)):
@@ -306,28 +345,9 @@ def run_static_experiment(cfg: dict, out_dir: Path | None = None) -> dict:
             if repeated:
                 raise ConfigError(f"{key} repeats {repeated}")
 
-    def cell_trial(ci: int, k: int) -> TrialRecord:
-        n, sigma = cells[ci]
-        rng = np.random.default_rng([seed, ci, k])
-        A = MeasurementMatrix.from_columns(rng.standard_normal((n, m)))
-        x, known, _ = _draw_instance(rng, m, support_size, delta_size, delta_e_size)
-        y = A.entries @ x + sigma * rng.standard_normal(n)
-        sig_sq = float(x @ x)
-        x_init, y_res = initial_ls_residual(A, known, y)
-        x_csres = cs_residual_estimate(A, x_init, y_res, csres_factor * sigma)
-        rows = {"cs_residual": [_scored_row(k, 0, "cs_residual", x, x_csres, sig_sq,
-                                            err_csres=_sq_err(x, x_csres))]}
-        # one handle answers the draw's lambda scales one after another
-        lp = SelectorLP(A)
-        for factor in ds_factors:
-            name = _ds_method_name(factor)
-            zeta = solve_dantzig(A, y, factor * sigma, lp=lp).zeta_hat
-            rows[name] = [_scored_row(k, 0, name, x, zeta, sig_sq)]
-        return TrialRecord(rows, [sig_sq])
-
     summary, csvs = [], {}
     for ci, (n, sigma) in enumerate(cells):
-        folded = _fold(methods, [cell_trial(ci, k) for k in range(trials)], 1)
+        folded = _fold(methods, [_static_trial(setup, (ci, k)) for k in range(trials)], 1)
         summary.append({"n": n, "sigma": sigma, "nmse": {name: folded[name][2].nmse for name in methods}})
         for name, (rows, _, overall) in folded.items():
             csvs[f"{cell_dirs[ci]}/{name}.csv"] = rows + [overall]
@@ -588,6 +608,8 @@ def run_low_snr_experiments(cfg: dict, out_dir: Path | None = None) -> dict:
         for name in sorted(variants.doc):
             vcfg = {**inherited, **variants.value(name, kind=dict)}
             parsed[name] = vcfg, _parse_tracking(vcfg)
+            if parsed[name][1].noise.std == 0:
+                raise ConfigError(f"variants.{name}.noise is zero, so its SNR is infinite")
     results = {}
     for name, (vcfg, setup) in parsed.items():
         sub = None if out_dir is None else Path(out_dir) / name

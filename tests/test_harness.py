@@ -1,4 +1,5 @@
 import json
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from lscs.harness import (
     _draw_instance,
     _parse_tracking,
     _scored_row,
+    _static_trial,
     _tracking_trial,
     parse_model,
     parse_noise,
@@ -137,6 +139,17 @@ class TestConfigValidation:
         assert f"config error: {key} repeats" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("noise", [{"kind": "uniform", "c": 0}, {"kind": "gaussian", "sigma": 0.0}])
+    def test_low_snr_zero_noise(self, noise, tmp_path, capsys):
+        # zero noise makes every SNR infinite, which JSON cannot hold
+        cfg = small_low_snr_cfg()
+        cfg["variants"]["slow"]["noise"] = noise
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert "config error: variants.slow.noise is zero" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_shipped_static_config_loads(self):
         cfg = json.loads((CONFIGS / "static_table.json").read_text())
         res = run_static_experiment({**cfg, "trials": 1})
@@ -196,7 +209,7 @@ class TestStabilityRunner:
 
     def test_guarantee_checks_run_clean(self):
         res = run_stability_experiment(small_stability_cfg(check_guarantees=True))
-        assert res.tally.total_violations() == 0
+        assert sum(res.tally.violations.values()) == 0
         assert res.tally.hypotheses.get("detection_guarantee", 0) >= 0
 
     def test_noiseless_genie_lock(self):
@@ -205,6 +218,59 @@ class TestStabilityRunner:
         cfg["filter"] = {"lam": 0.05, "alpha": 0.02, "alpha_del": 0.02}
         res = run_stability_experiment(cfg)
         assert res.nmse["lscs"] == pytest.approx(res.nmse["genie_ls"], abs=1e-6)
+
+
+def one_shot_variant():
+    cfg = json.loads((CONFIGS / "low_snr.json").read_text())
+    return {**cfg["variants"]["slow_adds"], "seed": 1, "trials": 2, "init": {"kind": "simple_cs", "n0": 150}}
+
+
+def gaussian_tracking_cfg():
+    return {**small_stability_cfg(), "noise": {"kind": "gaussian", "sigma": 0.02}}
+
+
+class TestUnitsPickle:
+    """A parsed setup survives pickling, and a unit run from the copy
+    returns the record the original gives."""
+
+    @pytest.mark.parametrize("cfg", [
+        json.loads((CONFIGS / "stability.json").read_text()), one_shot_variant(), gaussian_tracking_cfg(),
+    ], ids=["stability", "low_snr_one_shot", "gaussian"])
+    def test_tracking_setup(self, cfg):
+        setup = _parse_tracking(cfg)
+        copy = pickle.loads(pickle.dumps(setup))
+        assert _tracking_trial(copy, 1) == _tracking_trial(setup, 1)
+
+    @pytest.mark.parametrize("cfg", [
+        json.loads((CONFIGS / "static_table.json").read_text()), small_static_cfg(),
+    ], ids=["static_table", "small"])
+    def test_static_setup(self, cfg, monkeypatch):
+        # the setup that the runner hands its units
+        setups = []
+
+        def recorded(setup, key):
+            setups.append(setup)
+            return _static_trial(setup, key)
+
+        monkeypatch.setattr("lscs.harness._static_trial", recorded)
+        run_static_experiment({**cfg, "trials": 2})
+        setup = setups[-1]
+        copy = pickle.loads(pickle.dumps(setup))
+        key = (len(setup.cells) - 1, 1)
+        assert _static_trial(copy, key) == _static_trial(setup, key)
+
+    @pytest.mark.parametrize("spec, old", [
+        ({"kind": "gaussian", "sigma": 0.3}, lambda size, rng: 0.3 * rng.standard_normal(size)),
+        ({"kind": "uniform", "c": 0.1266}, lambda size, rng: rng.uniform(-0.1266, 0.1266, size)),
+    ], ids=["gaussian", "uniform"])
+    def test_noise_draw_matches_former_lambda(self, spec, old):
+        # the expressions parse_noise once closed over: the same bits, and
+        # the generator left in the same state
+        noise = parse_noise(ConfigReader(spec))
+        rng, rng_old = np.random.default_rng(5), np.random.default_rng(5)
+        for size in (1, 7, 59):
+            assert noise.draw(size, rng).tobytes() == old(size, rng_old).tobytes()
+        assert rng.bit_generator.state == rng_old.bit_generator.state
 
 
 class TestScoredRow:

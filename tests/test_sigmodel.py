@@ -27,7 +27,7 @@ class TestGenerate:
     def test_addition_removal_disjoint(self):
         seq = generate(stability_params(4))
         for add, rem in zip(seq.addition_sets, seq.removal_sets):
-            assert len(add & rem) == 0
+            assert not set(add) & set(rem)
 
     def test_addition_times(self):
         seq = generate(stability_params(5))

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize._highspy import _core as highs_core
+from scipy.sparse import csc_array
 
 import lscs.solver
 from lscs.cli import main as cli_main
@@ -108,6 +110,61 @@ def milp_ranged_dantzig(A: MeasurementMatrix, y: np.ndarray, lam: float) -> np.n
         )
     assert res.status == 0
     return res.x[:m] - res.x[m:]
+
+
+class HotRangedDantzig:
+    """``milp_ranged_dantzig`` for many ``(y, lam)`` on one matrix: its LP and
+    options load into one HiGHS model, and each call changes only the row
+    bounds to ``g -+ lam`` and solves on from the last basis.  The bindings
+    are private to scipy; ``test_hot_model_matches_milp`` pins them."""
+
+    def __init__(self, A: MeasurementMatrix):
+        self.A, self.highs = A, highs_core._Highs()
+        for name, value in (("output_flag", False), ("presolve", "off"), ("simplex_scale_strategy", 0),
+                            ("primal_feasibility_tolerance", 1e-10), ("dual_feasibility_tolerance", 1e-10)):
+            assert self.highs.setOptionValue(name, value) == highs_core.HighsStatus.kOk, name
+        G, m = A.gram(), A.m
+        cols = csc_array(np.hstack([G, -G]))
+        lp = highs_core.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = 2 * m
+        lp.num_row_ = lp.a_matrix_.num_row_ = m
+        lp.a_matrix_.format_ = highs_core.MatrixFormat.kColwise
+        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = cols.indptr, cols.indices, cols.data
+        lp.col_cost_, lp.col_lower_, lp.col_upper_ = np.ones(2 * m), np.zeros(2 * m), np.full(2 * m, np.inf)
+        lp.row_lower_, lp.row_upper_ = np.full(m, -np.inf), np.full(m, np.inf)
+        # HiGHS warns as it drops the entries below 1e-9 that rounding leaves in G, under milp too
+        assert self.highs.passModel(lp) != highs_core.HighsStatus.kError
+
+    def __call__(self, y: np.ndarray, lam: float) -> np.ndarray:
+        g = self.A.entries.T @ y
+        m = self.A.m
+        if lam >= np.max(np.abs(g)):
+            return np.zeros(m)
+        for i, gi in enumerate(g):
+            self.highs.changeRowBounds(i, gi - lam, gi + lam)
+        self.highs.run()
+        assert self.highs.getModelStatus() == highs_core.HighsModelStatus.kOptimal
+        x = np.asarray(self.highs.getSolution().col_value)
+        return x[:m] - x[m:]
+
+
+def sign_design_walk(seed: int, designs: int = 300):
+    """Yield ``designs`` seeded -1/0/+1 designs scaled to unit columns, each
+    with its eight calls ``(y, lam)``: integer y, and lam a uniform fraction
+    in [0.05, 1) of ``max |A'y|``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(designs):
+        m = int(rng.integers(3, 16))
+        n = int(rng.integers(2, m + 1))
+        raw = rng.integers(-1, 2, size=(n, m)).astype(float)
+        while not np.all(np.any(raw != 0, axis=0)):
+            raw = rng.integers(-1, 2, size=(n, m)).astype(float)
+        A = MeasurementMatrix.from_columns(raw)
+        calls = []
+        for _ in range(8):
+            y = rng.integers(-3, 4, size=n).astype(float)
+            calls.append((y, float(rng.uniform(0.05, 1.0)) * float(np.max(np.abs(A.entries.T @ y)))))
+        yield A, calls
 
 
 def static_table_instance(n: int, seed: int, sigma: float):
@@ -317,29 +374,32 @@ class TestDantzig:
     def test_seeded_walk_on_sign_designs(self):
         # -1/0/+1 designs scaled to unit columns, integer y, eight solves per
         # handle: no solve breaks down, and every answer matches the ranged
-        # LP through milp (when a dual slower than the smallest pivot could
-        # still leave R, 2, 5 and 3 of these seeds' 2,400 solves broke down)
+        # LP through one HiGHS model per design (when a dual slower than the
+        # smallest pivot could still leave R, 2, 5 and 3 of these seeds'
+        # 2,400 solves broke down)
         for seed, zero_exits in ((2024, 12), (11, 20), (12, 9)):
-            rng = np.random.default_rng(seed)
             paths = []
-            for _ in range(300):
-                m = int(rng.integers(3, 16))
-                n = int(rng.integers(2, m + 1))
-                raw = rng.integers(-1, 2, size=(n, m)).astype(float)
-                while not np.all(np.any(raw != 0, axis=0)):
-                    raw = rng.integers(-1, 2, size=(n, m)).astype(float)
-                A = MeasurementMatrix.from_columns(raw)
-                handle = SelectorLP(A)
-                for _ in range(8):
-                    y = rng.integers(-3, 4, size=n).astype(float)
-                    lam = float(rng.uniform(0.05, 1.0)) * float(np.max(np.abs(A.entries.T @ y)))
+            for A, calls in sign_design_walk(seed):
+                handle, reference = SelectorLP(A), HotRangedDantzig(A)
+                for y, lam in calls:
                     sol = solve_dantzig(A, y, lam, lp=handle)
                     paths.append(sol.path)
                     if sol.path != "zero_exit":
-                        l1 = np.abs(milp_ranged_dantzig(A, y, lam)).sum()
+                        l1 = np.abs(reference(y, lam)).sum()
                         assert abs(np.abs(sol.zeta_hat).sum() - l1) <= 1e-9 * max(1.0, l1), seed
             # each handle starts cold once and keeps its basis from then on
             assert (paths.count("cold"), paths.count("zero_exit")) == (300, zero_exits), seed
+
+    def test_hot_model_matches_milp(self):
+        # the walk's reference keeps one HiGHS model per design through
+        # scipy's private bindings; on the first designs of each walk it
+        # agrees with a fresh milp model per LP
+        for seed in (2024, 11, 12):
+            for A, calls in sign_design_walk(seed, designs=20):
+                hot = HotRangedDantzig(A)
+                for y, lam in calls:
+                    l1 = np.abs(milp_ranged_dantzig(A, y, lam)).sum()
+                    assert abs(np.abs(hot(y, lam)).sum() - l1) <= 1e-9 * max(1.0, l1), seed
 
     def test_slow_dual_passes_its_kink(self, monkeypatch):
         # design 201 of the seed-11 walk: on the fourth call a coefficient's
