@@ -48,9 +48,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import support_of
+from .core import SupportSet, support_of
 from .filter import FilterConfig, StepDiagnostics
-from .measurement import RipEntry, RipTable
+from .measurement import MeasurementMatrix, RipEntry, RipTable
 from .sigmodel import SignalModelParams
 
 _NOISE_TOL = 1e-12
@@ -284,29 +284,40 @@ def no_miss_residual_bound(ctx: BoundContext, size_T: int) -> BoundResult:
 
 
 def compressibility_residual_bound(
-    ctx: BoundContext, size_T: int, size_delta: int, x_delta_sqnorm: float, b: float
+    ctx: BoundContext, A: MeasurementMatrix, known: SupportSet, delta: np.ndarray,
+    x_delta: np.ndarray, w: np.ndarray,
 ) -> BoundResult:
     """Tighter recovery bound whose leading term does not grow with ``|T|``.
 
-    The caller must have verified the residual-compressibility condition:
-    ``||A_T^+ A_Delta||_1 < c`` and ``||x_Delta||_1`` large enough, for the
-    supplied ``b > c``.  With ``|Delta| = 0`` that condition cannot hold and
-    the B0 bound is returned instead.
+    It derives its residual-compressibility factor ``b = ||A_T^+ A_Delta||_1 +
+    max(1.01 ||A_T^+ w||_1 / ||x_Delta||_1, 1e-9)``, which makes the l1 norm of
+    the error of least squares on the known support T, ``A_T^+ (A_Delta x_Delta
+    + w)``, less than ``b ||x_Delta||_1``; ``b`` is in ``details``.  With
+    ``|Delta| = 0`` the B0 bound is returned instead.
     """
+    size_T, size_delta = len(known), len(delta)
+    pinv_T = np.linalg.pinv(A.columns(known))
+    gain = np.abs(pinv_T @ A.entries[:, delta]).sum(axis=0).max() if size_delta else 0.0
+    w_l1 = float(np.abs(pinv_T @ w).sum())
+    xd_l1 = float(np.abs(x_delta).sum())
+    b = gain + max(1.01 * w_l1 / xd_l1 if xd_l1 else 0.0, 1e-9)
     if size_delta == 0:
         res = no_miss_residual_bound(ctx, size_T)
         res.reasons.append("|Delta|=0: fell back to the B0 bound")
+        res.details["b"] = b
         return res
     h = _hypotheses(ctx, size_T, theta_with=size_delta, s_starstar=size_delta)
     if h.reason:
-        return BoundResult(None, False, reasons=[h.reason])
+        return BoundResult(None, False, reasons=[h.reason], details={"b": b})
+    xd_sq = float(x_delta @ x_delta)
     cc = recovery_constants(size_delta, ctx.rip)
     second = cc.c3 * min(
-        b ** 2 * x_delta_sqnorm,
-        8.0 * size_T * h.theta.value ** 2 * x_delta_sqnorm + 4.0 * size_T * ctx.w_max_sq(),
+        b ** 2 * xd_sq,
+        8.0 * size_T * h.theta.value ** 2 * xd_sq + 4.0 * size_T * ctx.w_max_sq(),
     )
     return BoundResult(
         cc.c2 * size_delta * ctx.lam ** 2 + second, True, optimistic=not (h.exact and cc.exact),
+        details={"b": b},
     )
 
 
@@ -621,26 +632,29 @@ class StabilityErrorCaps:
 
 
 def stability_error_caps(
-    model: SignalModelParams, ctx: BoundContext, f: int, d0: int
+    model: SignalModelParams, ctx: BoundContext, report: ConditionReport
 ) -> StabilityErrorCaps:
-    """Time-invariant error caps implied by the stability conditions.
-
-    Caller is responsible for having verified those conditions.
-    """
+    """Time-invariant error caps implied by the stability conditions at the
+    ``f`` and ``d0`` of ``report``, from :func:`check_stability_conditions` on
+    ``model`` and ``ctx``.  Unless it holds they are not applicable, with its
+    failing rows that are not assumed as reasons.  Optimistic with the report."""
+    if not report.holds:
+        failing = [r.identifier for r in report.rows if not (r.holds or r.assumed)]
+        return StabilityErrorCaps(False, reasons=[f"{name} fails" for name in failing])
     sa, s0 = model.sa, model.s0
-    st = s0 + f * (d0 + sa)
-    peak = model.magnitude(d0 + sa, np.max(model.rates)) ** 2
+    st = s0 + report.f * (report.d0 + sa)
+    peak = model.magnitude(report.d0 + sa, np.max(model.rates)) ** 2
     b0 = no_miss_residual_bound(ctx, st)
     if not b0.applicable:
         return StabilityErrorCaps(False, reasons=b0.reasons)
+    optimistic = report.optimistic or b0.optimistic
     if sa == 0:
-        return StabilityErrorCaps(True, 0.0, _ls_error(ctx, 0.0, 0, 0.0), b0.value, b0.optimistic)
+        return StabilityErrorCaps(True, 0.0, _ls_error(ctx, 0.0, 0, 0.0), b0.value, optimistic)
+    # applicable: its hypotheses are the noise-budget, support-size and addition-count rows
     cor1 = simplified_residual_bound(ctx, st, sa, sa * peak)
-    if not cor1.applicable:
-        return StabilityErrorCaps(False, reasons=cor1.reasons)
     return StabilityErrorCaps(
         True, sa * peak, _ls_error(ctx, cor1.details["theta"], sa, peak),
-        max(b0.value, cor1.value), b0.optimistic or cor1.optimistic,
+        max(b0.value, cor1.value), optimistic or cor1.optimistic,
     )
 
 

@@ -16,9 +16,9 @@ Detection uses a strict ``>`` and deletion uses ``<=``, so a value exactly at
 the detection threshold is not added while one exactly at the deletion
 threshold is removed.
 
-Baselines: least squares on the true support (the oracle), and a one-shot
-solve-threshold-refit estimator used both for comparison and for the t=0
-initialization from a taller matrix.
+Also here: the oracle baseline (least squares on the true support) and the
+one-shot solve-threshold-refit estimator of the t=0 initialization.  The
+per-step ``simple_cs`` baseline is a plain selector solve that the harness runs.
 """
 
 from __future__ import annotations
@@ -112,8 +112,8 @@ def simple_cs(
 ) -> tuple[np.ndarray, SupportSet]:
     """One-shot estimate: selector solve, support threshold, LS refit.
 
-    Returns the refit estimate and its support.  Used as the t=0
-    initialization (with a taller matrix) and as a per-step baseline.
+    Returns the refit estimate and its support.  Used only as the t=0
+    initialization, with a taller matrix.
     """
     zeta = solve_dantzig(A, y, lam).zeta_hat
     support = SupportSet([i for i in range(A.m) if abs(zeta[i]) > alpha], A.m)

@@ -30,6 +30,7 @@ from lscs.core import SupportSet, support_of
 from lscs.filter import FilterConfig, FilterState, StepDiagnostics, lscs_step
 from lscs.measurement import (
     InsufficientRipTable,
+    MeasurementMatrix,
     RipTable,
     build_rip_table,
     gen_gaussian_matrix,
@@ -331,26 +332,52 @@ class TestCsBound:
 
 
 class TestCompressibilityBound:
+    """With A = I the gain ``||A_T^+ A_Delta||_1`` is 0, so the bound derives
+    ``b = 1.01 ||w_T||_1 / ||x_Delta||_1`` exactly."""
+
+    A = MeasurementMatrix(np.eye(12))
+
+    def bound(self, ctx, size_T, x_delta, w):
+        # T is the first size_T indices and Delta the next len(x_delta)
+        delta = np.arange(size_T, size_T + len(x_delta))
+        return compressibility_residual_bound(
+            ctx, self.A, SupportSet(range(size_T), 12), delta, np.array(x_delta, dtype=float), w,
+        )
+
     def test_small_b_drops_t_dependence(self):
         table = flat_table(delta=0.05, theta=0.1, max_pair=10)
-        ctx = make_ctx(table)
-        b = 1e-3
-        small_t = compressibility_residual_bound(ctx, 2, 1, 4.0, b)
-        large_t = compressibility_residual_bound(ctx, 9, 1, 4.0, b)
+        ctx = make_ctx(table, n=12, m=12)
+        w = np.zeros(12)
+        w[0] = 1e-3  # inside T at both sizes
+        small_t = self.bound(ctx, 2, [2.0], w)
+        large_t = self.bound(ctx, 9, [2.0], w)
+        assert small_t.details["b"] == large_t.details["b"] == 1.01 * 1e-3 / 2.0
         assert small_t.value == pytest.approx(large_t.value)
 
     def test_large_b_reduces_to_single_scale_bound(self):
         table = flat_table(delta=0.05, theta=0.1)
-        ctx = make_ctx(table)
-        res = compressibility_residual_bound(ctx, 5, 1, 4.0, b=1e9)
+        ctx = make_ctx(table, n=12, m=12)
+        res = self.bound(ctx, 5, [2.0], np.full(12, 100.0))
+        assert res.details["b"] == 1.01 * 500.0 / 2.0
         cor1 = simplified_residual_bound(ctx, 5, 1, 4.0)
         assert res.value == pytest.approx(cor1.value)
 
     def test_delta_zero_falls_back_to_b0(self):
-        ctx = make_ctx(flat_table())
-        res = compressibility_residual_bound(ctx, 5, 0, 0.0, b=0.1)
+        ctx = make_ctx(flat_table(), n=12, m=12)
+        res = self.bound(ctx, 5, [], np.full(12, 0.1))
+        assert res.details["b"] == 1e-9  # no gain and no x_Delta: the floor
         b0 = no_miss_residual_bound(ctx, 5)
         assert res.value == pytest.approx(b0.value)
+
+    def test_b_reads_the_gain(self):
+        # A_T^+ = [I_2 0], so A_T^+ A_Delta = [[0.6, 0.28], [0.8, 0.96]]: its
+        # column sums are 1.4 and 1.24, its row sums 0.88 and 1.76
+        A = MeasurementMatrix(np.array([[1.0, 0.0, 0.6, 0.28], [0.0, 1.0, 0.8, 0.96], [0.0, 0.0, 0.0, 0.0]]))
+        res = compressibility_residual_bound(
+            make_ctx(flat_table()), A, SupportSet([0, 1], 4), np.array([2, 3]),
+            np.array([1.0, -2.0]), np.array([0.01, 0.02, 0.5]),
+        )
+        assert res.details["b"] == pytest.approx(1.4 + 1.01 * 0.03 / 3.0, rel=1e-12)
 
 
 class TestConditionLemmas:
@@ -495,40 +522,48 @@ class TestStabilityConditions:
         assert not report.holds
 
     def test_threshold_rows_read_the_definitions(self):
-        # distinct constants, so a row reading the wrong entry shows
-        table = RipTable("graded")
-        for s in range(1, 31):
-            table.set_delta(s, 0.013 * s, True)
-            for sp in range(1, 31 - s):
-                table.set_theta(s, sp, 0.007 * (s + sp), True)
-        ctx = BoundContext(rip=table, n=50, m=30, lam=0.1, norm_A_1=5.0, noise_linf_bound=0.02)
+        # distinct constants, so a row reading the wrong entry shows; at full
+        # scale every report with additions fails, at 1/20 scale each holds
+        for scale in (1.0, 0.05):
+            table = RipTable("graded")
+            for s in range(1, 31):
+                table.set_delta(s, 0.013 * scale * s, True)
+                for sp in range(1, 31 - s):
+                    table.set_theta(s, sp, 0.007 * scale * (s + sp), True)
+            ctx = BoundContext(rip=table, n=50, m=30, lam=0.1, norm_A_1=5.0, noise_linf_bound=0.02)
 
-        def survival(theta, count, mag_sq):
-            # 2 alpha_del^2 + 2 (4 n lam^2/||A||_1^2 + 8 theta^2 count mag^2)
-            return (2.0 * prescribed_alpha_del(ctx) ** 2 + 8.0 * ctx.w_max_sq()
-                    + 16.0 * theta ** 2 * count * mag_sq)
+            def survival(theta, count, mag_sq):
+                # 2 alpha_del^2 + 2 (4 n lam^2/||A||_1^2 + 8 theta^2 count mag^2)
+                return (2.0 * prescribed_alpha_del(ctx) ** 2 + 8.0 * ctx.w_max_sq()
+                        + 16.0 * theta ** 2 * count * mag_sq)
 
-        for sa in (0, 1, 2, 4):
-            model = generous_model(m=30, s0=8, sa=sa, d=10)
-            report = check_stability_conditions(model, ctx, f=1, d0=2, alpha=0.05)
-            # every rate is 5 and big_m is 10, so each magnitude caps at 10
-            for i in range(1, sa + 1):
-                row = report.row(f"keep-addition-{i}")
-                assert row.inputs == {"S_T": 8 + (2 + i), "S_Delta": sa - i}
-                mag_sq = 100.0 if i < sa else 0.0
-                assert row.rhs == survival(table.theta(8 + (2 + i), sa - i).value, sa - i, mag_sq)
-            theta = table.theta(8 + (2 + sa), sa).value
-            assert report.row("keep-constant-coefficients").rhs == survival(theta, sa, 100.0)
-            caps = stability_error_caps(model, ctx, f=1, d0=2)
-            assert caps.support_err_sq == 4.0 * ctx.w_max_sq() + 8.0 * theta ** 2 * sa * 100.0
-            row = report.row("addition-count-within-recovery-range")
-            if sa == 0:
-                assert row.lhs is None and row.holds
-            else:
-                assert row.lhs == table.delta(2 * sa).value + table.theta(sa, 2 * sa).value
-            row = report.row("support-size-within-ls-range")
-            assert row.inputs["S_T"] == 8 + (2 + sa)
-            assert row.lhs == table.delta(8 + (2 + sa)).value
+            for sa in (0, 1, 2, 4):
+                model = generous_model(m=30, s0=8, sa=sa, d=10)
+                report = check_stability_conditions(model, ctx, f=1, d0=2, alpha=0.05)
+                # every rate is 5 and big_m is 10, so each magnitude caps at 10
+                for i in range(1, sa + 1):
+                    row = report.row(f"keep-addition-{i}")
+                    assert row.inputs == {"S_T": 8 + (2 + i), "S_Delta": sa - i}
+                    mag_sq = 100.0 if i < sa else 0.0
+                    assert row.rhs == survival(table.theta(8 + (2 + i), sa - i).value, sa - i, mag_sq)
+                theta = table.theta(8 + (2 + sa), sa).value
+                assert report.row("keep-constant-coefficients").rhs == survival(theta, sa, 100.0)
+                caps = stability_error_caps(model, ctx, report)
+                if scale == 1.0 and sa > 0:
+                    failing = ["detection-gate"] + [f"detect-addition-{i}" for i in range(1, sa + 1)]
+                    failing += ["keep-constant-coefficients"] if sa == 4 else []
+                    assert not caps.applicable and caps.reasons == [f"{name} fails" for name in failing]
+                else:
+                    assert report.holds
+                    assert caps.support_err_sq == 4.0 * ctx.w_max_sq() + 8.0 * theta ** 2 * sa * 100.0
+                row = report.row("addition-count-within-recovery-range")
+                if sa == 0:
+                    assert row.lhs is None and row.holds
+                else:
+                    assert row.lhs == table.delta(2 * sa).value + table.theta(sa, 2 * sa).value
+                row = report.row("support-size-within-ls-range")
+                assert row.inputs["S_T"] == 8 + (2 + sa)
+                assert row.lhs == table.delta(8 + (2 + sa)).value
         model = generous_model(m=30, s0=8, sa=1, d=10)
         for excess in (0.0, 5e-13, 2e-12, 1e-3):
             noisy = replace(ctx, noise_linf_bound=0.1 / 5.0 + excess)
@@ -621,7 +656,7 @@ class TestStabilityCaps:
     def test_hand_values(self):
         model = generous_model()
         ctx = zero_rip_ctx(model)
-        caps = stability_error_caps(model, ctx, f=1, d0=3)
+        caps = stability_error_caps(model, ctx, check_stability_conditions(model, ctx, f=1, d0=3, alpha=0.05))
         assert caps.applicable
         assert caps.miss_err_sq == pytest.approx(2 * min(10.0, 5 * 5.0) ** 2)
         assert caps.support_err_sq == pytest.approx(4 * ctx.w_max_sq())  # theta = 0
@@ -629,8 +664,49 @@ class TestStabilityCaps:
     def test_no_additions(self):
         model = generous_model(s0=5, sa=0, d=10, r=2, t_end=20)
         ctx = zero_rip_ctx(model)
-        caps = stability_error_caps(model, ctx, f=0, d0=1)
+        caps = stability_error_caps(model, ctx, check_stability_conditions(model, ctx, f=0, d0=1, alpha=0.05))
         assert caps.miss_err_sq == 0.0
+
+
+# Constants at which every S fails S* (delta_S >= 1/2), and at which every S
+# lies within S* but fails S** (delta_2S + theta_{S,2S} >= 1).
+_BEYOND_S_STAR = {"delta": 0.6}
+_BEYOND_S_STARSTAR = {"delta": 0.3, "theta": 0.75}
+
+
+def _caps_on_failing_report():
+    # the decreasing-coefficient condition is the only one that fails
+    model = generous_model(s0=5, sa=0, d=10, r=9, big_m=1.0, rate=1.0, t_end=20)
+    ctx = zero_rip_ctx(model)
+    return stability_error_caps(model, ctx, check_stability_conditions(model, ctx, f=0, d0=1, alpha=0.05))
+
+
+@pytest.mark.parametrize("evaluate, reasons", [
+    pytest.param(
+        lambda: residual_recovery_bound(make_ctx(flat_table(**_BEYOND_S_STARSTAR)), 4, np.array([1.0]), 0.0),
+        ["no admissible S"], id="residual_recovery_bound"),
+    pytest.param(
+        lambda: simplified_residual_bound(make_ctx(flat_table(**_BEYOND_S_STARSTAR)), 4, 1, 1.0),
+        ["|Delta|=1 exceeds S**"], id="simplified_residual_bound"),
+    pytest.param(
+        lambda: no_miss_residual_bound(make_ctx(flat_table(), noise=10.0), 4),
+        ["noise bound exceeds lam/||A||_1"], id="no_miss_residual_bound"),
+    pytest.param(
+        lambda: compressibility_residual_bound(
+            make_ctx(flat_table(**_BEYOND_S_STARSTAR), n=12, m=12), MeasurementMatrix(np.eye(12)),
+            SupportSet(range(4), 12), np.array([4]), np.array([1.0]), np.zeros(12)),
+        ["|Delta|=1 exceeds S**"], id="compressibility_residual_bound"),
+    pytest.param(
+        lambda: detected_support_ls_error_bound(make_ctx(flat_table(**_BEYOND_S_STAR)), 4, 1.0, 1),
+        ["|T_det|=4 exceeds S*"], id="detected_support_ls_error_bound"),
+    pytest.param(
+        lambda: detection_condition(make_ctx(flat_table(**_BEYOND_S_STAR)), 4, 1, alpha=0.1),
+        ["S_T=4 exceeds S*"], id="detection_condition"),
+    pytest.param(_caps_on_failing_report, ["keep-decreasing-coefficients fails"], id="stability_error_caps"),
+])
+def test_not_applicable_when_a_precondition_fails(evaluate, reasons):
+    res = evaluate()
+    assert not res.applicable and res.reasons == reasons
 
 
 class TestSmallScaleStabilityRun:
@@ -651,7 +727,7 @@ class TestSmallScaleStabilityRun:
         alpha = 0.5
         d0, report = find_min_d0(model, ctx, f, alpha)
         assert d0 is not None and report.holds and not report.optimistic
-        caps = stability_error_caps(model, ctx, f, d0)
+        caps = stability_error_caps(model, ctx, report)
         assert caps.applicable and not caps.optimistic
 
         cfg = FilterConfig(lam=lam, alpha=alpha, alpha_del=prescribed_alpha_del(ctx))

@@ -716,6 +716,21 @@ class TestCli:
         out = self.run_cli("run", str(cfg_path), "--out", str(tmp_path / "bv"))
         assert out.returncode == 0, out.stderr
 
+    def test_bound_validation_failed_stage_exit_code(self, tmp_path):
+        # detection grows |T| to 5 > n = 4, so its least squares fails: the
+        # run stops at the first such instance, not counting it as skipped
+        cfg_path = tmp_path / "bv.json"
+        cfg_path.write_text(json.dumps({
+            "kind": "bound_validation",
+            "m": 16, "n": 4, "support_size": 3, "delta_size": 1, "delta_e_size": 1,
+            "lam": 0.5, "alpha": 0.01, "num_matrices": 2, "instances_per_matrix": 10,
+            "seed": 1, "matrix_kind": "gaussian",
+        }))
+        out = self.run_cli("run", str(cfg_path), "--out", str(tmp_path / "bv"))
+        assert out.returncode == 2
+        assert "detect_ls failed on matrix 0, instance 0: |T| = 5 exceeds n = 4" in out.stderr
+        assert out.stdout == "" and not (tmp_path / "bv").exists()
+
     @pytest.mark.parametrize("kind, sizes", [
         ("static_table", {"delta_e_size": 35}),    # past m - support_size = 34
         ("static_table", {"delta_e_size": -1}),
